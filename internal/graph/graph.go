@@ -9,7 +9,6 @@
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -18,10 +17,15 @@ import (
 
 // Graph is an immutable simple undirected graph with nodes 0..n-1.
 // Build one with a Builder. The zero value is an empty graph.
+//
+// Adjacency is stored in compressed sparse row (CSR) form: the
+// neighbors of v are arcs[off[v]:off[v+1]], sorted, with no duplicates
+// and no self-loops.
 type Graph struct {
-	n   int
-	m   int
-	adj [][]int32 // sorted, no duplicates, no self-loops
+	n    int
+	m    int
+	off  []int   // len n+1 (nil for the zero value)
+	arcs []int32 // len 2m
 
 	revOnce sync.Once
 	rev     [][]int32 // lazily built reverse port table (see RevPorts)
@@ -42,6 +46,18 @@ func NewBuilder(n int) *Builder {
 	return &Builder{n: n}
 }
 
+// GrowNodes raises the node count to n; a smaller n is a no-op. Readers
+// whose node count is known only after the last edge (headerless edge
+// lists) grow the Builder as endpoints arrive.
+func (b *Builder) GrowNodes(n int) {
+	if n > b.n {
+		b.n = n
+	}
+}
+
+// Reserve grows the edge buffer's capacity for m more AddEdge calls.
+func (b *Builder) Reserve(m int) { b.edges = slices.Grow(b.edges, m) }
+
 // AddEdge records the undirected edge {u, v}. Self-loops are ignored.
 func (b *Builder) AddEdge(u, v int) {
 	if u < 0 || u >= b.n || v < 0 || v >= b.n {
@@ -50,49 +66,63 @@ func (b *Builder) AddEdge(u, v int) {
 	if u == v {
 		return
 	}
-	if u > v {
-		u, v = v, u
-	}
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 
-// Build finalizes the Builder into an immutable Graph.
+// Build finalizes the Builder into an immutable Graph in O(n+m) time
+// with four allocations, by a two-pass counting sort over the arcs
+// (both orientations of every recorded edge). Pass one buckets each arc
+// by its source. Pass two walks the sources in ascending order and
+// appends each source to its targets' lists, so every list comes out
+// sorted and repeated edges land next to each other, where they are
+// dropped. The Builder is left unchanged.
 func (b *Builder) Build() *Graph {
-	slices.SortFunc(b.edges, func(x, y [2]int32) int {
-		if c := cmp.Compare(x[0], y[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(x[1], y[1])
-	})
-	deg := make([]int, b.n)
-	m := 0
-	var prev [2]int32 = [2]int32{-1, -1}
+	n := b.n
+	off := make([]int, n+1)
 	for _, e := range b.edges {
-		if e == prev {
-			continue
-		}
-		prev = e
-		deg[e[0]]++
-		deg[e[1]]++
-		m++
+		off[e[0]+1]++
+		off[e[1]+1]++
 	}
-	adj := make([][]int32, b.n)
-	for v := range adj {
-		adj[v] = make([]int32, 0, deg[v])
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
 	}
-	prev = [2]int32{-1, -1}
+	// Pass one: bucket arcs by source; cur[v] is v's next free slot.
+	cur := make([]int, n)
+	copy(cur, off)
+	bySrc := make([]int32, off[n])
 	for _, e := range b.edges {
-		if e == prev {
-			continue
+		bySrc[cur[e[0]]] = e[1]
+		cur[e[0]]++
+		bySrc[cur[e[1]]] = e[0]
+		cur[e[1]]++
+	}
+	// Pass two: sources in ascending order fill their targets' lists.
+	copy(cur, off)
+	arcs := make([]int32, off[n])
+	dups := false
+	for s := 0; s < n; s++ {
+		for _, d := range bySrc[off[s]:off[s+1]] {
+			c := cur[d]
+			if c > off[d] && arcs[c-1] == int32(s) {
+				dups = true
+				continue
+			}
+			arcs[c] = int32(s)
+			cur[d] = c + 1
 		}
-		prev = e
-		adj[e[0]] = append(adj[e[0]], e[1])
-		adj[e[1]] = append(adj[e[1]], e[0])
 	}
-	for v := range adj {
-		slices.Sort(adj[v])
+	if dups {
+		// Close the gaps the dropped repeats left behind.
+		w := 0
+		for v := 0; v < n; v++ {
+			lo := off[v]
+			off[v] = w
+			w += copy(arcs[w:], arcs[lo:cur[v]])
+		}
+		off[n] = w
+		arcs = arcs[:w:w]
 	}
-	return &Graph{n: b.n, m: m, adj: adj}
+	return &Graph{n: n, m: off[n] / 2, off: off, arcs: arcs}
 }
 
 // N returns the number of nodes.
@@ -102,11 +132,16 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int) int { return g.off[v+1] - g.off[v] }
 
 // Neighbors returns the sorted neighbor list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
+// shared with the graph and must not be modified; its capacity ends at
+// its length, so appending to it copies instead of overwriting the next
+// node's list.
+func (g *Graph) Neighbors(v int) []int32 {
+	lo, hi := g.off[v], g.off[v+1]
+	return g.arcs[lo:hi:hi]
+}
 
 // RevPorts returns the reverse port table: RevPorts()[v][i] is the port
 // of v in the adjacency list of its i-th neighbor. It is computed once in
@@ -116,17 +151,19 @@ func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 func (g *Graph) RevPorts() [][]int32 {
 	g.revOnce.Do(func() {
 		rev := make([][]int32, g.n)
+		ports := make([]int32, len(g.arcs))
 		cnt := make([]int32, g.n)
 		// Processing nodes in ascending order, cnt[w] counts the directed
 		// edges (x, w) seen so far; since adjacency lists are sorted, when
 		// edge (u, w) is reached, cnt[w] equals the number of neighbors of
 		// w smaller than u — exactly u's port in w's list.
 		for u := 0; u < g.n; u++ {
-			rev[u] = make([]int32, len(g.adj[u]))
-			for i, w := range g.adj[u] {
-				rev[u][i] = cnt[w]
+			lo, hi := g.off[u], g.off[u+1]
+			for i, w := range g.arcs[lo:hi] {
+				ports[lo+i] = cnt[w]
 				cnt[w]++
 			}
+			rev[u] = ports[lo:hi:hi]
 		}
 		g.rev = rev
 	})
@@ -138,7 +175,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || v < 0 || u >= g.n || v >= g.n || u == v {
 		return false
 	}
-	a := g.adj[u]
+	a := g.Neighbors(u)
 	i := sort.Search(len(a), func(i int) bool { return a[i] >= int32(v) })
 	return i < len(a) && a[i] == int32(v)
 }
@@ -160,7 +197,7 @@ func NormEdge(u, v int) Edge {
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
 	for u := 0; u < g.n; u++ {
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if int32(u) < v {
 				es = append(es, Edge{int32(u), v})
 			}
@@ -218,7 +255,7 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	}
 	b := NewBuilder(len(orig))
 	for i, v := range orig {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			if j, ok := idx[int(w)]; ok && i < j {
 				b.AddEdge(i, j)
 			}
@@ -261,7 +298,7 @@ func (g *Graph) BFSWithin(root int, allowed []bool) *BFSResult {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, w := range g.adj[u] {
+		for _, w := range g.Neighbors(u) {
 			v := int(w)
 			if allowed != nil && !allowed[v] {
 				continue
@@ -357,7 +394,7 @@ func (g *Graph) OddCycleEdge() (Edge, bool) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, w := range g.adj[u] {
+			for _, w := range g.Neighbors(u) {
 				v := int(w)
 				if color[v] == 0 {
 					color[v] = 3 - color[u]
@@ -398,7 +435,7 @@ func (g *Graph) ShortestCycleThrough(u, v int, maxLen int) int {
 		if dist[x] >= maxLen-1 {
 			continue
 		}
-		for _, w := range g.adj[x] {
+		for _, w := range g.Neighbors(x) {
 			y := int(w)
 			if x == u && y == v {
 				continue
@@ -439,8 +476,8 @@ func (g *Graph) Girth(maxLen int) int {
 func (g *Graph) MaxDegree() int {
 	d := 0
 	for v := 0; v < g.n; v++ {
-		if len(g.adj[v]) > d {
-			d = len(g.adj[v])
+		if len(g.Neighbors(v)) > d {
+			d = len(g.Neighbors(v))
 		}
 	}
 	return d
@@ -454,7 +491,7 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 	removed := make([]bool, g.n)
 	buckets := make([][]int, g.n)
 	for v := 0; v < g.n; v++ {
-		deg[v] = len(g.adj[v])
+		deg[v] = len(g.Neighbors(v))
 		buckets[deg[v]] = append(buckets[deg[v]], v)
 	}
 	order = make([]int, 0, g.n)
@@ -476,7 +513,7 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 		if cur > degeneracy {
 			degeneracy = cur
 		}
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			u := int(w)
 			if !removed[u] {
 				deg[u]--

@@ -28,7 +28,7 @@ const binaryMagic = "PGB1"
 
 // readBinary decodes the compact format, validating bounds per edge and
 // requiring exact stream length (no trailing bytes).
-func readBinary(br *bufio.Reader) (*graph.Graph, error) {
+func readBinary(br *bufio.Reader, maxNodes int) (*graph.Graph, error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, parseErrf(Binary, 0, "short magic: %v", err)
@@ -44,14 +44,14 @@ func readBinary(br *bufio.Reader) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxNodes {
-		return nil, parseErrf(Binary, 0, "node count %d exceeds the %d limit", n, MaxNodes)
+	in := newIngest(Binary, maxNodes)
+	if n > uint64(in.maxNodes) {
+		return nil, in.overCap(0, n)
 	}
 	if maxM := n * (n - 1) / 2; m > maxM {
 		return nil, parseErrf(Binary, 0, "m=%d exceeds the simple-graph maximum %d for n=%d", m, maxM, n)
 	}
-	acc, err := newEdgeAccum(Binary, int(n), int(m))
-	if err != nil {
+	if err := in.declare(0, int(n), int(m)); err != nil {
 		return nil, err
 	}
 	prevU, prevV := uint64(0), uint64(0)
@@ -72,10 +72,10 @@ func readBinary(br *bufio.Reader) (*graph.Graph, error) {
 		v := base + gap + 1
 		// u < prevU or v <= base means the uint64 sum wrapped (huge
 		// varint): reject rather than decode an out-of-order stream.
-		if u < prevU || v <= base || u >= uint64(MaxNodes) || v >= uint64(MaxNodes) {
+		if u < prevU || v <= base || v >= n {
 			return nil, parseErrf(Binary, 0, "edge %d out of range", i)
 		}
-		if aerr := acc.add(0, int(u), int(v)); aerr != nil {
+		if aerr := in.add(0, int(u), int(v)); aerr != nil {
 			return nil, aerr
 		}
 		prevU, prevV = u, v
@@ -83,7 +83,7 @@ func readBinary(br *bufio.Reader) (*graph.Graph, error) {
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, parseErrf(Binary, 0, "trailing bytes after %d edges", m)
 	}
-	return acc.build()
+	return in.build()
 }
 
 // readUvarint decodes one varint, rejecting non-minimal encodings (a

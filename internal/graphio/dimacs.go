@@ -3,7 +3,6 @@ package graphio
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -13,65 +12,49 @@ import (
 // readDIMACS parses the DIMACS edge format: 'c' comment lines, exactly
 // one 'p edge <n> <m>' problem line before any edge, and m 'e <u> <v>'
 // lines with 1-based endpoints.
-func readDIMACS(br *bufio.Reader) (*graph.Graph, error) {
-	var acc *edgeAccum
-	line := 0
-	for {
-		line++
-		s, err := br.ReadString('\n')
-		if s == "" && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		t := strings.TrimSpace(s)
+func readDIMACS(br *bufio.Reader, maxNodes int) (*graph.Graph, error) {
+	in := newIngest(DIMACS, maxNodes)
+	err := eachLine(br, func(line int, t []byte) error {
 		switch {
-		case t == "" || t[0] == 'c':
-		case strings.HasPrefix(t, "p "):
-			if acc != nil {
-				return nil, parseErrf(DIMACS, line, "duplicate problem line")
+		case len(t) == 0 || t[0] == 'c':
+		case hasPrefix(t, "p "):
+			if in.n >= 0 {
+				return parseErrf(DIMACS, line, "duplicate problem line")
 			}
-			f := strings.Fields(t)
+			f := strings.Fields(string(t))
 			if len(f) != 4 || f[1] != "edge" {
-				return nil, parseErrf(DIMACS, line, "bad problem line %q (want \"p edge n m\")", t)
+				return parseErrf(DIMACS, line, "bad problem line %q (want \"p edge n m\")", t)
 			}
 			n, err1 := strconv.Atoi(f[2])
 			m, err2 := strconv.Atoi(f[3])
 			if err1 != nil || err2 != nil || n < 0 || m < 0 {
-				return nil, parseErrf(DIMACS, line, "bad problem line %q", t)
+				return parseErrf(DIMACS, line, "bad problem line %q", t)
 			}
-			if acc, err = newEdgeAccum(DIMACS, n, m); err != nil {
-				return nil, err
-			}
-		case strings.HasPrefix(t, "e "):
-			if acc == nil {
-				return nil, parseErrf(DIMACS, line, "edge before problem line")
+			return in.declare(line, n, m)
+		case hasPrefix(t, "e "):
+			if in.n < 0 {
+				return parseErrf(DIMACS, line, "edge before problem line")
 			}
 			u, v, perr := parseEdgePair(t[2:])
 			if perr != nil {
-				return nil, parseErrf(DIMACS, line, "bad edge line %q: %v", t, perr)
+				return parseErrf(DIMACS, line, "bad edge line %q: %v", t, perr)
 			}
 			if u < 1 || v < 1 {
-				return nil, parseErrf(DIMACS, line, "node below 1 in edge line %q (DIMACS is 1-based)", t)
+				return parseErrf(DIMACS, line, "node below 1 in edge line %q (DIMACS is 1-based)", t)
 			}
-			if aerr := acc.add(line, u-1, v-1); aerr != nil {
-				return nil, aerr
-			}
+			return in.add(line, u-1, v-1)
 		default:
-			return nil, parseErrf(DIMACS, line, "unknown record %q", t)
+			return parseErrf(DIMACS, line, "unknown record %q", t)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if acc == nil {
+	if in.n < 0 {
 		return nil, parseErrf(DIMACS, 0, "missing problem line")
 	}
-	return acc.build()
+	return in.build()
 }
 
 // writeDIMACS emits the problem line plus 1-based edges in canonical

@@ -2,10 +2,13 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/graph"
 )
@@ -17,53 +20,34 @@ const edgeListHeaderPrefix = "# graphio edge-list "
 
 // readEdgeList parses whitespace-separated "u v" lines. Blank lines and
 // '#' comments are skipped; the optional writer header pins n and m.
-func readEdgeList(br *bufio.Reader) (*graph.Graph, error) {
-	acc, err := newEdgeAccum(EdgeList, -1, -1)
-	if err != nil {
-		return nil, err
-	}
-	line := 0
-	for {
-		line++
-		s, err := br.ReadString('\n')
-		if s == "" && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, err
-		}
-		t := strings.TrimSpace(s)
+func readEdgeList(br *bufio.Reader, maxNodes int) (*graph.Graph, error) {
+	in := newIngest(EdgeList, maxNodes)
+	err := eachLine(br, func(line int, t []byte) error {
 		switch {
-		case t == "":
-		case strings.HasPrefix(t, edgeListHeaderPrefix):
-			if acc.n >= 0 || len(acc.edges) > 0 {
-				return nil, parseErrf(EdgeList, line, "header after data")
+		case len(t) == 0:
+		case hasPrefix(t, edgeListHeaderPrefix):
+			if in.n >= 0 || in.edges > 0 {
+				return parseErrf(EdgeList, line, "header after data")
 			}
-			n, m, herr := parseEdgeListHeader(t)
+			n, m, herr := parseEdgeListHeader(string(t))
 			if herr != nil {
-				return nil, parseErrf(EdgeList, line, "%v", herr)
+				return parseErrf(EdgeList, line, "%v", herr)
 			}
-			if acc, err = newEdgeAccum(EdgeList, n, m); err != nil {
-				return nil, err
-			}
+			return in.declare(line, n, m)
 		case t[0] == '#':
 		default:
 			u, v, perr := parseEdgePair(t)
 			if perr != nil {
-				return nil, parseErrf(EdgeList, line, "bad edge line %q: %v", t, perr)
+				return parseErrf(EdgeList, line, "bad edge line %q: %v", t, perr)
 			}
-			if aerr := acc.add(line, u, v); aerr != nil {
-				return nil, aerr
-			}
+			return in.add(line, u, v)
 		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return acc.build()
+	return in.build()
 }
 
 // parseEdgeListHeader parses "# graphio edge-list n=<n> m=<m>".
@@ -93,36 +77,74 @@ func parseEdgeListHeader(t string) (n, m int, err error) {
 	return n, m, nil
 }
 
-// parseEdgePair parses exactly two non-negative integers.
-func parseEdgePair(t string) (u, v int, err error) {
-	us, rest, ok := cutFields(t)
-	if !ok {
-		return 0, 0, fmt.Errorf("want two fields")
+// parseEdgePair parses exactly two integers separated by spaces or
+// tabs, each in strconv.Atoi syntax. t has no trailing white space.
+func parseEdgePair(t []byte) (u, v int, err error) {
+	us, rest := cutField(trimLeftSpace(t))
+	if len(us) == 0 {
+		return 0, 0, errors.New("want two fields")
 	}
-	vs, rest, _ := cutFields(rest)
-	if rest != "" {
+	vs, rest := cutField(rest)
+	if len(rest) != 0 {
 		return 0, 0, fmt.Errorf("trailing data %q", rest)
 	}
-	if u, err = strconv.Atoi(us); err != nil {
+	if u, err = atoi(us); err != nil {
 		return 0, 0, err
 	}
-	if v, err = strconv.Atoi(vs); err != nil {
+	if v, err = atoi(vs); err != nil {
 		return 0, 0, err
 	}
 	return u, v, nil
 }
 
-// cutFields splits off the first whitespace-separated field.
-func cutFields(s string) (field, rest string, ok bool) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return "", "", false
+// cutField splits s at its first space or tab, trimming the white
+// space that leads the rest.
+func cutField(s []byte) (field, rest []byte) {
+	for i, c := range s {
+		if c == ' ' || c == '\t' {
+			return s[:i], trimLeftSpace(s[i:])
+		}
 	}
-	i := strings.IndexAny(s, " \t")
-	if i < 0 {
-		return s, "", true
+	return s, nil
+}
+
+// trimLeftSpace drops leading white space, Unicode included, like the
+// left half of bytes.TrimSpace.
+func trimLeftSpace(s []byte) []byte {
+	for len(s) > 0 {
+		switch c := s[0]; {
+		case c >= utf8.RuneSelf:
+			return bytes.TrimLeftFunc(s, unicode.IsSpace)
+		case c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r':
+			s = s[1:]
+		default:
+			return s
+		}
 	}
-	return s[:i], strings.TrimSpace(s[i:]), true
+	return s
+}
+
+// atoi is strconv.Atoi over a byte slice: an optional sign, then one or
+// more decimal digits, within the range of int.
+func atoi(s []byte) (int, error) {
+	d := s
+	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 18 { // 18 digits cannot overflow; leave the rest to strconv
+		return strconv.Atoi(string(s))
+	}
+	x := 0
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			return 0, fmt.Errorf("invalid integer %q", s)
+		}
+		x = x*10 + int(c-'0')
+	}
+	if s[0] == '-' {
+		x = -x
+	}
+	return x, nil
 }
 
 // writeEdgeList emits the header plus one "u v" line per edge in

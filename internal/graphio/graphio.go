@@ -2,9 +2,14 @@
 // interchange formats understood by the serving layer and the CLIs:
 // plain edge lists, DIMACS, JSON, and a compact delta-encoded binary
 // format. Every reader validates as it parses — node bounds, self-loops,
-// duplicate edges, malformed records — and feeds edges straight into a
-// single flat builder buffer (no per-edge intermediate slices), so
-// multi-million-edge inputs stream at I/O speed. Writers are
+// duplicate edges, malformed records, a node cap checked before
+// anything is allocated — and feeds edges straight into one
+// graph.Builder, scanning bytes in the reader's buffer with O(1)
+// allocations per graph. The repository benchmark's traced serve-mixed
+// workload reports the throughput as graphio.decode_mb_per_s per
+// format; three runs on a 2-vCPU host read 40–61 (edge-list), 56–81
+// (DIMACS), 34–65 (JSON) and 25–31 (binary) MB/s over graphs of 10^3
+// to 10^5 nodes. Writers are
 // deterministic: the edge stream is emitted in canonical sorted order,
 // so Write∘Read∘Write round-trips are byte-identical for every format
 // (exercised by the round-trip property tests).
@@ -16,6 +21,8 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -40,7 +47,7 @@ const (
 	EdgeList
 	// DIMACS is the classic "p edge n m" / "e u v" 1-based format.
 	DIMACS
-	// JSON is {"n": <n>, "edges": [[u,v], ...]}, parsed token by token.
+	// JSON is {"n": <n>, "edges": [[u,v], ...]}, keys in either order.
 	JSON
 	// Binary is the compact format: "PGB1" magic, uvarint n and m, then
 	// delta-encoded uvarint edge gaps over the canonical sorted order.
@@ -93,6 +100,7 @@ type ParseError struct {
 	Format Format
 	Line   int // 1-based line for text formats, 0 for binary
 	Msg    string
+	Err    error // underlying cause (ErrNodeLimit, a read error), or nil
 }
 
 // Error implements error.
@@ -103,6 +111,10 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("graphio: %s: %s", e.Format, e.Msg)
 }
 
+// Unwrap returns the underlying cause, so errors.Is(err, ErrNodeLimit)
+// and errors.As on a read error see through the ParseError.
+func (e *ParseError) Unwrap() error { return e.Err }
+
 func parseErrf(f Format, line int, format string, args ...any) error {
 	return &ParseError{Format: f, Line: line, Msg: fmt.Sprintf(format, args...)}
 }
@@ -112,76 +124,124 @@ func parseErrf(f Format, line int, format string, args ...any) error {
 // 12-byte binary header requesting a 2^60-node allocation).
 const MaxNodes = 1 << 28
 
-// edgeAccum accumulates validated edges for one reader pass: a single
-// flat slice plus the running max endpoint. n < 0 means the node count
-// is not known up front (headerless edge lists) and bounds are checked
-// against MaxNodes only; known-n inputs are bounds-checked per edge.
-type edgeAccum struct {
-	f       Format
-	n       int
-	wantM   int // expected edge count, -1 when unknown
-	edges   []graph.Edge
-	maxNode int
+// ErrNodeLimit is wrapped by the *ParseError a reader returns when the
+// input declares or references more nodes than the reader's cap. The
+// check runs before the graph is allocated.
+var ErrNodeLimit = errors.New("graphio: node count over the cap")
+
+// ingest validates the edges of one reader pass and feeds them straight
+// into a single graph.Builder. The node count n is declared by a header
+// (or JSON's "n") or, when n < 0, not known yet: endpoints are then
+// checked against the cap and the Builder grows to the largest one.
+type ingest struct {
+	f        Format
+	maxNodes int
+	n        int // declared node count, -1 while unknown
+	wantM    int // declared edge count, -1 when unknown
+	b        *graph.Builder
+	edges    int // edges added, repeats included
+	maxNode  int // largest endpoint added while n was unknown, -1 if none
 }
 
-func newEdgeAccum(f Format, n, wantM int) (*edgeAccum, error) {
-	if n > MaxNodes {
-		return nil, parseErrf(f, 0, "node count %d exceeds the %d limit", n, MaxNodes)
-	}
-	a := &edgeAccum{f: f, n: n, wantM: wantM, maxNode: -1}
-	if wantM > 0 && n >= 0 {
-		if max := 3 * n; wantM <= max { // planar-scale hint; oversized claims fall back to append growth
-			a.edges = make([]graph.Edge, 0, wantM)
-		}
-	}
-	return a, nil
+func newIngest(f Format, maxNodes int) *ingest {
+	return &ingest{f: f, maxNodes: min(maxNodes, MaxNodes), n: -1, wantM: -1, b: graph.NewBuilder(0), maxNode: -1}
 }
 
-func (a *edgeAccum) add(line, u, v int) error {
-	if u == v {
-		return parseErrf(a.f, line, "self-loop at node %d", u)
+// overCap reports a node count beyond the cap.
+func (in *ingest) overCap(line int, n uint64) error {
+	return &ParseError{Format: in.f, Line: line, Err: ErrNodeLimit,
+		Msg: fmt.Sprintf("node count %d exceeds the %d-node limit", n, in.maxNodes)}
+}
+
+// declare fixes the node count n and, when m >= 0, the edge count.
+// Edges added before it must lie below n.
+func (in *ingest) declare(line, n, m int) error {
+	if n > in.maxNodes {
+		return in.overCap(line, uint64(n))
 	}
-	if u < 0 || v < 0 {
-		return parseErrf(a.f, line, "negative node in edge (%d,%d)", u, v)
+	if in.maxNode >= n {
+		return parseErrf(in.f, line, "edge endpoint %d out of range [0,%d)", in.maxNode, n)
 	}
-	hi := u
-	if v > hi {
-		hi = v
+	in.n, in.wantM = n, m
+	in.b.GrowNodes(n)
+	if m > 0 && m <= 3*n { // planar-scale hint; oversized claims fall back to append growth
+		in.b.Reserve(m)
 	}
-	if a.n >= 0 && hi >= a.n {
-		return parseErrf(a.f, line, "edge (%d,%d) out of range [0,%d)", u, v, a.n)
-	}
-	if hi >= MaxNodes {
-		return parseErrf(a.f, line, "edge (%d,%d) exceeds the %d-node limit", u, v, MaxNodes)
-	}
-	if hi > a.maxNode {
-		a.maxNode = hi
-	}
-	a.edges = append(a.edges, graph.NormEdge(u, v))
 	return nil
 }
 
-// build finalizes the accumulated edges into a Graph, detecting
-// duplicate edges (the builder dedups silently; a count mismatch after
-// Build means the input repeated an edge) and edge-count mismatches
-// against a declared m.
-func (a *edgeAccum) build() (*graph.Graph, error) {
-	if a.wantM >= 0 && len(a.edges) != a.wantM {
-		return nil, parseErrf(a.f, 0, "declared m=%d but found %d edges", a.wantM, len(a.edges))
+func (in *ingest) add(line, u, v int) error {
+	if u == v {
+		return parseErrf(in.f, line, "self-loop at node %d", u)
 	}
-	n := a.n
-	if n < 0 {
-		n = a.maxNode + 1
+	if u < 0 || v < 0 {
+		return parseErrf(in.f, line, "negative node in edge (%d,%d)", u, v)
 	}
-	b := graph.NewBuilder(n)
-	for _, e := range a.edges {
-		b.AddEdge(int(e.U), int(e.V))
+	hi := max(u, v)
+	switch {
+	case in.n >= 0:
+		if hi >= in.n {
+			return parseErrf(in.f, line, "edge (%d,%d) out of range [0,%d)", u, v, in.n)
+		}
+	case hi >= in.maxNodes:
+		return &ParseError{Format: in.f, Line: line, Err: ErrNodeLimit,
+			Msg: fmt.Sprintf("edge (%d,%d) exceeds the %d-node limit", u, v, in.maxNodes)}
+	case hi > in.maxNode:
+		in.maxNode = hi
+		in.b.GrowNodes(hi + 1)
 	}
-	g := b.Build()
-	if g.M() != len(a.edges) {
-		return nil, parseErrf(a.f, 0, "%d duplicate edges", len(a.edges)-g.M())
+	in.b.AddEdge(u, v)
+	in.edges++
+	return nil
+}
+
+// build finalizes the Builder, detecting repeated edges (Build drops
+// them silently, so fewer edges than were added means the input
+// repeated one) and a mismatch against a declared m.
+func (in *ingest) build() (*graph.Graph, error) {
+	if in.wantM >= 0 && in.edges != in.wantM {
+		return nil, parseErrf(in.f, 0, "declared m=%d but found %d edges", in.wantM, in.edges)
+	}
+	g := in.b.Build()
+	if g.M() != in.edges {
+		return nil, parseErrf(in.f, 0, "%d duplicate edges", in.edges-g.M())
 	}
 	return g, nil
+}
+
+// eachLine calls fn with every line of br, trimmed of surrounding white
+// space, and its 1-based number. The slice aliases the reader's buffer
+// and is valid only during the call; a line longer than the buffer is
+// assembled in one scratch slice.
+func eachLine(br *bufio.Reader, fn func(line int, t []byte) error) error {
+	var long []byte
+	for line := 1; ; line++ {
+		s, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], s...)
+			for err == bufio.ErrBufferFull {
+				s, err = br.ReadSlice('\n')
+				long = append(long, s...)
+			}
+			s = long
+		}
+		if len(s) > 0 {
+			if ferr := fn(line, bytes.TrimSpace(s)); ferr != nil {
+				return ferr
+			}
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// hasPrefix is bytes.HasPrefix against a string prefix.
+func hasPrefix(t []byte, p string) bool {
+	return len(t) >= len(p) && string(t[:len(p)]) == p
 }
 
 // eachEdge calls fn for every edge (u < v) in canonical sorted order,
@@ -200,8 +260,16 @@ func eachEdge(g *graph.Graph, fn func(u, v int) error) error {
 }
 
 // Read parses a graph from r in the given format; Auto sniffs the
-// format first (see Detect).
+// format first (see Detect). Inputs of more than MaxNodes nodes are
+// rejected.
 func Read(r io.Reader, f Format) (*graph.Graph, error) {
+	return ReadLimit(r, f, MaxNodes)
+}
+
+// ReadLimit is Read with a node cap: an input that declares or
+// references more than maxNodes nodes (at most MaxNodes) fails with a
+// *ParseError wrapping ErrNodeLimit before the graph is allocated.
+func ReadLimit(r io.Reader, f Format, maxNodes int) (*graph.Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if f == Auto {
 		var err error
@@ -211,13 +279,13 @@ func Read(r io.Reader, f Format) (*graph.Graph, error) {
 	}
 	switch f {
 	case EdgeList:
-		return readEdgeList(br)
+		return readEdgeList(br, maxNodes)
 	case DIMACS:
-		return readDIMACS(br)
+		return readDIMACS(br, maxNodes)
 	case JSON:
-		return readJSON(br)
+		return readJSON(br, maxNodes)
 	case Binary:
-		return readBinary(br)
+		return readBinary(br, maxNodes)
 	default:
 		return nil, fmt.Errorf("graphio: cannot read format %v", f)
 	}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
+	"repro/internal/graphio"
 )
 
 // Admission-control errors reported by Submit (and mapped by the HTTP
@@ -63,14 +64,28 @@ func (b *byteBudget) saturated() bool {
 }
 
 // GraphMemBytes estimates the resident bytes a decoded graph pins: two
-// int32 endpoints per undirected edge in the adjacency lists plus a
-// slice header per node, doubled for the reverse-port table the engine
-// materializes lazily. This is the admission unit for queued and
-// running jobs (deliberately not the full per-run algorithm state,
-// which belongs to the run pool bound, not the ingest bound).
+// int32 endpoints per undirected edge plus 24 bytes per node, doubled
+// for the reverse-port table the engine materializes lazily. The graph
+// itself keeps an 8-byte CSR offset per node, so the per-node term is
+// an upper bound. This is the admission unit for queued and running
+// jobs (deliberately not the full per-run algorithm state, which
+// belongs to the run pool bound, not the ingest bound).
 func GraphMemBytes(g *graph.Graph) int64 {
 	if g == nil {
 		return 0
 	}
-	return 2 * (24*int64(g.N()) + 8*int64(g.M()))
+	return graphMemBytes(int64(g.N()), int64(g.M()))
+}
+
+func graphMemBytes(n, m int64) int64 { return 2 * (24*n + 8*m) }
+
+// graphNodeCap is the node cap the graph readers enforce: the largest
+// node count whose decoded graph fits the whole byte budget, so a body
+// declaring more nodes is refused before the reader allocates for it.
+// An unbounded budget keeps graphio.MaxNodes.
+func (m *Manager) graphNodeCap() int {
+	if m.budget.total <= 0 {
+		return graphio.MaxNodes
+	}
+	return int(min(m.budget.total/graphMemBytes(1, 0), graphio.MaxNodes))
 }

@@ -149,8 +149,15 @@ func handleTest(m *Manager, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 		shedError(w, err)
 		return
 	}
-	req, async, err := decodeTestRequest(r)
+	req, async, err := decodeTestRequest(r, m.graphNodeCap())
 	releaseBody()
+	if m.budget.total > 0 && errors.Is(err, graphio.ErrNodeLimit) {
+		// The graph could never fit the budget: refused like an
+		// oversized Submit, before the reader allocated it.
+		m.metrics.ShedRequests.Add(1)
+		shedError(w, fmt.Errorf("%w: %w", ErrTooLarge, err))
+		return
+	}
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -197,8 +204,9 @@ func handleTest(m *Manager, hc HandlerConfig, w http.ResponseWriter, r *http.Req
 	writeJSONResponse(w, http.StatusOK, j.View())
 }
 
-// decodeTestRequest parses the two wire shapes of POST /v1/test.
-func decodeTestRequest(r *http.Request) (*Request, bool, error) {
+// decodeTestRequest parses the two wire shapes of POST /v1/test. The
+// graph reader refuses graphs of more than maxNodes nodes.
+func decodeTestRequest(r *http.Request, maxNodes int) (*Request, bool, error) {
 	ct := r.Header.Get("Content-Type")
 	mediaType := ct
 	if ct != "" {
@@ -207,7 +215,7 @@ func decodeTestRequest(r *http.Request) (*Request, bool, error) {
 		}
 	}
 	if strings.HasPrefix(mediaType, "multipart/") {
-		return decodeMultipart(r)
+		return decodeMultipart(r, maxNodes)
 	}
 	var wire wireRequest
 	dec := json.NewDecoder(r.Body)
@@ -239,7 +247,7 @@ func decodeTestRequest(r *http.Request) (*Request, bool, error) {
 	default:
 		rd = strings.NewReader(wire.Graph.Data)
 	}
-	g, err := graphio.Read(rd, f)
+	g, err := graphio.ReadLimit(rd, f, maxNodes)
 	if err != nil {
 		return nil, false, err
 	}
@@ -263,7 +271,7 @@ const maxMultipartFieldBytes = 1 << 20
 // temp files). The only ordering constraint this imposes is that a
 // "format" field, which changes how the graph bytes are parsed, must
 // precede the "graph" part.
-func decodeMultipart(r *http.Request) (*Request, bool, error) {
+func decodeMultipart(r *http.Request, maxNodes int) (*Request, bool, error) {
 	mr, err := r.MultipartReader()
 	if err != nil {
 		return nil, false, fmt.Errorf("bad multipart body: %w", err)
@@ -292,7 +300,7 @@ func decodeMultipart(r *http.Request) (*Request, bool, error) {
 			if f == graphio.Auto {
 				f = graphio.DetectPath(part.FileName())
 			}
-			g, err = graphio.Read(part, f)
+			g, err = graphio.ReadLimit(part, f, maxNodes)
 			part.Close()
 			if err != nil {
 				return nil, false, err

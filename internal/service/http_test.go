@@ -10,6 +10,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -593,5 +594,43 @@ func TestHTTPBudgetShed(t *testing.T) {
 	resp, out = postJSON(t, srv.URL+"/v1/test", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-pressure POST: %d %s", resp.StatusCode, out)
+	}
+}
+
+// TestHTTPNodeCapRefusesBeforeAllocating posts 12 bytes that name a
+// 268435001-node graph under a 64 MiB budget. The reader's node cap,
+// derived from the budget, must refuse it with 413 before building
+// anything: the unchecked reader allocated gigabytes for this body.
+func TestHTTPNodeCapRefusesBeforeAllocating(t *testing.T) {
+	m := New(Config{EngineWorkers: 1, MemoryBudget: 64 << 20})
+	t.Cleanup(m.Close)
+	srv := httptest.NewServer(NewHandler(m, HandlerConfig{}))
+	t.Cleanup(srv.Close)
+
+	pgb := graphio.AppendUvarint([]byte("PGB1"), 268435000)
+	pgb = graphio.AppendUvarint(pgb, 0)
+	for _, tc := range []struct{ format, key, data string }{
+		{"edge-list", "data", "268435000 0\n"},
+		{"json", "data", `{"n":268435000,"edges":[]}`},
+		{"binary", "data_base64", base64.StdEncoding.EncodeToString(pgb)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		body := map[string]any{
+			"property": PropPlanarity,
+			"mode":     "exact",
+			"graph":    map[string]any{"format": tc.format, tc.key: tc.data},
+		}
+		resp, out := postJSON(t, srv.URL+"/v1/test", body)
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: huge n answered %d (want 413) %s", tc.format, resp.StatusCode, out)
+		}
+		if !strings.Contains(string(out), ErrTooLarge.Error()) {
+			t.Fatalf("%s: 413 body %s does not name ErrTooLarge", tc.format, out)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("%s: refusing the body allocated %d bytes", tc.format, grew)
+		}
 	}
 }
