@@ -261,8 +261,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		modeled:      make([]int64, n),
 		chargedMsgs:  make([]int64, n),
 		chargedBits:  make([]int64, n),
-		rngs:         make([]*rand.Rand, n),
-		rngSrc:       make([]*countingSource, n),
+		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
 		bitBound:     bitBound,
@@ -301,7 +300,6 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 	}
 	eng.run(due, false)
 	eng.shutdown()
-	eng.releaseRNG()
 
 	eng.m.Rounds = eng.round
 	for i := range eng.modeled {
@@ -336,17 +334,16 @@ type engine struct {
 	// a single node wake must touch — is one 64-byte nodeHot line per
 	// node, so a sparse wake costs one line instead of one per slab.
 	// See DESIGN.md §8 for the layout rationale and field sizes.
-	phase    []nodePhase       // parked/done; the barrier scan's hottest byte
-	deadline []int64           // absolute round to wake by (while waiting)
-	heapDl   []int64           // deadline of a live heap entry (0: none)
-	hot      []nodeHot         // dispatch cluster: program, inbox, mailbox
-	outbox   [][]outMsg        // sends queued by the current Step call
-	sentBits []uint64          // flat dup-send bitsets; node i owns words [apis[i].sentOff, +⌈deg/64⌉)
-	rejFlag  []bool            // node ever output VerdictReject (merged at barriers)
-	modeled  []int64           // per-node modeled-round charges (summed at run end)
-	rngs     []*rand.Rand      // lazily created on first StepAPI.Rand call
-	rngSrc   []*countingSource // draw-counting sources behind rngs (snapshot.go)
-	apis     []StepAPI         // per-node API handles (stable addresses; shims retain them)
+	phase    []nodePhase // parked/done; the barrier scan's hottest byte
+	deadline []int64     // absolute round to wake by (while waiting)
+	heapDl   []int64     // deadline of a live heap entry (0: none)
+	hot      []nodeHot   // dispatch cluster: program, inbox, mailbox
+	outbox   [][]outMsg  // sends queued by the current Step call
+	sentBits []uint64    // flat dup-send bitsets; node i owns words [apis[i].sentOff, +⌈deg/64⌉)
+	rejFlag  []bool      // node ever output VerdictReject (merged at barriers)
+	modeled  []int64     // per-node modeled-round charges (summed at run end)
+	rngs     []*nodeRand // lazily created on first StepAPI.Rand call (rng.go)
+	apis     []StepAPI   // per-node API handles (stable addresses; shims retain them)
 	verdicts []Verdict
 
 	m            Metrics

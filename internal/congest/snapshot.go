@@ -4,10 +4,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"runtime"
-	"sync"
 
 	"repro/internal/graphio"
 )
@@ -480,51 +478,6 @@ func init() {
 		func(d *SnapDecoder) Message { return pipeEnd{} })
 }
 
-// countingSource wraps a node's lazy randomness source and counts how
-// many times it advanced. math/rand's rngSource steps exactly once per
-// Int63 or Uint64 call, so the count alone replays the state: a restore
-// reseeds the source and fast-forwards it count steps.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
-
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
-
-func (c *countingSource) Seed(s int64) { c.src.Seed(s) }
-
-// rngSourcePool recycles the ~5KB math/rand source state across nodes
-// and runs. A pooled source is fully re-seeded before every use —
-// rngSource.Seed rebuilds the exact state NewSource would produce — so
-// reuse never perturbs a draw sequence.
-var rngSourcePool = sync.Pool{
-	New: func() any { return rand.NewSource(1).(rand.Source64) },
-}
-
-// nodeRNGSource is the seeding rule shared by first use and restore. The
-// backing state comes from rngSourcePool; the engine hands it back via
-// releaseRNG when the run ends.
-func nodeRNGSource(seed int64, node int) rand.Source64 {
-	src := rngSourcePool.Get().(rand.Source64)
-	src.Seed(seed ^ (0x5E3779B97F4A7C15 * int64(node+1)))
-	return src
-}
-
-// releaseRNG returns every allocated randomness source to the pool.
-// Called once after the run loop finishes; no RNG state is read past
-// this point (Results carry only counters).
-func (e *engine) releaseRNG() {
-	for i, src := range e.rngSrc {
-		if src != nil {
-			rngSourcePool.Put(src.src)
-			e.rngSrc[i] = nil
-			e.rngs[i] = nil
-		}
-	}
-}
-
 // encodeSnapshot serializes the full engine state at the current
 // barrier. Called from the scheduler loop only (workers idle).
 func (e *engine) encodeSnapshot() ([]byte, error) {
@@ -577,9 +530,9 @@ func (e *engine) encodeSnapshot() ([]byte, error) {
 			continue // deadline, RNG, mailbox, program: dead state
 		}
 		enc.Uvarint(uint64(e.deadline[i]))
-		if src := e.rngSrc[i]; src != nil {
+		if r := e.rngs[i]; r != nil {
 			enc.Bool(true)
-			enc.Uvarint(src.n)
+			enc.Uvarint(r.src.k)
 		} else {
 			enc.Bool(false)
 		}
@@ -695,8 +648,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		modeled:      make([]int64, n),
 		chargedMsgs:  make([]int64, n),
 		chargedBits:  make([]int64, n),
-		rngs:         make([]*rand.Rand, n),
-		rngSrc:       make([]*countingSource, n),
+		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
 		ids:          make([]int64, n),
@@ -759,13 +711,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 			if d.err != nil {
 				return nil, d.err
 			}
-			src := &countingSource{src: nodeRNGSource(eng.seed, i)}
-			for k := uint64(0); k < draws; k++ {
-				src.src.Uint64()
-			}
-			src.n = draws
-			eng.rngSrc[i] = src
-			eng.rngs[i] = rand.New(src)
+			eng.newNodeRand(i, draws)
 		}
 		nmail := d.Uvarint()
 		if nmail > uint64(d.Remaining()) {
@@ -839,7 +785,6 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 
 	eng.run(nil, true)
 	eng.shutdown()
-	eng.releaseRNG()
 
 	eng.m.Rounds = eng.round
 	for i := range eng.modeled {

@@ -37,10 +37,10 @@ func (d *drawStep) Step(api *StepAPI, inbox []Inbound) Status {
 	return Done()
 }
 
-// TestLazyRandDeterminism: RNGs are created on first StepAPI.Rand call
-// (most nodes of a deterministic run never allocate one); creation order
-// differs between sequential and pooled barriers, so seeding must depend
-// only on (run seed, node id) for Results to stay byte-identical.
+// TestLazyRandDeterminism: RNGs are created on first StepAPI.Rand call;
+// creation order differs between sequential and pooled barriers, so
+// seeding must depend only on (run seed, node id) for Results to stay
+// byte-identical.
 func TestLazyRandDeterminism(t *testing.T) {
 	g := graph.Grid(10, 12)
 	run := func(workers int) *Result {

@@ -112,23 +112,17 @@ func (a *StepAPI) Degree() int { return int(a.degree) }
 // algorithms can chunk long logical payloads into B-bit messages.
 func (a *StepAPI) BitBound() int { return a.eng.bitBound }
 
-// Rand returns this node's private deterministic randomness source. The
-// source is created on first use: only the sampling phases draw
-// randomness, so most nodes of a deterministic-schedule run never pay
-// the ~5KB math/rand state (the draw sequence is unaffected — seeding
-// depends only on the run seed and the node id). The source counts its
-// draws so a checkpoint can replay it by fast-forwarding a fresh source
-// (snapshot.go).
+// Rand returns this node's private deterministic randomness source: the
+// stream of rand.NewSource seeded from the run seed and the node index
+// only, so creation order never matters. It is created on first use.
+// The source holds no register until its 274th draw (rng.go), and
+// counts its draws so a checkpoint can restore it (snapshot.go).
 func (a *StepAPI) Rand() *rand.Rand {
-	e := a.eng
-	r := e.rngs[a.node]
+	r := a.eng.rngs[a.node]
 	if r == nil {
-		src := &countingSource{src: nodeRNGSource(e.seed, int(a.node))}
-		e.rngSrc[a.node] = src
-		r = rand.New(src)
-		e.rngs[a.node] = r
+		r = a.eng.newNodeRand(int(a.node), 0)
 	}
-	return r
+	return r.rand
 }
 
 // Round returns the current global round number.
