@@ -89,14 +89,6 @@ func (a *API) ChargeModeledRounds(r int) { a.s.ChargeModeledRounds(r) }
 // (see StepAPI.PhaseEnter). A no-op when the run has no obs.Probe.
 func (a *API) PhaseEnter(id obs.PhaseID) { a.s.PhaseEnter(id) }
 
-// yieldMsg is what a blocking-node goroutine hands back to the engine at
-// every yield point: its scheduling request, or the value it panicked with.
-type yieldMsg struct {
-	status Status
-	pan    any
-	panned bool
-}
-
 // shim runs a blocking Program on its own goroutine and adapts it to the
 // StepProgram interface: each Step resumes the goroutine with the round's
 // inbox and blocks until the program yields again. The handoff is strictly
@@ -105,19 +97,20 @@ type yieldMsg struct {
 // still far costlier than a native Step call, which is why hot paths are
 // ported to StepProgram (DESIGN.md §2).
 type shim struct {
-	prog    Program
-	api     *API
-	resume  chan []Inbound
-	yield   chan yieldMsg
-	started bool
-	closed  bool
+	prog     Program
+	api      *API
+	resume   chan []Inbound
+	yield    chan Status // the program's scheduling request at each yield
+	started  bool
+	closed   bool
+	panicVal any // set by the goroutine before it yields statusPanic
 }
 
 func newShim(prog Program) *shim {
 	return &shim{
 		prog:   prog,
 		resume: make(chan []Inbound),
-		yield:  make(chan yieldMsg),
+		yield:  make(chan Status),
 	}
 }
 
@@ -133,17 +126,13 @@ func (sh *shim) Step(api *StepAPI, inbox []Inbound) Status {
 	} else {
 		sh.resume <- inbox
 	}
-	y := <-sh.yield
-	if y.panned {
-		return Status{kind: statusPanic, panicVal: y.pan}
-	}
-	return y.status
+	return <-sh.yield
 }
 
 // await is the blocking side of the handoff: yield the given status to the
 // engine and park until the engine delivers the next inbox.
 func (sh *shim) await(st Status) []Inbound {
-	sh.yield <- yieldMsg{status: st}
+	sh.yield <- st
 	inbox, ok := <-sh.resume
 	if !ok {
 		panic(errAborted) // engine-initiated shutdown
@@ -158,10 +147,11 @@ func (sh *shim) run() {
 			if r == errAborted {
 				return // engine-initiated shutdown; engine is not listening
 			}
-			sh.yield <- yieldMsg{pan: r, panned: true}
+			sh.panicVal = r
+			sh.yield <- Status{kind: statusPanic}
 			return
 		}
-		sh.yield <- yieldMsg{status: Done()}
+		sh.yield <- Done()
 	}()
 	sh.prog(sh.api)
 }

@@ -1,6 +1,8 @@
 package congest
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -163,4 +165,49 @@ func BenchmarkEngineFloodPingPong(b *testing.B) {
 			}
 		}
 	})
+}
+
+// wakeState is BenchmarkEngineWake's per-node program: 128 bytes on the
+// heap, one field written per wake, so every wake touches cold node
+// state the way real step programs do.
+type wakeState struct {
+	vals [15]int64
+	r    int64
+}
+
+const benchWakes = 40 // Running wakes per node before the final Done wake
+
+func (s *wakeState) Step(api *StepAPI, inbox []Inbound) Status {
+	s.vals[s.r%15] = s.r
+	s.r++
+	if s.r > benchWakes {
+		return Done()
+	}
+	return Running()
+}
+
+// BenchmarkEngineWake measures the engine's per-wake cost with no
+// messages: a 10^5-node random planar graph where every node wakes
+// benchWakes+1 times, stepped at Workers 1 and 2. It reports ns/wake,
+// the cost computeNode, the status merge and the due-list rebuild add
+// to each wake of a real algorithm.
+func BenchmarkEngineWake(b *testing.B) {
+	const n = 100_000
+	g := graph.RandomPlanar(n, 3*n/2, rand.New(rand.NewSource(1)))
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				res, err := RunStep(Config{Graph: g, Seed: int64(i), Workers: w}, func(int) StepProgram {
+					return new(wakeState)
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Metrics.Rounds != benchWakes {
+					b.Fatalf("rounds = %d, want %d", res.Metrics.Rounds, benchWakes)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(benchWakes+1)), "ns/wake")
+		})
+	}
 }

@@ -631,10 +631,11 @@ func (e *engine) run(due []int32, resumed bool) {
 			e.queued[top.node>>6] |= 1 << (top.node & 63)
 			e.extra = append(e.extra, top.node)
 		}
-		if k := len(e.nrList) + len(e.extra); k >= e.n/16 {
-			// Dense barrier (streaming phases wake most of the network):
-			// extracting ascending ids from the queued bitset — one word
-			// per 64 nodes — is cheaper than sorting the mail/heap wakes.
+		if k := len(e.nrList) + len(e.extra); len(e.extra) > 0 && 8*k >= len(e.queued) {
+			// Extracting ascending ids from the queued bitset costs one
+			// word per 64 nodes plus one step per due node, which beats
+			// sorting the mail/heap wakes unless the barrier is very
+			// sparse (fewer than one due node per 512).
 			due = due[:0]
 			for w, bw := range e.queued {
 				for bw != 0 {
@@ -1044,15 +1045,8 @@ func (e *engine) computeNode(i int) Status {
 	h := &e.hot[i]
 	api := &e.apis[i]
 	status := h.prog.Step(api, h.inbox)
-	for status.kind == statusBecome || status.kind == statusBecomeStep {
-		if status.kind == statusBecome {
-			// Switch to the blocking model: the continuation starts
-			// running immediately, in the current round, on its own
-			// goroutine.
-			h.prog = newShim(status.cont)
-		} else {
-			h.prog = status.contStep // native handover, same round
-		}
+	for status.kind == statusBecomeStep {
+		h.prog = status.contStep // handover, same round
 		status = h.prog.Step(api, h.inbox)
 	}
 	return status
@@ -1067,9 +1061,10 @@ func (e *engine) finishNode(i int, status Status) bool {
 	api := &e.apis[i]
 	if status.kind == statusPanic {
 		// A blocking program panicked on its goroutine; the shim converts
-		// that into a status instead of unwinding the engine stack.
+		// that into a status instead of unwinding the engine stack, and
+		// only a shim returns this kind.
 		e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
-			i, e.ids[i], e.round, status.panicVal)
+			i, e.ids[i], e.round, e.hot[i].prog.(*shim).panicVal)
 		e.phase[i] = phaseDone
 		return false
 	}

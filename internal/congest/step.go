@@ -32,20 +32,24 @@ const (
 	statusRunning statusKind = iota
 	statusSleep
 	statusDone
-	statusBecome
 	statusBecomeStep
-	statusPanic // internal: shim goroutine panicked
+	statusPanic // internal: shim goroutine panicked; the value is in the shim
 )
 
 // Status is a StepProgram's yield instruction: it completes the node's
 // current round and tells the engine when to call Step again. The zero
 // value is Running().
+//
+// Status must stay at most 32 bytes in at most four fields: the compiler
+// keeps only such structs in registers. Every wake's result passes
+// through engine.computeNode, and a larger Status is spilled to the
+// stack and reloaded with loads that straddle the spill's stores — a
+// failed store-to-load forward that stalls each wake on the store
+// buffer (DESIGN.md §8). TestStatusFitsInRegisters guards the size.
 type Status struct {
 	kind     statusKind
 	wake     int
-	cont     Program
 	contStep StepProgram
-	panicVal any
 }
 
 // Running completes the round and wakes the node at the next round.
@@ -66,8 +70,10 @@ func Done() Status { return Status{kind: statusDone} }
 // same round in which Become was returned, exactly as if the whole node
 // program had been one sequential function. Native step phases can hand
 // over to not-yet-ported blocking phases this way (e.g. Stage I runs
-// natively and Stage II runs as its blocking continuation).
-func Become(cont Program) Status { return Status{kind: statusBecome, cont: cont} }
+// natively and Stage II runs as its blocking continuation). It is
+// BecomeStep with the goroutine shim as the continuation: the shim's
+// first Step starts the goroutine.
+func Become(cont Program) Status { return BecomeStep(newShim(cont)) }
 
 // BecomeStep switches the node to a different StepProgram: cont's first
 // Step runs immediately, in the same round, staying on the native fast

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 )
@@ -467,5 +468,14 @@ func TestBecomeMidRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(bRes, sRes) {
 		t.Fatalf("become mismatch:\nblocking: %+v\nhybrid:   %+v", bRes, sRes)
+	}
+}
+
+// TestStatusFitsInRegisters guards Status's register budget: a Status
+// over 32 bytes is spilled and reloaded after every Step call, stalling
+// every wake (see the Status doc comment and DESIGN.md §8).
+func TestStatusFitsInRegisters(t *testing.T) {
+	if size := unsafe.Sizeof(Status{}); size > 32 {
+		t.Fatalf("unsafe.Sizeof(Status{}) = %d bytes, want <= 32", size)
 	}
 }

@@ -2,7 +2,10 @@
 # Runs the flagship experiment benchmarks (E1/E11/E12), the exact-oracle
 # fast path (BenchmarkOracle: the mode=exact speedup baseline), the engine
 # microbenchmarks, the serving-layer benchmarks (BenchmarkService:
-# cache-hit and cache-miss paths), and the large-n family
+# cache-hit and cache-miss paths), the ingest and oracle layer
+# benchmarks (graphio BenchmarkRead per wire format, graph
+# BenchmarkBuild, oracle BenchmarkDecideSingleBlock; reported, never
+# gated by bench_compare.sh), and the large-n family
 # (BenchmarkLargeN), then writes a
 # BENCH_<utc-timestamp>.json trajectory file in the repo root so future
 # PRs can track the perf curve (scripts/bench_compare.sh gates regressions
@@ -16,9 +19,10 @@
 #                must come from a full run (no -short), and are committed
 #                with `git add -f` past the .gitignore (DESIGN.md §5).
 #   -cpuprofile  pass -cpuprofile to every go test invocation; since the
-#                three benchmark groups are separate test runs, the file
+#                benchmark groups are separate test runs, the file
 #                name is suffixed per group (FILE.E.prof, FILE.engine.prof,
-#                FILE.largen.prof). Inspect with `go tool pprof`.
+#                FILE.graphio.prof, ..., FILE.largen.prof). Inspect with
+#                `go tool pprof`.
 #   -memprofile  same, for allocation profiles.
 #   benchtime    go test -benchtime for the flagship/engine benchmarks
 #                (default: 5x; the LargeN family always runs at 1x — each
@@ -64,6 +68,12 @@ go test -run '^$' -bench 'BenchmarkEngine' \
     -benchmem -benchtime "$BENCHTIME" $(profflags engine) ./internal/congest/ | tee -a "$RAW"
 go test -run '^$' -bench 'BenchmarkService' \
     -benchmem -benchtime "$BENCHTIME" $(profflags service) ./internal/service/ | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkRead$' \
+    -benchmem -benchtime "$BENCHTIME" $(profflags graphio) ./internal/graphio/ | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkBuild$' \
+    -benchmem -benchtime "$BENCHTIME" $(profflags graph) ./internal/graph/ | tee -a "$RAW"
+go test -run '^$' -bench 'BenchmarkDecideSingleBlock$' \
+    -benchmem -benchtime "$BENCHTIME" $(profflags oracle) ./internal/oracle/ | tee -a "$RAW"
 go test $SHORTFLAG -run '^$' -bench 'BenchmarkLargeN' -timeout 6h \
     -benchmem -benchtime 1x $(profflags largen) . | tee -a "$RAW"
 
