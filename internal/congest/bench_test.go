@@ -8,9 +8,9 @@ import (
 	"repro/internal/graph"
 )
 
-// Engine microbenchmarks (run with -benchmem): each primitive is measured
-// under both execution models so the blocking-shim overhead stays visible
-// in the perf trajectory (scripts/bench.sh records them in BENCH_*.json).
+// Engine microbenchmarks (run with -benchmem); scripts/bench.sh records
+// them in BENCH_*.json. The "step" sub-benchmark names are kept so the
+// rows stay comparable with earlier baselines.
 
 func benchGraphTree(n int) (*graph.Graph, func(i int) Tree) {
 	g := graph.Path(n)
@@ -20,23 +20,6 @@ func benchGraphTree(n int) (*graph.Graph, func(i int) Tree) {
 func BenchmarkEngineBroadcast(b *testing.B) {
 	const n = 64
 	g, tree := benchGraphTree(n)
-	b.Run("blocking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := Run(Config{Graph: g, Seed: int64(i)}, func(api *API) {
-				tr := tree(api.Index())
-				var root Message
-				if tr.IsRoot() {
-					root = intMsg{v: 42}
-				}
-				if _, ok := tr.BroadcastDown(api, api.Round()+n+2, root, nil); !ok {
-					panic("broadcast failed")
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := RunStep(Config{Graph: g, Seed: int64(i)}, func(node int) StepProgram {
@@ -72,20 +55,6 @@ func BenchmarkEngineBroadcast(b *testing.B) {
 func BenchmarkEngineConvergecast(b *testing.B) {
 	const n = 64
 	g, tree := benchGraphTree(n)
-	b.Run("blocking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := Run(Config{Graph: g, Seed: int64(i)}, func(api *API) {
-				tr := tree(api.Index())
-				own := intMsg{v: int64(api.Index())}
-				if _, ok := tr.Convergecast(api, api.Round()+n+2, own, sumCombine); !ok {
-					panic("convergecast failed")
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := RunStep(Config{Graph: g, Seed: int64(i)}, func(node int) StepProgram {
@@ -120,22 +89,6 @@ func BenchmarkEngineConvergecast(b *testing.B) {
 func BenchmarkEngineFloodPingPong(b *testing.B) {
 	g := graph.Grid(8, 8)
 	const rounds = 64
-	b.Run("blocking", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_, err := Run(Config{Graph: g, Seed: int64(i)}, func(api *API) {
-				x := api.ID()
-				for r := 0; r < rounds; r++ {
-					api.SendAll(intMsg{x})
-					for _, in := range api.NextRound() {
-						x = (x + in.Msg.(intMsg).v) % 1_000_003
-					}
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := RunStep(Config{Graph: g, Seed: int64(i)}, func(node int) StepProgram {

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/faultpoint"
@@ -19,14 +18,6 @@ import (
 // executed round barrier (after the periodic checkpoint, if any). Tests
 // arm it to crash or slow the run at an exact barrier.
 const FaultBarrier = "congest.barrier"
-
-// Program is the code run by every node under the blocking compatibility
-// model. It must communicate only through the provided API and must
-// eventually return. Blocking programs run on one goroutine per node with
-// a sequential direct handoff to the engine; the run-to-completion
-// StepProgram model (step.go) avoids the goroutines entirely and is the
-// fast path (DESIGN.md §2).
-type Program func(api *API)
 
 // Config configures a simulation run.
 type Config struct {
@@ -183,7 +174,7 @@ type outMsg struct {
 // line; routing a message to the node touches the same line its own
 // next wake needs (DESIGN.md §8).
 type nodeHot struct {
-	prog    StepProgram // current program; *shim once blocking
+	prog    StepProgram // current program
 	inbox   []Inbound   // buffer handed to Step at the current wake (reused)
 	mailbox []Inbound   // deliverable at the next barrier (reused buffer)
 }
@@ -195,27 +186,16 @@ const (
 	phaseDone
 )
 
-var errAborted = errors.New("congest: run aborted")
-
 // ErrCanceled is the error reported (wrapped with round context) when a
 // run is aborted through Config.Cancel. Test with errors.Is.
 var ErrCanceled = errors.New("congest: run canceled")
 
-// Run executes prog on every node of cfg.Graph under the blocking
-// compatibility model and returns the verdicts and metrics. It returns an
-// error when a node program panics or the round limit is exceeded.
-func Run(cfg Config, prog Program) (*Result, error) {
-	return RunStep(cfg, func(int) StepProgram {
-		return newShim(prog)
-	})
-}
-
 // RunStep executes the simulation with one StepProgram per node, produced
 // by progs (called once per node index before the run starts). This is
-// the native run-to-completion execution model: a single engine loop
-// drives every node, with zero goroutines and zero channel operations for
-// nodes that stay in the step model. Both execution models produce
-// byte-identical Results for identical logical programs and seeds.
+// the run-to-completion execution model: a single engine loop drives
+// every node, with no goroutine per node and no channel operations. It
+// returns an error when a node program panics or the round limit is
+// exceeded.
 func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 	g := cfg.Graph
 	n := g.N()
@@ -319,8 +299,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 // and write the slab entries of the nodes in their chunk (distinct
 // indices, so the compute phase is race-free) plus their own panic slot,
 // and the barrier join establishes the happens-before edges back to the
-// engine loop. Blocking-node goroutines observe engine state only
-// through the sequential channel handoff.
+// engine loop.
 type engine struct {
 	g       *graph.Graph
 	revPort [][]int32
@@ -343,7 +322,7 @@ type engine struct {
 	rejFlag  []bool      // node ever output VerdictReject (merged at barriers)
 	modeled  []int64     // per-node modeled-round charges (summed at run end)
 	rngs     []*nodeRand // lazily created on first StepAPI.Rand call (rng.go)
-	apis     []StepAPI   // per-node API handles (stable addresses; shims retain them)
+	apis     []StepAPI   // per-node API handles (stable addresses)
 	verdicts []Verdict
 
 	m            Metrics
@@ -359,7 +338,6 @@ type engine struct {
 	ckptOff      bool             // ErrNotSnapshottable seen; stop trying
 	curNode      int              // node being stepped (for the run-level panic recover)
 	runErr       error
-	wg           sync.WaitGroup // started shim goroutines
 
 	// Event-driven wake tracking: no O(n) scans at round barriers.
 	alive   int       // nodes not yet done
@@ -473,8 +451,8 @@ const minParallelDue = 64
 // then fast-forward the global round to the next deadline or delivery.
 // With Workers > 1, large barriers are stepped by the worker pool and
 // merged in index order (see stepParallel); small barriers and
-// single-worker runs step inline, where a panic from a native step
-// program unwinds to the single recover here (one deferred frame per run
+// single-worker runs step inline, where a panic from a step program
+// unwinds to the single recover here (one deferred frame per run
 // instead of one per node step).
 //
 // A restored run (ResumeStep) enters with resumed=true and an empty due
@@ -717,17 +695,13 @@ func (e *engine) stepParallel(due []int32) bool {
 	}
 	// Choose the merge strategy. Message-heavy barriers merge by
 	// receiver shard (mergeSharded); barriers with little routing work,
-	// or any abnormal status, take the sequential merge below — which is
+	// or a compute-phase panic, take the sequential merge below — which is
 	// byte-for-byte the pre-shard engine, so panic semantics are
 	// inherited rather than re-proved (DESIGN.md §10).
 	useShard := panPos < 0
 	totalMsgs := 0
 	if useShard {
-		for k, i := range due {
-			if sts[k].kind == statusPanic {
-				useShard = false
-				break
-			}
+		for _, i := range due {
 			totalMsgs += len(e.outbox[i])
 		}
 	}
@@ -970,10 +944,9 @@ func (e *engine) workerLoop() {
 // computeChunk steps every node of one chunk. The due list is ascending,
 // so the chunk's slab accesses sweep one contiguous span per slab — the
 // parallel compute phase keeps the sequential engine's streaming access
-// pattern. A panic (from a native step program; blocking programs
-// convert theirs to statusPanic in the shim) is recorded with its due
-// position and ends the chunk — the merge phase aborts at the earliest
-// panic position, so the unstepped tail of this chunk is never read.
+// pattern. A panic is recorded with its due position and ends the chunk
+// — the merge phase aborts at the earliest panic position, so the
+// unstepped tail of this chunk is never read.
 func (e *engine) computeChunk(wc workChunk) {
 	k := 0
 	defer func() {
@@ -1037,7 +1010,7 @@ func (e *engine) heapPop() dlEntry {
 }
 
 // computeNode advances node i by one round: it runs the node's Step (and
-// any same-round Become/BecomeStep handovers) and returns the resulting
+// any same-round BecomeStep handovers) and returns the resulting
 // status. It touches only node i's slab entries, so distinct nodes'
 // computes may run concurrently; all shared effects (routing,
 // scheduling, metrics) happen in finishNode.
@@ -1059,15 +1032,6 @@ func (e *engine) computeNode(i int) Status {
 // bit-bound violation).
 func (e *engine) finishNode(i int, status Status) bool {
 	api := &e.apis[i]
-	if status.kind == statusPanic {
-		// A blocking program panicked on its goroutine; the shim converts
-		// that into a status instead of unwinding the engine stack, and
-		// only a shim returns this kind.
-		e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
-			i, e.ids[i], e.round, e.hot[i].prog.(*shim).panicVal)
-		e.phase[i] = phaseDone
-		return false
-	}
 	// Route this node's outbox; messages become deliverable at the next
 	// barrier. The adjacency and reverse-port rows are loaded once per
 	// node, not once per message.
@@ -1158,19 +1122,8 @@ func (e *engine) parkNode(i int) {
 	e.heapPush(d, int32(i))
 }
 
-// shutdown aborts every blocking-node goroutine still parked at a yield
-// point and waits for all of them to exit, so that no node code runs
-// after Run returns, then releases the worker pool. A node that entered
-// the blocking model has its shim as its current program, so the scan
-// needs no dedicated shim slab.
+// shutdown releases the worker pool.
 func (e *engine) shutdown() {
-	for i := range e.hot {
-		if sh, ok := e.hot[i].prog.(*shim); ok && sh.started && !sh.closed {
-			sh.closed = true
-			close(sh.resume)
-		}
-	}
-	e.wg.Wait()
 	if e.workCh != nil {
 		close(e.workCh) // workers exit; no chunk is in flight here
 	}

@@ -23,25 +23,8 @@ func TestFloodBFSOnGrid(t *testing.T) {
 	g := graph.Grid(8, 11)
 	want := g.BFS(0)
 	dist := make([]int, g.N())
-	res, err := Run(Config{Graph: g, Seed: 1}, func(api *API) {
-		const deadline = 1000
-		d := -1
-		if api.Index() == 0 {
-			d = 0
-			api.SendAll(intMsg{0})
-			api.Idle(deadline - api.Round())
-		} else {
-			for d == -1 && api.Round() < deadline {
-				for _, in := range api.SleepUntil(deadline) {
-					if m, ok := in.Msg.(intMsg); ok && d == -1 {
-						d = int(m.v) + 1
-						api.SendAll(intMsg{int64(d)})
-					}
-				}
-			}
-			api.Idle(deadline - api.Round())
-		}
-		dist[api.Index()] = d
+	res, err := RunStep(Config{Graph: g, Seed: 1}, func(int) StepProgram {
+		return &floodStep{deadline: 1000, dist: dist}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,17 +46,8 @@ func TestFloodBFSOnGrid(t *testing.T) {
 func TestLeaderElectionMaxID(t *testing.T) {
 	g := graph.Cycle(17)
 	leaders := make([]int64, g.N())
-	_, err := Run(Config{Graph: g, Seed: 2}, func(api *API) {
-		best := api.ID()
-		for r := 0; r < g.N(); r++ {
-			api.SendAll(intMsg{best})
-			for _, in := range api.NextRound() {
-				if m := in.Msg.(intMsg); m.v > best {
-					best = m.v
-				}
-			}
-		}
-		leaders[api.Index()] = best
+	_, err := RunStep(Config{Graph: g, Seed: 2}, func(int) StepProgram {
+		return &leaderStep{rounds: g.N(), out: leaders}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,27 +65,70 @@ func TestLeaderElectionMaxID(t *testing.T) {
 	}
 }
 
-func TestBitBoundViolation(t *testing.T) {
-	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 3}, func(api *API) {
-		if api.Index() == 0 {
-			api.Send(0, hugeMsg{})
+// rounds returns a program that runs step in each of its first n rounds
+// (r counts from 0) and terminates in round n.
+func rounds(n int, step func(api *StepAPI, r int, inbox []Inbound)) StepProgram {
+	r := 0
+	return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+		if r == n {
+			return Done()
 		}
-		api.NextRound()
+		step(api, r, inbox)
+		r++
+		return Running()
 	})
-	if err == nil || !strings.Contains(err.Error(), "bound") {
-		t.Fatalf("want bit bound error, got %v", err)
+}
+
+// once returns a program that runs f in round 0 and terminates.
+func once(f func(api *StepAPI)) StepProgram {
+	return StepFunc(func(api *StepAPI, _ []Inbound) Status {
+		f(api)
+		return Done()
+	})
+}
+
+// sizedMsg reports exactly bits bits.
+type sizedMsg struct{ bits int }
+
+func (m sizedMsg) Bits() int { return m.bits }
+
+// TestBitBoundViolation checks the edge of the bound: a message of
+// exactly Config.BitBound bits is delivered and recorded as the largest
+// message, and one bit more aborts the run with an error naming the
+// sender, the size and the bound, even when it is sent mid-run.
+func TestBitBoundViolation(t *testing.T) {
+	g := graph.Path(3)
+	run := func(bits int) (*Result, error) {
+		return RunStep(Config{Graph: g, Seed: 3, BitBound: 40}, func(int) StepProgram {
+			return rounds(4, func(api *StepAPI, r int, _ []Inbound) {
+				if api.Index() == 1 && r == 2 {
+					api.Send(1, sizedMsg{bits})
+				}
+			})
+		})
+	}
+	res, err := run(40)
+	if err != nil {
+		t.Fatalf("message at the bound: %v", err)
+	}
+	if res.Metrics.MaxMessageBits != 40 || res.Metrics.BitBound != 40 || res.Metrics.Messages != 1 {
+		t.Fatalf("metrics = %+v; want one 40-bit message under bound 40", res.Metrics)
+	}
+	_, err = run(41)
+	if err == nil || !strings.Contains(err.Error(), "node 1 sent 41-bit message, bound is 40") {
+		t.Fatalf("want bit bound error for node 1, got %v", err)
 	}
 }
 
 func TestDoubleSendPanics(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 4}, func(api *API) {
-		if api.Index() == 0 {
-			api.Send(0, intMsg{1})
-			api.Send(0, intMsg{2}) // model violation
-		}
-		api.NextRound()
+	_, err := RunStep(Config{Graph: g, Seed: 4}, func(int) StepProgram {
+		return rounds(1, func(api *StepAPI, _ int, _ []Inbound) {
+			if api.Index() == 0 {
+				api.Send(0, intMsg{1})
+				api.Send(0, intMsg{2}) // model violation
+			}
+		})
 	})
 	if err == nil || !strings.Contains(err.Error(), "two messages") {
 		t.Fatalf("want double-send error, got %v", err)
@@ -120,9 +137,10 @@ func TestDoubleSendPanics(t *testing.T) {
 
 func TestInvalidPortPanics(t *testing.T) {
 	g := graph.Path(3)
-	_, err := Run(Config{Graph: g, Seed: 5}, func(api *API) {
-		api.Send(5, intMsg{1})
-		api.NextRound()
+	_, err := RunStep(Config{Graph: g, Seed: 5}, func(int) StepProgram {
+		return rounds(1, func(api *StepAPI, _ int, _ []Inbound) {
+			api.Send(5, intMsg{1})
+		})
 	})
 	if err == nil || !strings.Contains(err.Error(), "invalid port") {
 		t.Fatalf("want invalid port error, got %v", err)
@@ -131,29 +149,39 @@ func TestInvalidPortPanics(t *testing.T) {
 
 func TestMaxRoundsExceeded(t *testing.T) {
 	g := graph.Path(2)
-	_, err := Run(Config{Graph: g, Seed: 6, MaxRounds: 50}, func(api *API) {
-		for {
-			api.NextRound()
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 6, MaxRounds: 50}, func(int) StepProgram {
+		return StepFunc(func(*StepAPI, []Inbound) Status { return Running() })
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("want max-rounds error, got %v", err)
 	}
 }
 
+// TestProgramPanicPropagates checks that a panic in a continuation that
+// BecomeStep installed is reported like one in the original program: as
+// the run's error, naming the node and the round, while the other nodes
+// would have kept running.
 func TestProgramPanicPropagates(t *testing.T) {
 	g := graph.Path(4)
-	_, err := Run(Config{Graph: g, Seed: 7}, func(api *API) {
-		api.NextRound()
-		if api.Index() == 2 {
-			panic("boom")
-		}
-		for i := 0; i < 10; i++ {
-			api.NextRound()
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 7}, func(node int) StepProgram {
+		return StepFunc(func(api *StepAPI, _ []Inbound) Status {
+			if node == 2 && api.Round() == 1 {
+				return BecomeStep(StepFunc(func(api *StepAPI, _ []Inbound) Status {
+					if api.Round() == 2 {
+						panic("boom")
+					}
+					return Running()
+				}))
+			}
+			if api.Round() == 10 {
+				return Done()
+			}
+			return Running()
+		})
 	})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("want propagated panic, got %v", err)
+	if err == nil || !strings.Contains(err.Error(), "node 2") ||
+		!strings.Contains(err.Error(), "round 2") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("want propagated panic of node 2 at round 2, got %v", err)
 	}
 }
 
@@ -161,15 +189,21 @@ func TestDeterminismSameSeed(t *testing.T) {
 	g := graph.Grid(5, 5)
 	run := func(seed int64) (*Result, []int64) {
 		vals := make([]int64, g.N())
-		res, err := Run(Config{Graph: g, Seed: seed}, func(api *API) {
-			x := api.Rand().Int63n(1000)
-			for r := 0; r < 20; r++ {
-				api.SendAll(intMsg{x})
-				for _, in := range api.NextRound() {
+		res, err := RunStep(Config{Graph: g, Seed: seed}, func(int) StepProgram {
+			var x int64
+			return rounds(21, func(api *StepAPI, r int, inbox []Inbound) {
+				if r == 0 {
+					x = api.Rand().Int63n(1000)
+				}
+				for _, in := range inbox {
 					x = (x + in.Msg.(intMsg).v) % 1_000_003
 				}
-			}
-			vals[api.Index()] = x
+				if r < 20 {
+					api.SendAll(intMsg{x})
+				} else {
+					vals[api.Index()] = x
+				}
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -201,18 +235,27 @@ func TestDeterminismSameSeed(t *testing.T) {
 func TestSleepUntilWakesOnMessage(t *testing.T) {
 	g := graph.Path(2)
 	wokeAt := 0
-	res, err := Run(Config{Graph: g, Seed: 8}, func(api *API) {
-		if api.Index() == 0 {
-			api.Idle(5)
-			api.Send(0, intMsg{99})
-			api.NextRound()
-			return
-		}
-		inbox := api.SleepUntil(100000)
-		wokeAt = api.Round()
-		if len(inbox) != 1 || inbox[0].Msg.(intMsg).v != 99 {
-			panic("wrong inbox")
-		}
+	res, err := RunStep(Config{Graph: g, Seed: 8}, func(node int) StepProgram {
+		woken := false
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+			switch {
+			case node == 0 && api.Round() == 0:
+				return Sleep(5)
+			case node == 0 && api.Round() == 5:
+				api.Send(0, intMsg{99})
+				return Running()
+			case node == 0:
+				return Done()
+			case !woken:
+				woken = true
+				return Sleep(100000)
+			}
+			wokeAt = api.Round()
+			if len(inbox) != 1 || inbox[0].Msg.(intMsg).v != 99 {
+				panic("wrong inbox")
+			}
+			return Done()
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,27 +268,118 @@ func TestSleepUntilWakesOnMessage(t *testing.T) {
 	}
 }
 
+// TestFastForwardLongIdle checks fast-forwarding across two long idle
+// gaps with one exchange between them, on a path long enough for the
+// worker pool to step the barriers: every node sleeps to round 10^6,
+// sends its index to its neighbours, is woken by their mail, and sleeps
+// again to round 2·10^6. The sequential engine and the pool must agree.
 func TestFastForwardLongIdle(t *testing.T) {
-	g := graph.Path(3)
-	res, err := Run(Config{Graph: g, Seed: 9}, func(api *API) {
-		api.Idle(2_000_000)
-	})
-	if err != nil {
-		t.Fatal(err)
+	const n, gap = 100, 1_000_000
+	g := graph.Path(n)
+	run := func(workers int) (*Result, []int64) {
+		got := make([]int64, n)
+		res, err := RunStep(Config{Graph: g, Seed: 9, Workers: workers}, func(node int) StepProgram {
+			return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+				switch r := api.Round(); {
+				case r < gap:
+					return Sleep(gap)
+				case r == gap:
+					api.SendAll(intMsg{int64(node)})
+					return Sleep(2 * gap)
+				case r < 2*gap:
+					for _, in := range inbox {
+						got[node] += in.Msg.(intMsg).v
+					}
+					return Sleep(2 * gap)
+				}
+				return Done()
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, got
 	}
-	if res.Metrics.Rounds != 2_000_000 {
-		t.Fatalf("rounds = %d, want 2000000", res.Metrics.Rounds)
+	seq, got := run(1)
+	if seq.Metrics.Rounds != 2*gap || seq.Metrics.Messages != 2*(n-1) {
+		t.Fatalf("rounds = %d, messages = %d; want %d and %d",
+			seq.Metrics.Rounds, seq.Metrics.Messages, 2*gap, 2*(n-1))
+	}
+	for v := range n {
+		want := int64(0)
+		if v > 0 {
+			want += int64(v - 1)
+		}
+		if v < n-1 {
+			want += int64(v + 1)
+		}
+		if got[v] != want {
+			t.Fatalf("node %d received %d, want the sum of its neighbours %d", v, got[v], want)
+		}
+	}
+	par, parGot := run(4)
+	if !reflect.DeepEqual(seq, par) || !reflect.DeepEqual(got, parGot) {
+		t.Fatalf("workers=4 differs from workers=1:\n%+v\n%+v", par, seq)
+	}
+}
+
+// TestMessageToDoneNodeDropped checks where delivery ends for a node that
+// terminates mid-run: the centre of a star reads the leaves' round-1
+// messages and terminates in round 2. The leaves' round-2 messages are
+// routed after the centre (node 0) finished, so they are dropped like the
+// round-3 ones. The sequential engine and the worker pool must agree.
+func TestMessageToDoneNodeDropped(t *testing.T) {
+	const n = 70
+	g := graph.Star(n)
+	run := func(workers int) (*Result, int64) {
+		var sum int64
+		res, err := RunStep(Config{Graph: g, Seed: 11, Workers: workers}, func(node int) StepProgram {
+			if node == 0 {
+				return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+					if api.Round() < 2 {
+						return Running()
+					}
+					for _, in := range inbox {
+						sum += in.Msg.(intMsg).v
+					}
+					return Done()
+				})
+			}
+			return rounds(4, func(api *StepAPI, r int, _ []Inbound) {
+				if r >= 1 {
+					api.Send(0, intMsg{int64(node)})
+				}
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sum
+	}
+	seq, sum := run(1)
+	if seq.Metrics.Messages != n-1 || seq.Metrics.DroppedToDone != 2*(n-1) {
+		t.Fatalf("messages = %d, dropped = %d; want %d and %d",
+			seq.Metrics.Messages, seq.Metrics.DroppedToDone, n-1, 2*(n-1))
+	}
+	if want := int64(n * (n - 1) / 2); sum != want {
+		t.Fatalf("centre read %d, want the round-1 ids summing to %d", sum, want)
+	}
+	par, parSum := run(4)
+	if !reflect.DeepEqual(seq, par) || parSum != sum {
+		t.Fatalf("workers=4 differs from workers=1:\n%+v\n%+v", par, seq)
 	}
 }
 
 func TestVerdictAggregation(t *testing.T) {
 	g := graph.Path(5)
-	res, err := Run(Config{Graph: g, Seed: 10}, func(api *API) {
-		if api.Index() == 3 {
-			api.Output(VerdictReject)
-		} else {
-			api.Output(VerdictAccept)
-		}
+	res, err := RunStep(Config{Graph: g, Seed: 10}, func(int) StepProgram {
+		return once(func(api *StepAPI) {
+			if api.Index() == 3 {
+				api.Output(VerdictReject)
+			} else {
+				api.Output(VerdictAccept)
+			}
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,28 +392,10 @@ func TestVerdictAggregation(t *testing.T) {
 	}
 }
 
-func TestMessageToDoneNodeDropped(t *testing.T) {
-	g := graph.Path(2)
-	res, err := Run(Config{Graph: g, Seed: 11}, func(api *API) {
-		if api.Index() == 0 {
-			return // terminate immediately
-		}
-		api.NextRound()
-		api.Send(0, intMsg{1}) // node 0 is done by now
-		api.NextRound()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.DroppedToDone != 1 {
-		t.Fatalf("dropped = %d, want 1", res.Metrics.DroppedToDone)
-	}
-}
-
 func TestModeledRounds(t *testing.T) {
 	g := graph.Path(3)
-	res, err := Run(Config{Graph: g, Seed: 12}, func(api *API) {
-		api.ChargeModeledRounds(7)
+	res, err := RunStep(Config{Graph: g, Seed: 12}, func(int) StepProgram {
+		return once(func(api *StepAPI) { api.ChargeModeledRounds(7) })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -293,8 +409,8 @@ func TestCustomIDs(t *testing.T) {
 	g := graph.Path(3)
 	ids := []int64{100, 200, 300}
 	seen := make([]int64, 3)
-	_, err := Run(Config{Graph: g, Seed: 13, IDs: ids}, func(api *API) {
-		seen[api.Index()] = api.ID()
+	_, err := RunStep(Config{Graph: g, Seed: 13, IDs: ids}, func(int) StepProgram {
+		return once(func(api *StepAPI) { seen[api.Index()] = api.ID() })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +425,8 @@ func TestCustomIDs(t *testing.T) {
 func TestDefaultIDsAreUniquePermutation(t *testing.T) {
 	g := graph.Grid(4, 4)
 	seen := make([]int64, g.N())
-	_, err := Run(Config{Graph: g, Seed: 14}, func(api *API) {
-		seen[api.Index()] = api.ID()
+	_, err := RunStep(Config{Graph: g, Seed: 14}, func(int) StepProgram {
+		return once(func(api *StepAPI) { seen[api.Index()] = api.ID() })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,21 +458,25 @@ func TestTreeBroadcastDown(t *testing.T) {
 	const n = 7
 	g := graph.Path(n)
 	got := make([]int64, n)
-	_, err := Run(Config{Graph: g, Seed: 15}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		deadline := api.Round() + n + 2
-		var root Message
-		if tr.IsRoot() {
-			root = intMsg{v: 1}
-		}
-		// Each hop increments the payload, so node i receives i+1.
-		m, ok := tr.BroadcastDown(api, deadline, root, func(m Message) Message {
-			return intMsg{v: m.(intMsg).v + 1}
-		})
-		if !ok {
-			panic("broadcast did not complete")
-		}
-		got[api.Index()] = m.(intMsg).v
+	_, err := RunStep(Config{Graph: g, Seed: 15}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var bd BroadcastDownStep
+		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
+			var root Message
+			if tr.IsRoot() {
+				root = intMsg{v: 1}
+			}
+			// Each hop increments the payload, so node i receives i+1.
+			return bd.Begin(api, tr, api.Round()+n+2, root, func(m Message) Message {
+				return intMsg{v: m.(intMsg).v + 1}
+			})
+		}, func(api *StepAPI) {
+			m, ok := bd.Result()
+			if !ok {
+				panic("broadcast did not complete")
+			}
+			got[api.Index()] = m.(intMsg).v
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,23 +492,20 @@ func TestTreeConvergecastSum(t *testing.T) {
 	const n = 9
 	g := graph.Path(n)
 	var rootSum int64
-	_, err := Run(Config{Graph: g, Seed: 16}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		deadline := api.Round() + n + 2
-		own := intMsg{v: int64(api.Index())}
-		agg, ok := tr.Convergecast(api, deadline, own, func(own Message, children []Message) Message {
-			s := own.(intMsg).v
-			for _, c := range children {
-				s += c.(intMsg).v
+	_, err := RunStep(Config{Graph: g, Seed: 16}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var cv ConvergecastStep
+		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+			return cv.Begin(api, tr, api.Round()+n+2, intMsg{v: int64(i)}, sumCombine)
+		}, func(api *StepAPI) {
+			agg, ok := cv.Result()
+			if !ok {
+				panic("convergecast did not complete")
 			}
-			return intMsg{v: s}
-		})
-		if !ok {
-			panic("convergecast did not complete")
-		}
-		if tr.IsRoot() {
-			rootSum = agg.(intMsg).v
-		}
+			if tr.IsRoot() {
+				rootSum = agg.(intMsg).v
+			}
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -402,23 +519,22 @@ func TestTreePipelineUp(t *testing.T) {
 	const n = 6
 	g := graph.Path(n)
 	var collected []int64
-	_, err := Run(Config{Graph: g, Seed: 17}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		// Each node contributes two items; budget = items + depth + slack.
-		items := []Message{
-			intMsg{v: int64(api.Index() * 10)},
-			intMsg{v: int64(api.Index()*10 + 1)},
-		}
-		deadline := api.Round() + 2*n + n + 4
-		got, ok := tr.PipelineUp(api, deadline, items)
-		if !ok {
-			panic("pipeline did not complete")
-		}
-		if tr.IsRoot() {
+	_, err := RunStep(Config{Graph: g, Seed: 17}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var pu PipelineUpStep
+		return treeOps(treeOp{&pu, func(api *StepAPI) bool {
+			// Each node contributes two items; budget = items + depth + slack.
+			items := []Message{intMsg{v: int64(i * 10)}, intMsg{v: int64(i*10 + 1)}}
+			return pu.Begin(api, tr, api.Round()+2*n+n+4, items)
+		}, func(api *StepAPI) {
+			got, ok := pu.Result()
+			if !ok {
+				panic("pipeline did not complete")
+			}
 			for _, m := range got {
 				collected = append(collected, m.(intMsg).v)
 			}
-		}
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -441,25 +557,29 @@ func TestTreeBroadcastItemsDown(t *testing.T) {
 	const n = 5
 	g := graph.Path(n)
 	counts := make([]int, n)
-	_, err := Run(Config{Graph: g, Seed: 18}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		var items []Message
-		if tr.IsRoot() {
-			for k := 0; k < 7; k++ {
-				items = append(items, intMsg{v: int64(100 + k)})
+	_, err := RunStep(Config{Graph: g, Seed: 18}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var bi BroadcastItemsDownStep
+		return treeOps(treeOp{&bi, func(api *StepAPI) bool {
+			var items []Message
+			if tr.IsRoot() {
+				for k := 0; k < 7; k++ {
+					items = append(items, intMsg{v: int64(100 + k)})
+				}
 			}
-		}
-		deadline := api.Round() + 7 + n + 4
-		got, ok := tr.BroadcastItemsDown(api, deadline, items)
-		if !ok {
-			panic("broadcast-items did not complete")
-		}
-		counts[api.Index()] = len(got)
-		for k, m := range got {
-			if m.(intMsg).v != int64(100+k) {
-				panic("wrong item order")
+			return bi.Begin(api, tr, api.Round()+7+n+4, items)
+		}, func(api *StepAPI) {
+			got, ok := bi.Result()
+			if !ok {
+				panic("broadcast-items did not complete")
 			}
-		}
+			counts[api.Index()] = len(got)
+			for k, m := range got {
+				if m.(intMsg).v != int64(100+k) {
+					panic("wrong item order")
+				}
+			}
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -476,27 +596,23 @@ func TestTreeOpsOnStar(t *testing.T) {
 	const n = 7
 	g := graph.Star(n)
 	var sum int64
-	_, err := Run(Config{Graph: g, Seed: 19}, func(api *API) {
-		var tr Tree
-		if api.Index() == 0 {
+	_, err := RunStep(Config{Graph: g, Seed: 19}, func(i int) StepProgram {
+		tr := Tree{ParentPort: 0}
+		if i == 0 {
 			tr = Tree{ParentPort: -1, ChildPorts: []int{0, 1, 2, 3, 4, 5}}
-		} else {
-			tr = Tree{ParentPort: 0}
 		}
-		deadline := api.Round() + 4
-		agg, ok := tr.Convergecast(api, deadline, intMsg{v: 1}, func(own Message, children []Message) Message {
-			s := own.(intMsg).v
-			for _, c := range children {
-				s += c.(intMsg).v
+		var cv ConvergecastStep
+		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+			return cv.Begin(api, tr, api.Round()+4, intMsg{v: 1}, sumCombine)
+		}, func(api *StepAPI) {
+			agg, ok := cv.Result()
+			if !ok {
+				panic("convergecast failed")
 			}
-			return intMsg{v: s}
-		})
-		if !ok {
-			panic("convergecast failed")
-		}
-		if tr.IsRoot() {
-			sum = agg.(intMsg).v
-		}
+			if tr.IsRoot() {
+				sum = agg.(intMsg).v
+			}
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -526,10 +642,14 @@ func TestVerdictString(t *testing.T) {
 
 func TestCancelAbortsRun(t *testing.T) {
 	g := graph.Cycle(9)
-	prog := func(api *API) {
-		for r := 0; r < 1_000_000; r++ {
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
+	flood := func(n int) func(int) StepProgram {
+		return func(int) StepProgram {
+			return rounds(n, func(api *StepAPI, r int, _ []Inbound) {
+				api.SendAll(intMsg{int64(r)})
+				if r == n-1 {
+					api.Output(VerdictAccept)
+				}
+			})
 		}
 	}
 
@@ -538,7 +658,7 @@ func TestCancelAbortsRun(t *testing.T) {
 	// polls at the first barrier.
 	done := make(chan struct{})
 	close(done)
-	_, err := Run(Config{Graph: g, Seed: 3, Cancel: done}, prog)
+	_, err := RunStep(Config{Graph: g, Seed: 3, Cancel: done}, flood(1_000_000))
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("pre-canceled run: err = %v, want ErrCanceled", err)
 	}
@@ -547,18 +667,11 @@ func TestCancelAbortsRun(t *testing.T) {
 	// byte-identical Results vs. a run without one.
 	idle := make(chan struct{})
 	defer close(idle)
-	short := func(api *API) {
-		for r := 0; r < 10; r++ {
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
-		}
-		api.Output(VerdictAccept)
-	}
-	base, err := Run(Config{Graph: g, Seed: 3}, short)
+	base, err := RunStep(Config{Graph: g, Seed: 3}, flood(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Run(Config{Graph: g, Seed: 3, Cancel: idle}, short)
+	got, err := RunStep(Config{Graph: g, Seed: 3, Cancel: idle}, flood(10))
 	if err != nil {
 		t.Fatal(err)
 	}

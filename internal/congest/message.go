@@ -3,16 +3,12 @@
 // in every round each node may send one message of O(log n) bits over each
 // incident edge.
 //
-// Node programs come in two execution models (DESIGN.md §2). The native
-// fast path is the run-to-completion StepProgram model: a node is an
-// explicit state machine stepped by the engine in a plain loop — no
-// goroutines, no channel operations. The compatibility model is the
-// blocking Program API (ordinary sequential functions using NextRound /
-// SleepUntil), run on one goroutine per node behind a sequential shim.
-// Both models can be mixed per node (Become / BecomeStep) and produce
-// byte-identical Results for identical logical programs and seeds. The
-// engine enforces the model either way: at most one message per edge per
-// direction per round, and a hard per-message bit bound.
+// A node program is a StepProgram (DESIGN.md §2): an explicit state
+// machine that the engine steps in a plain loop, with no goroutine per
+// node and no channel operations. A node can hand itself over to another
+// StepProgram mid-run (BecomeStep). The engine enforces the model: at
+// most one message per edge per direction per round, and a hard
+// per-message bit bound.
 //
 // Everything is deterministic for a fixed Config.Seed: nodes interact only
 // at round barriers, inboxes are sorted by sender, and per-node randomness

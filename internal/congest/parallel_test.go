@@ -92,43 +92,6 @@ func TestParallelEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelBlockingEquivalence runs blocking (shim) programs under the
-// worker pool: each worker drives its nodes' goroutines through the
-// sequential channel handoff, which must not change Results.
-func TestParallelBlockingEquivalence(t *testing.T) {
-	g := graph.Grid(9, 11)
-	prog := func(api *API) {
-		best := api.ID()
-		for r := 0; r < 25; r++ {
-			api.SendAll(intMsg{best})
-			for _, in := range api.NextRound() {
-				if m := in.Msg.(intMsg); m.v > best {
-					best = m.v
-				}
-			}
-		}
-		if best == int64(api.N()) {
-			api.Output(VerdictReject)
-		} else {
-			api.Output(VerdictAccept)
-		}
-	}
-	seqRes, err := Run(Config{Graph: g, Seed: 7, Workers: 1}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts() {
-		parRes, err := Run(Config{Graph: g, Seed: 7, Workers: w}, prog)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if !reflect.DeepEqual(seqRes, parRes) {
-			t.Fatalf("workers=%d: blocking result mismatch:\nworkers=1: %+v\nworkers=%d: %+v",
-				w, seqRes, w, parRes)
-		}
-	}
-}
-
 // TestParallelPanicDeterminism: a panic in a pooled barrier must surface
 // as the same run error as in the sequential engine — the first
 // panicking node in due order decides.

@@ -33,7 +33,6 @@ const (
 	statusSleep
 	statusDone
 	statusBecomeStep
-	statusPanic // internal: shim goroutine panicked; the value is in the shim
 )
 
 // Status is a StepProgram's yield instruction: it completes the node's
@@ -56,37 +55,23 @@ type Status struct {
 func Running() Status { return Status{kind: statusRunning} }
 
 // Sleep completes the round and wakes the node when a message arrives or
-// the global round reaches `untilRound`, whichever comes first (the step
-// counterpart of API.SleepUntil).
+// the global round reaches `untilRound`, whichever comes first.
 func Sleep(untilRound int) Status { return Status{kind: statusSleep, wake: untilRound} }
 
 // Done terminates the node. Messages sent to it afterwards are dropped
 // (counted in Metrics.DroppedToDone).
 func Done() Status { return Status{kind: statusDone} }
 
-// Become switches the node to the blocking compatibility model: from the
-// current round on, the node runs cont as an ordinary blocking Program on
-// its own goroutine. The continuation starts executing immediately, in the
-// same round in which Become was returned, exactly as if the whole node
-// program had been one sequential function. Native step phases can hand
-// over to not-yet-ported blocking phases this way (e.g. Stage I runs
-// natively and Stage II runs as its blocking continuation). It is
-// BecomeStep with the goroutine shim as the continuation: the shim's
-// first Step starts the goroutine.
-func Become(cont Program) Status { return BecomeStep(newShim(cont)) }
-
 // BecomeStep switches the node to a different StepProgram: cont's first
-// Step runs immediately, in the same round, staying on the native fast
-// path. Use it to chain independently written step phases (e.g. Stage I
-// hands over to Stage II).
+// Step runs immediately, in the same round in which BecomeStep was
+// returned, exactly as if both programs had been one state machine. Use
+// it to chain independently written step phases (e.g. Stage I hands
+// over to Stage II).
 func BecomeStep(cont StepProgram) Status { return Status{kind: statusBecomeStep, contStep: cont} }
 
-// StepAPI is a node's handle to the network inside Step calls. It is also
-// the engine-side core that the blocking API wraps, so both execution
-// models share identical send, verdict, and randomness semantics. It is
-// only valid during the node's Step call (or, for blocking programs,
-// between the engine's resume and the program's next yield) and is not
-// safe for concurrent use.
+// StepAPI is a node's handle to the network inside Step calls. It is
+// only valid during the node's Step call and is not safe for concurrent
+// use.
 //
 // The handle itself is a 32-byte view: per-round mutable state (outbox,
 // duplicate-send bits, verdict/charge flags) lives in the engine's
@@ -166,11 +151,6 @@ func (a *StepAPI) Output(v Verdict) {
 	if v == VerdictReject {
 		a.eng.rejFlag[a.node] = true
 	}
-}
-
-// Verdict returns the verdict this node has recorded so far.
-func (a *StepAPI) Verdict() Verdict {
-	return a.eng.verdicts[a.node]
 }
 
 // ChargeModeledRounds adds r to the modeled-rounds counter, accounting for

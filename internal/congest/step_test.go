@@ -2,6 +2,7 @@ package congest
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -9,9 +10,8 @@ import (
 	"repro/internal/graph"
 )
 
-// floodStep is the step-model mirror of the blocking flood-BFS program in
-// TestFloodBFSOnGrid: round-exact sends, so both models must produce
-// byte-identical Results.
+// floodStep is a flood BFS from node 0: every node forwards its distance
+// once, the round it first hears one, and all nodes stop at the deadline.
 type floodStep struct {
 	deadline int
 	d        int
@@ -44,29 +44,8 @@ func (f *floodStep) Step(api *StepAPI, inbox []Inbound) Status {
 	return Sleep(f.deadline)
 }
 
-func floodBlocking(deadline int, dist []int) Program {
-	return func(api *API) {
-		d := -1
-		if api.Index() == 0 {
-			d = 0
-			api.SendAll(intMsg{0})
-			api.Idle(deadline - api.Round())
-		} else {
-			for d == -1 && api.Round() < deadline {
-				for _, in := range api.SleepUntil(deadline) {
-					if m, ok := in.Msg.(intMsg); ok && d == -1 {
-						d = int(m.v) + 1
-						api.SendAll(intMsg{int64(d)})
-					}
-				}
-			}
-			api.Idle(deadline - api.Round())
-		}
-		dist[api.Index()] = d
-	}
-}
-
-// leaderStep mirrors the blocking max-id leader election round for round.
+// leaderStep is max-id leader election: every node floods the largest id
+// it has seen for a fixed number of rounds.
 type leaderStep struct {
 	rounds  int
 	best    int64
@@ -96,9 +75,9 @@ func (l *leaderStep) Step(api *StepAPI, inbox []Inbound) Status {
 	return Running()
 }
 
-// TestStepEngineEquivalence proves both execution models produce
-// byte-identical Results for logically identical programs across several
-// graph families (issue acceptance criterion).
+// TestStepEngineEquivalence checks the flood and leader programs against
+// values computed directly from the graph: BFS distances, the maximum id,
+// and the exact round and message counts of both schedules.
 func TestStepEngineEquivalence(t *testing.T) {
 	families := []struct {
 		name string
@@ -110,108 +89,76 @@ func TestStepEngineEquivalence(t *testing.T) {
 		{"path", graph.Path(17)},
 	}
 	for _, fam := range families {
+		n, m := fam.g.N(), int64(fam.g.M())
+		want := fam.g.BFS(0).Dist
 		for seed := int64(0); seed < 3; seed++ {
 			const deadline = 300
-			bDist := make([]int, fam.g.N())
-			bRes, bErr := Run(Config{Graph: fam.g, Seed: seed}, floodBlocking(deadline, bDist))
-			sDist := make([]int, fam.g.N())
-			sRes, sErr := RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
-				return &floodStep{deadline: deadline, dist: sDist}
+			dist := make([]int, n)
+			res, err := RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
+				return &floodStep{deadline: deadline, dist: dist}
 			})
-			if bErr != nil || sErr != nil {
-				t.Fatalf("%s/seed%d: errs %v %v", fam.name, seed, bErr, sErr)
+			if err != nil {
+				t.Fatalf("%s/seed%d flood: %v", fam.name, seed, err)
 			}
-			if !reflect.DeepEqual(bRes, sRes) {
-				t.Fatalf("%s/seed%d flood: result mismatch:\nblocking: %+v\nstep:     %+v",
-					fam.name, seed, bRes, sRes)
+			if !reflect.DeepEqual(dist, want) {
+				t.Fatalf("%s/seed%d flood: distances %v, want %v", fam.name, seed, dist, want)
 			}
-			if !reflect.DeepEqual(bDist, sDist) {
-				t.Fatalf("%s/seed%d flood: distances differ", fam.name, seed)
+			// Every node forwards exactly once, over every port.
+			if res.Metrics.Rounds != deadline || res.Metrics.Messages != 2*m {
+				t.Fatalf("%s/seed%d flood: rounds=%d messages=%d, want %d and %d",
+					fam.name, seed, res.Metrics.Rounds, res.Metrics.Messages, deadline, 2*m)
 			}
 
-			rounds := fam.g.N()
-			bOut := make([]int64, fam.g.N())
-			bRes, bErr = Run(Config{Graph: fam.g, Seed: seed}, func(api *API) {
-				best := api.ID()
-				for r := 0; r < rounds; r++ {
-					api.SendAll(intMsg{best})
-					for _, in := range api.NextRound() {
-						if m := in.Msg.(intMsg); m.v > best {
-							best = m.v
-						}
-					}
+			out := make([]int64, n)
+			res, err = RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
+				return &leaderStep{rounds: n, out: out}
+			})
+			if err != nil {
+				t.Fatalf("%s/seed%d leader: %v", fam.name, seed, err)
+			}
+			for v, best := range out {
+				// Default ids are a permutation of 1..n.
+				if best != int64(n) {
+					t.Fatalf("%s/seed%d leader: node %d elected %d, want %d", fam.name, seed, v, best, n)
 				}
-				bOut[api.Index()] = best
-			})
-			sOut := make([]int64, fam.g.N())
-			sRes, sErr = RunStep(Config{Graph: fam.g, Seed: seed}, func(int) StepProgram {
-				return &leaderStep{rounds: rounds, out: sOut}
-			})
-			if bErr != nil || sErr != nil {
-				t.Fatalf("%s/seed%d: errs %v %v", fam.name, seed, bErr, sErr)
 			}
-			if !reflect.DeepEqual(bRes, sRes) {
-				t.Fatalf("%s/seed%d leader: result mismatch:\nblocking: %+v\nstep:     %+v",
-					fam.name, seed, bRes, sRes)
-			}
-			if !reflect.DeepEqual(bOut, sOut) {
-				t.Fatalf("%s/seed%d leader: winners differ", fam.name, seed)
+			// n sending rounds, each over every port.
+			if res.Metrics.Rounds != n || res.Metrics.Messages != int64(n)*2*m {
+				t.Fatalf("%s/seed%d leader: rounds=%d messages=%d, want %d and %d",
+					fam.name, seed, res.Metrics.Rounds, res.Metrics.Messages, n, int64(n)*2*m)
 			}
 		}
 	}
 }
 
-// treeOpsStep exercises the step-native tree primitives (convergecast then
-// pipelined convergecast) against their blocking counterparts.
+// TestTreeStepOpsEquivalence chains a convergecast and a pipelined
+// convergecast on a path rooted at node 0 and checks every node's subtree
+// sum and the items the root collects.
 func TestTreeStepOpsEquivalence(t *testing.T) {
 	const n = 9
 	g := graph.Path(n)
-	run := func(step bool) (*Result, int64, []int64) {
-		var rootSum int64
-		var collected []int64
-		blocking := func(api *API) {
-			tr := pathTree(api.Index(), n)
-			deadline := api.Round() + n + 2
-			own := intMsg{v: int64(api.Index())}
-			agg, ok := tr.Convergecast(api, deadline, own, sumCombine)
-			if !ok {
-				panic("convergecast failed")
-			}
-			if tr.IsRoot() {
-				rootSum = agg.(intMsg).v
-			}
-			items := []Message{intMsg{v: int64(api.Index() * 10)}}
-			got, ok := tr.PipelineUp(api, api.Round()+2*n+4, items)
-			if !ok {
-				panic("pipeline failed")
-			}
-			if tr.IsRoot() {
-				for _, m := range got {
-					collected = append(collected, m.(intMsg).v)
-				}
-			}
-		}
-		var res *Result
-		var err error
-		if !step {
-			res, err = Run(Config{Graph: g, Seed: 7}, blocking)
-		} else {
-			res, err = RunStep(Config{Graph: g, Seed: 7}, func(int) StepProgram {
-				return &treeOpsProg{n: n, rootSum: &rootSum, collected: &collected}
-			})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rootSum, collected
+	sums := make([]int64, n)
+	var collected []int64
+	_, err := RunStep(Config{Graph: g, Seed: 7}, func(int) StepProgram {
+		return &treeOpsProg{n: n, sums: sums, collected: &collected}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bRes, bSum, bCol := run(false)
-	sRes, sSum, sCol := run(true)
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("tree ops: result mismatch:\nblocking: %+v\nstep:     %+v", bRes, sRes)
+	for i := range sums {
+		// The subtree of node i on the path is i..n-1.
+		if want := int64((n - 1 + i) * (n - i) / 2); sums[i] != want {
+			t.Fatalf("node %d: subtree sum %d, want %d", i, sums[i], want)
+		}
 	}
-	if bSum != sSum || !reflect.DeepEqual(bCol, sCol) {
-		t.Fatalf("tree ops: outputs differ: %d/%v vs %d/%v", bSum, bCol, sSum, sCol)
+	if len(collected) != n {
+		t.Fatalf("root collected %v, want %d items", collected, n)
+	}
+	slices.Sort(collected)
+	for i, v := range collected {
+		if v != int64(i*10) {
+			t.Fatalf("root collected %v, want 0, 10, ..., %d", collected, (n-1)*10)
+		}
 	}
 }
 
@@ -225,7 +172,7 @@ func sumCombine(own Message, children []Message) Message {
 
 type treeOpsProg struct {
 	n         int
-	rootSum   *int64
+	sums      []int64
 	collected *[]int64
 	phase     int
 	cv        ConvergecastStep
@@ -252,9 +199,7 @@ func (p *treeOpsProg) Step(api *StepAPI, inbox []Inbound) Status {
 			if !ok {
 				panic("convergecast failed")
 			}
-			if p.tr.IsRoot() {
-				*p.rootSum = agg.(intMsg).v
-			}
+			p.sums[api.Index()] = agg.(intMsg).v
 			p.phase = 1
 			p.started = false
 		case 1:
@@ -282,27 +227,10 @@ func (p *treeOpsProg) Step(api *StepAPI, inbox []Inbound) Status {
 }
 
 // TestStopOnRejectMidRound verifies that a reject stops the run at the
-// next barrier in both execution models, with identical metrics.
+// next barrier.
 func TestStopOnRejectMidRound(t *testing.T) {
 	g := graph.Grid(4, 4)
-	blocking := func(api *API) {
-		for r := 0; r < 100; r++ {
-			if api.Index() == 5 && api.Round() == 7 {
-				api.Output(VerdictReject)
-			}
-			api.SendAll(intMsg{int64(r)})
-			api.NextRound()
-		}
-		api.Output(VerdictAccept)
-	}
-	bRes, err := Run(Config{Graph: g, Seed: 3, StopOnReject: true}, blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bRes.Metrics.Rounds != 7 {
-		t.Fatalf("blocking rounds = %d, want 7 (stop at first barrier after reject)", bRes.Metrics.Rounds)
-	}
-	sRes, err := RunStep(Config{Graph: g, Seed: 3, StopOnReject: true}, func(int) StepProgram {
+	res, err := RunStep(Config{Graph: g, Seed: 3, StopOnReject: true}, func(int) StepProgram {
 		r := 0
 		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 			if r == 100 {
@@ -320,8 +248,16 @@ func TestStopOnRejectMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("stop-on-reject mismatch:\nblocking: %+v\nstep:     %+v", bRes, sRes)
+	if res.Metrics.Rounds != 7 {
+		t.Fatalf("rounds = %d, want 7 (stop at first barrier after reject)", res.Metrics.Rounds)
+	}
+	// Rounds 0..7 each sent over every port; the stop lands before any
+	// node accepts.
+	if want := int64(8 * 2 * g.M()); res.Metrics.Messages != want {
+		t.Fatalf("messages = %d, want %d", res.Metrics.Messages, want)
+	}
+	if res.RejectCount() != 1 || res.Verdicts[0] != VerdictNone {
+		t.Fatalf("verdicts = %v, want one reject and no accepts", res.Verdicts)
 	}
 }
 
@@ -411,63 +347,51 @@ func TestStepBitBoundViolation(t *testing.T) {
 	}
 }
 
-// TestBecomeMidRun checks the native-to-blocking handover: the blocking
-// continuation starts in the same round and the combined program behaves
-// exactly like its all-blocking equivalent.
+// sumFlood floods x and adds up what arrives until round total, then
+// accepts. With split > 0 it hands the node over to a fresh sumFlood at
+// round split, before reading that round's inbox.
+type sumFlood struct {
+	x            int64
+	r            int
+	split, total int
+}
+
+func (s *sumFlood) Step(api *StepAPI, inbox []Inbound) Status {
+	if s.split > 0 && s.r == s.split {
+		return BecomeStep(&sumFlood{x: s.x, r: s.r, total: s.total})
+	}
+	for _, in := range inbox {
+		s.x += in.Msg.(intMsg).v
+	}
+	if s.r == s.total {
+		api.Output(VerdictAccept)
+		return Done()
+	}
+	api.SendAll(intMsg{s.x})
+	s.r++
+	return Running()
+}
+
+// TestBecomeMidRun checks the BecomeStep handover: the continuation
+// starts in the same round, and the combined program behaves exactly like
+// the same schedule written as one state machine.
 func TestBecomeMidRun(t *testing.T) {
 	g := graph.Cycle(9)
-	const split = 5
-	const total = 12
-	blocking := func(api *API) {
-		x := api.ID()
-		for r := 0; r < total; r++ {
-			api.SendAll(intMsg{x})
-			for _, in := range api.NextRound() {
-				x += in.Msg.(intMsg).v
-			}
-		}
-		api.Output(VerdictAccept)
-	}
-	bRes, err := Run(Config{Graph: g, Seed: 9}, blocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sRes, err := RunStep(Config{Graph: g, Seed: 9}, func(int) StepProgram {
-		var x int64
-		r := 0
-		started := false
-		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
-			if !started {
-				started = true
-				x = api.ID()
-				api.SendAll(intMsg{x})
-				return Running()
-			}
-			for _, in := range inbox {
-				x += in.Msg.(intMsg).v
-			}
-			r++
-			if r == split {
-				// Hand the rest of the schedule to a blocking program.
-				return Become(func(api *API) {
-					for ; r < total; r++ {
-						api.SendAll(intMsg{x})
-						for _, in := range api.NextRound() {
-							x += in.Msg.(intMsg).v
-						}
-					}
-					api.Output(VerdictAccept)
-				})
-			}
-			api.SendAll(intMsg{x})
-			return Running()
+	run := func(split int) *Result {
+		res, err := RunStep(Config{Graph: g, Seed: 9}, func(node int) StepProgram {
+			return &sumFlood{x: int64(node), split: split, total: 12}
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if !reflect.DeepEqual(bRes, sRes) {
-		t.Fatalf("become mismatch:\nblocking: %+v\nhybrid:   %+v", bRes, sRes)
+	whole, handover := run(0), run(5)
+	if !reflect.DeepEqual(whole, handover) {
+		t.Fatalf("handover mismatch:\none machine: %+v\nhandover:    %+v", whole, handover)
+	}
+	if whole.Metrics.Rounds != 12 || !whole.Accepted() {
+		t.Fatalf("rounds = %d, accepted = %v; want 12 rounds and all accept", whole.Metrics.Rounds, whole.Accepted())
 	}
 }
 

@@ -1,13 +1,8 @@
 package congest
 
-import "fmt"
-
 // Tree is a node's local view of a rooted spanning tree of (a subgraph of)
 // the network: the port leading to its parent and the ports leading to its
-// children. All Tree operations are budget-synchronized: every node of the
-// tree must call the same operation with the same deadline, and every node
-// returns exactly at the deadline, keeping multi-part schedules in
-// lockstep (the paper's emulation style, §2.1.5).
+// children. The tree operations are the state machines in tree_step.go.
 type Tree struct {
 	ParentPort int // -1 at the root
 	ChildPorts []int
@@ -25,81 +20,8 @@ func (t Tree) isChildPort(p int) bool {
 	return false
 }
 
-// BroadcastDown distributes a message from the root to every tree node.
-// The root passes its message in rootMsg (other nodes pass nil) and every
-// node receives the message that reached it, transformed on each hop by
-// transform (nil means identity). Nodes forward to children one round
-// after receiving. Returns (msg, true) on success or (nil, false) if the
-// deadline passed before the message arrived (budget too small).
-func (t Tree) BroadcastDown(api *API, deadline int, rootMsg Message, transform func(Message) Message) (Message, bool) {
-	var got Message
-	if t.IsRoot() {
-		got = rootMsg
-		for _, c := range t.ChildPorts {
-			api.Send(c, got)
-		}
-	} else {
-		for got == nil && api.Round() < deadline {
-			for _, in := range api.SleepUntil(deadline) {
-				if in.Port != t.ParentPort {
-					panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", in.Port, api.Index()))
-				}
-				got = in.Msg
-			}
-		}
-		if got == nil {
-			return nil, false
-		}
-		if transform != nil {
-			got = transform(got)
-		}
-		for _, c := range t.ChildPorts {
-			api.Send(c, got)
-		}
-	}
-	api.Idle(deadline - api.Round())
-	return got, true
-}
-
-// Convergecast aggregates one message from every tree node to the root.
-// Each node contributes own; combine merges own with the messages of all
-// children (ordered as ChildPorts; every child contributes exactly one).
-// The root returns the full aggregate; other nodes return the aggregate of
-// their subtree. Returns ok=false if the deadline passed before all
-// children reported.
-func (t Tree) Convergecast(api *API, deadline int, own Message, combine func(own Message, children []Message) Message) (Message, bool) {
-	children := make([]Message, len(t.ChildPorts))
-	missing := len(t.ChildPorts)
-	portIdx := make(map[int]int, len(t.ChildPorts))
-	for i, c := range t.ChildPorts {
-		portIdx[c] = i
-	}
-	for missing > 0 && api.Round() < deadline {
-		for _, in := range api.SleepUntil(deadline) {
-			i, ok := portIdx[in.Port]
-			if !ok {
-				panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			if children[i] != nil {
-				panic(fmt.Sprintf("congest: Convergecast: duplicate message from child port %d", in.Port))
-			}
-			children[i] = in.Msg
-			missing--
-		}
-	}
-	if missing > 0 {
-		api.Idle(deadline - api.Round())
-		return nil, false
-	}
-	agg := combine(own, children)
-	if !t.IsRoot() {
-		api.Send(t.ParentPort, agg)
-	}
-	api.Idle(deadline - api.Round())
-	return agg, true
-}
-
-// pipeItem wraps a payload moving through PipelineUp/BroadcastItemsDown.
+// pipeItem wraps a payload moving through PipelineUpStep or
+// BroadcastItemsDownStep.
 // The wrapped size is computed once at boxing time: the same boxed item
 // is re-routed at every tree hop, and the engine checks Bits() per hop.
 type pipeItem struct {
@@ -170,120 +92,3 @@ func pushPipePayloads(queue []Message, m Message) ([]Message, bool) {
 type pipeEnd struct{}
 
 func (pipeEnd) Bits() int { return 1 }
-
-// PipelineUp streams every node's items to the root, one B-bit batch of
-// items per tree edge per round (the standard CONGEST pipelining bound,
-// with the bit bound fully used: completion within ceil(total bits / B)
-// + depth rounds). The root returns all items of the tree (its own
-// first, then received ones in deterministic arrival order); other nodes
-// return nil. ok=false at the root means the deadline was too small.
-func (t Tree) PipelineUp(api *API, deadline int, items []Message) ([]Message, bool) {
-	if t.IsRoot() {
-		collected := append([]Message(nil), items...)
-		doneChildren := 0
-		for doneChildren < len(t.ChildPorts) && api.Round() < deadline {
-			for _, in := range api.SleepUntil(deadline) {
-				if !t.isChildPort(in.Port) {
-					panic(fmt.Sprintf("congest: PipelineUp: unexpected message on port %d (node %d)", in.Port, api.Index()))
-				}
-				var ok bool
-				if collected, ok = pushPipePayloads(collected, in.Msg); !ok {
-					if _, end := in.Msg.(pipeEnd); !end {
-						panic("congest: PipelineUp: unexpected message type")
-					}
-					doneChildren++
-				}
-			}
-		}
-		ok := doneChildren == len(t.ChildPorts)
-		api.Idle(deadline - api.Round())
-		return collected, ok
-	}
-	// The forward queue holds unboxed payloads; each round a maximal
-	// bit-bound-sized batch is packed from its front (own items and
-	// received ones re-batch together, so links stay fully utilized).
-	// The queue backing must be fresh: in-flight batches alias it.
-	queue := make([]Message, 0, len(items))
-	queue = append(queue, items...)
-	doneChildren := 0
-	sentEnd := false
-	for api.Round() < deadline {
-		allDone := doneChildren == len(t.ChildPorts)
-		switch {
-		case len(queue) > 0:
-			m, n := packPipe(queue, api.BitBound())
-			api.Send(t.ParentPort, m)
-			queue = queue[n:]
-		case allDone && !sentEnd:
-			api.Send(t.ParentPort, pipeEnd{})
-			sentEnd = true
-		}
-		var inbox []Inbound
-		if sentEnd || (len(queue) == 0 && !allDone) {
-			inbox = api.SleepUntil(deadline)
-		} else {
-			inbox = api.NextRound()
-		}
-		for _, in := range inbox {
-			if !t.isChildPort(in.Port) {
-				panic(fmt.Sprintf("congest: PipelineUp: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			var ok bool
-			if queue, ok = pushPipePayloads(queue, in.Msg); !ok {
-				if _, end := in.Msg.(pipeEnd); !end {
-					panic("congest: PipelineUp: unexpected message type")
-				}
-				doneChildren++
-			}
-		}
-	}
-	return nil, sentEnd && len(queue) == 0
-}
-
-// BroadcastItemsDown streams a sequence of items from the root to every
-// tree node (each node sees all items, one B-bit batch per round,
-// pipelined through the tree). Every node returns the full item slice;
-// ok=false means the deadline was too small. Items must individually fit
-// the bit bound.
-func (t Tree) BroadcastItemsDown(api *API, deadline int, items []Message) ([]Message, bool) {
-	if t.IsRoot() {
-		for next := 0; next < len(items); {
-			m, n := packPipe(items[next:], api.BitBound()) // boxed once for all children
-			next += n
-			for _, c := range t.ChildPorts {
-				api.Send(c, m)
-			}
-			api.NextRound()
-		}
-		for _, c := range t.ChildPorts {
-			api.Send(c, pipeEnd{})
-		}
-		api.Idle(deadline - api.Round())
-		return items, true
-	}
-	var got []Message
-	done := false
-	for !done && api.Round() < deadline {
-		for _, in := range api.SleepUntil(deadline) {
-			if in.Port != t.ParentPort {
-				panic(fmt.Sprintf("congest: BroadcastItemsDown: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			var ok bool
-			if got, ok = pushPipePayloads(got, in.Msg); ok {
-				for _, c := range t.ChildPorts {
-					api.Send(c, in.Msg) // forward the already-boxed message
-				}
-				continue
-			}
-			if _, end := in.Msg.(pipeEnd); !end {
-				panic("congest: BroadcastItemsDown: unexpected message type")
-			}
-			done = true
-			for _, c := range t.ChildPorts {
-				api.Send(c, pipeEnd{})
-			}
-		}
-	}
-	api.Idle(deadline - api.Round())
-	return got, done
-}

@@ -2,8 +2,8 @@ package congest
 
 import "fmt"
 
-// Step-native ports of the Tree communication primitives. Each primitive
-// is a small state machine driven from a StepProgram:
+// The Tree communication primitives. Each primitive is a small state
+// machine driven from a StepProgram:
 //
 //	completed := sm.Begin(api, ...)   // at the operation's start round
 //	for !completed {
@@ -12,19 +12,19 @@ import "fmt"
 //	}
 //	result, ok := sm.Result()
 //
-// The machines replicate the blocking versions in tree.go round for round:
-// they send the same messages in the same rounds and complete exactly at
-// their deadline, so a step program composed of them produces byte-identical
-// Results (rounds, message counts, bits) to its blocking counterpart. The
-// structs are reusable: Begin fully resets them, and retained buffers are
+// All primitives are budget-synchronized: every node of the tree begins
+// the same operation with the same deadline, and every node completes
+// exactly at the deadline, keeping multi-part schedules in lockstep (the
+// paper's emulation style, §2.1.5). The structs are reusable: Begin fully resets them, and retained buffers are
 // recycled across operations to keep the hot path allocation-free. They
 // are embedded by value in the per-node program state, and everything
 // they need per wake reaches them through the slab-backed StepAPI
 // (DESIGN.md §8); the run-constant bit bound is captured at Begin so the
 // per-round send path does not re-chase it through the engine.
 
-// BroadcastDownStep is the step-native Tree.BroadcastDown: it distributes
-// a message from the root to every tree node, transformed on each hop.
+// BroadcastDownStep distributes a message from the root to every tree
+// node, transformed on each hop by the transform function (nil means
+// identity). Nodes forward to their children one round after receiving.
 type BroadcastDownStep struct {
 	t         Tree
 	deadline  int
@@ -100,8 +100,10 @@ func (b *BroadcastDownStep) DecodeState(d *SnapDecoder) {
 // function itself cannot be serialized.
 func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
 
-// ConvergecastStep is the step-native Tree.Convergecast: it aggregates one
-// message from every tree node to the root.
+// ConvergecastStep aggregates one message from every tree node to the
+// root. Each node contributes its own message; combine merges it with the
+// messages of all children (ordered as ChildPorts; every child
+// contributes exactly one).
 type ConvergecastStep struct {
 	t        Tree
 	deadline int
@@ -201,9 +203,10 @@ func (c *ConvergecastStep) DecodeState(d *SnapDecoder) {
 // function itself cannot be serialized.
 func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
-// PipelineUpStep is the step-native Tree.PipelineUp: it streams every
-// node's items to the root, one B-bit batch of items per tree edge per
-// round (packPipe).
+// PipelineUpStep streams every node's items to the root, one B-bit batch
+// of items per tree edge per round (packPipe): the standard CONGEST
+// pipelining bound with the bit bound fully used, completing within
+// ceil(total bits / B) + depth rounds.
 type PipelineUpStep struct {
 	t            Tree
 	deadline     int
@@ -237,7 +240,7 @@ func (p *PipelineUpStep) Begin(api *StepAPI, t Tree, deadline int, items []Messa
 	return false
 }
 
-// sendPhase mirrors one send step of the blocking loop body: a maximal
+// sendPhase performs one round's send: a maximal
 // bit-bound-sized batch is packed from the queue front (own items and
 // received ones re-batch together, so links stay fully utilized).
 func (p *PipelineUpStep) sendPhase(api *StepAPI) {
@@ -337,9 +340,9 @@ func (p *PipelineUpStep) DecodeState(d *SnapDecoder) {
 	p.wantNext = d.Bool()
 }
 
-// BroadcastItemsDownStep is the step-native Tree.BroadcastItemsDown: it
-// streams a sequence of items from the root to every tree node, one item
-// per round, pipelined through the tree.
+// BroadcastItemsDownStep streams a sequence of items from the root to
+// every tree node, one B-bit batch per round, pipelined through the tree.
+// Items must individually fit the bit bound.
 type BroadcastItemsDownStep struct {
 	t        Tree
 	deadline int

@@ -33,6 +33,59 @@ func randomTreeViews(g *graph.Graph) []Tree {
 	return views
 }
 
+// treeOp is one operation of a test program built from the tree state
+// machines: begin starts op (reporting whether it already completed) and
+// done, when non-nil, consumes its result.
+type treeOp struct {
+	op interface {
+		Feed(api *StepAPI, inbox []Inbound) bool
+		Wake() Status
+	}
+	begin func(api *StepAPI) bool
+	done  func(api *StepAPI)
+}
+
+// treeOps runs ops back to back, each beginning in the round the previous
+// one completed, and terminates the node in the round the last completes.
+func treeOps(ops ...treeOp) StepProgram {
+	k, started := 0, false
+	return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+		for ; k < len(ops); k++ {
+			op := ops[k]
+			complete := false
+			if started {
+				complete = op.op.Feed(api, inbox)
+			} else {
+				started = true
+				complete = op.begin(api)
+			}
+			if !complete {
+				return op.op.Wake()
+			}
+			if op.done != nil {
+				op.done(api)
+			}
+			started = false
+		}
+		return Done()
+	})
+}
+
+// idleOp sleeps until a round, discarding any messages.
+type idleOp struct{ until int }
+
+func (o *idleOp) Feed(api *StepAPI, _ []Inbound) bool { return api.Round() >= o.until }
+func (o *idleOp) Wake() Status                        { return Sleep(o.until) }
+
+// idle is a treeOp that idles for n rounds.
+func idle(n int) treeOp {
+	o := &idleOp{}
+	return treeOp{op: o, begin: func(api *StepAPI) bool {
+		o.until = api.Round() + n
+		return n <= 0
+	}}
+}
+
 // TestTreeOpsOnRandomTrees: broadcast and convergecast work on arbitrary
 // spanning-tree shapes, not just paths and stars.
 func TestTreeOpsOnRandomTrees(t *testing.T) {
@@ -48,32 +101,33 @@ func TestTreeOpsOnRandomTrees(t *testing.T) {
 			}
 		}
 		var rootSum int64
-		_, err := Run(Config{Graph: g, Seed: int64(trial)}, func(api *API) {
-			tr := views[api.Index()]
-			deadline := api.Round() + maxd + 2
-			agg, ok := tr.Convergecast(api, deadline, intMsg{v: 1},
-				func(own Message, ch []Message) Message {
-					s := own.(intMsg).v
-					for _, c := range ch {
-						s += c.(intMsg).v
-					}
-					return intMsg{v: s}
-				})
-			if !ok {
-				panic("convergecast failed")
-			}
-			if tr.IsRoot() {
-				rootSum = agg.(intMsg).v
-			}
-			// Follow with a broadcast to confirm alternating ops align.
-			var m Message
-			if tr.IsRoot() {
-				m = agg
-			}
-			got, ok := tr.BroadcastDown(api, api.Round()+maxd+2, m, nil)
-			if !ok || got.(intMsg).v != int64(g.N()) {
-				panic("broadcast mismatch")
-			}
+		_, err := RunStep(Config{Graph: g, Seed: int64(trial)}, func(i int) StepProgram {
+			tr := views[i]
+			var cv ConvergecastStep
+			var bd BroadcastDownStep
+			return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+				return cv.Begin(api, tr, api.Round()+maxd+2, intMsg{v: 1}, sumCombine)
+			}, func(api *StepAPI) {
+				agg, ok := cv.Result()
+				if !ok {
+					panic("convergecast failed")
+				}
+				if tr.IsRoot() {
+					rootSum = agg.(intMsg).v
+				}
+			}}, treeOp{&bd, func(api *StepAPI) bool {
+				// Follow with a broadcast to confirm alternating ops align.
+				var m Message
+				if tr.IsRoot() {
+					m, _ = cv.Result()
+				}
+				return bd.Begin(api, tr, api.Round()+maxd+2, m, nil)
+			}, func(api *StepAPI) {
+				got, ok := bd.Result()
+				if !ok || got.(intMsg).v != int64(g.N()) {
+					panic("broadcast mismatch")
+				}
+			}})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -93,22 +147,27 @@ func TestTreeOpsRejectStrayTraffic(t *testing.T) {
 	// at the center). Leaf 2 injects a message while the center waits
 	// for its real child, which delays.
 	g := graph.Star(4)
-	_, err := Run(Config{Graph: g, Seed: 2}, func(api *API) {
-		switch api.Index() {
+	_, err := RunStep(Config{Graph: g, Seed: 2}, func(i int) StepProgram {
+		var cv ConvergecastStep
+		keepOwn := func(own Message, _ []Message) Message { return own }
+		switch i {
 		case 0:
 			tr := Tree{ParentPort: -1, ChildPorts: []int{0}}
-			tr.Convergecast(api, api.Round()+6, intMsg{v: 1},
-				func(own Message, ch []Message) Message { return own })
+			return treeOps(treeOp{op: &cv, begin: func(api *StepAPI) bool {
+				return cv.Begin(api, tr, api.Round()+6, intMsg{v: 1}, keepOwn)
+			}})
 		case 1:
-			api.Idle(3) // delay so the center is still waiting
 			tr := Tree{ParentPort: 0}
-			tr.Convergecast(api, api.Round()+3, intMsg{v: 1},
-				func(own Message, ch []Message) Message { return own })
+			return treeOps(idle(3), // delay so the center is still waiting
+				treeOp{op: &cv, begin: func(api *StepAPI) bool {
+					return cv.Begin(api, tr, api.Round()+3, intMsg{v: 1}, keepOwn)
+				}})
 		case 2:
-			api.Send(0, intMsg{v: 99}) // stray injection into the op
-			api.NextRound()
+			return rounds(1, func(api *StepAPI, _ int, _ []Inbound) {
+				api.Send(0, intMsg{v: 99}) // stray injection into the op
+			})
 		default:
-			api.Idle(8)
+			return treeOps(idle(8))
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "unexpected message") {
@@ -123,20 +182,24 @@ func TestPipelineUpManyItemsPerNode(t *testing.T) {
 	const perNode = 9
 	g := graph.Path(n)
 	var got int
-	_, err := Run(Config{Graph: g, Seed: 3}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		var items []Message
-		for k := 0; k < perNode; k++ {
-			items = append(items, intMsg{v: int64(api.Index()*100 + k)})
-		}
-		deadline := api.Round() + n*perNode + n + 4
-		out, ok := tr.PipelineUp(api, deadline, items)
-		if !ok {
-			panic("pipeline incomplete")
-		}
-		if tr.IsRoot() {
-			got = len(out)
-		}
+	_, err := RunStep(Config{Graph: g, Seed: 3}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var pu PipelineUpStep
+		return treeOps(treeOp{&pu, func(api *StepAPI) bool {
+			var items []Message
+			for k := 0; k < perNode; k++ {
+				items = append(items, intMsg{v: int64(i*100 + k)})
+			}
+			return pu.Begin(api, tr, api.Round()+n*perNode+n+4, items)
+		}, func(api *StepAPI) {
+			out, ok := pu.Result()
+			if !ok {
+				panic("pipeline incomplete")
+			}
+			if tr.IsRoot() {
+				got = len(out)
+			}
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -152,19 +215,24 @@ func TestBroadcastDownTransformChain(t *testing.T) {
 	const n = 30
 	g := graph.Path(n)
 	depths := make([]int64, n)
-	_, err := Run(Config{Graph: g, Seed: 4}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		var m Message
-		if tr.IsRoot() {
-			m = intMsg{v: 0}
-		}
-		got, ok := tr.BroadcastDown(api, api.Round()+n+2, m, func(x Message) Message {
-			return intMsg{v: x.(intMsg).v + 1}
-		})
-		if !ok {
-			panic("broadcast incomplete")
-		}
-		depths[api.Index()] = got.(intMsg).v
+	_, err := RunStep(Config{Graph: g, Seed: 4}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var bd BroadcastDownStep
+		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
+			var m Message
+			if tr.IsRoot() {
+				m = intMsg{v: 0}
+			}
+			return bd.Begin(api, tr, api.Round()+n+2, m, func(x Message) Message {
+				return intMsg{v: x.(intMsg).v + 1}
+			})
+		}, func(api *StepAPI) {
+			got, ok := bd.Result()
+			if !ok {
+				panic("broadcast incomplete")
+			}
+			depths[i] = got.(intMsg).v
+		}})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,23 +250,21 @@ func TestConvergecastInsufficientBudget(t *testing.T) {
 	const n = 10
 	g := graph.Path(n)
 	okAtRoot := true
-	_, err := Run(Config{Graph: g, Seed: 5}, func(api *API) {
-		tr := pathTree(api.Index(), n)
-		// Budget 3 < depth 9: the root cannot hear everyone.
-		_, ok := tr.Convergecast(api, api.Round()+3, intMsg{v: 1},
-			func(own Message, ch []Message) Message {
-				s := own.(intMsg).v
-				for _, c := range ch {
-					s += c.(intMsg).v
-				}
-				return intMsg{v: s}
-			})
-		if tr.IsRoot() {
-			okAtRoot = ok
-		}
-		// Quiesce: messages still in flight at the deadline would poison
-		// the next op, so drain one slack round per remaining hop.
-		api.Idle(n)
+	_, err := RunStep(Config{Graph: g, Seed: 5}, func(i int) StepProgram {
+		tr := pathTree(i, n)
+		var cv ConvergecastStep
+		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+			// Budget 3 < depth 9: the root cannot hear everyone.
+			return cv.Begin(api, tr, api.Round()+3, intMsg{v: 1}, sumCombine)
+		}, func(api *StepAPI) {
+			if tr.IsRoot() {
+				_, okAtRoot = cv.Result()
+			}
+		}},
+			// Quiesce: messages still in flight at the deadline would
+			// poison the next op, so drain one slack round per remaining
+			// hop.
+			idle(n))
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,8 @@ func (m *sampleChunk) Bits() int {
 	return b
 }
 
-// depthTransform increments the depth-probe payload on each hop (shared
-// by both execution models of computeBudget).
+// depthTransform increments the depth-probe payload on each hop of the
+// budget agreement.
 func depthTransform(m congest.Message) congest.Message {
 	return valMsg{V: m.(valMsg).V + 1}
 }

@@ -9,15 +9,13 @@ import (
 	"repro/internal/partition"
 )
 
-// This file is the native StepProgram port of the per-part preprocessing
-// exposed by PartContext (partctx.go): budget agreement, the boundary
-// round, BFS tree construction, and edge assignment, followed by the
-// optional gather-and-evaluate continuation that mirrors
-// Counts() → GatherGraph(m) → predicate → BroadcastBit(). The ops are the
-// same as the Stage II prelude (stage2_step.go) and replicate the blocking
-// calls round for round, so testers built on either model produce
-// byte-identical Results for a fixed seed (the minor-free and hereditary
-// engine-equivalence tests).
+// This file implements the per-part preprocessing of Stage II (§2.2.1):
+// budget agreement, the boundary round, BFS tree construction, and edge
+// assignment. It is the Stage II prelude (stage2_step.go) and is reused
+// by the minor-free applications of §4.2 (cycle-freeness and
+// bipartiteness testing, the hereditary tester), optionally followed by
+// the gather-and-evaluate continuation: count the part, gather its graph
+// at the root, evaluate a predicate there, and broadcast the verdict bit.
 
 type pcOp uint8
 
@@ -31,11 +29,11 @@ const (
 	pcDone                   // context ready; hand over to the caller
 )
 
-// PartCtxStep is the step-native counterpart of PartContext: a StepProgram
-// that builds this node's part context and then invokes the done callback,
-// whose Status becomes the node's next scheduling instruction (typically
-// Done after local checks, or BecomeStep of a continuation such as
-// NewGatherEval's).
+// PartCtxStep is a StepProgram that builds this node's part context
+// (round budget, intra-part ports, BFS tree, levels, and edge assignment)
+// and then invokes the done callback, whose Status becomes the node's
+// next scheduling instruction (typically Done after local checks, or
+// BecomeStep of a continuation such as NewGatherEval's).
 type PartCtxStep struct {
 	part *partition.Outcome
 	done func(api *congest.StepAPI, c *PartCtxStep) congest.Status
@@ -70,28 +68,8 @@ func NewPartCtxStep(part *partition.Outcome, done func(api *congest.StepAPI, c *
 	return &PartCtxStep{part: part, done: done}
 }
 
-// Part returns the partition outcome the context was built from.
-func (c *PartCtxStep) Part() *partition.Outcome { return c.part }
-
-// Tree returns the BFS tree T_B^j view of this node.
-func (c *PartCtxStep) Tree() congest.Tree { return c.tree }
-
-// Budget returns the part-wide round budget (2*depth+2 of the Stage I
-// tree).
-func (c *PartCtxStep) Budget() int { return c.budget }
-
-// MaxDepth returns the agreed Stage I tree depth.
-func (c *PartCtxStep) MaxDepth() int { return c.maxDepth }
-
 // Level returns this node's BFS level within its part.
 func (c *PartCtxStep) Level() int64 { return c.level }
-
-// IsIntra reports whether the edge on the given port stays within the
-// part.
-func (c *PartCtxStep) IsIntra(port int) bool { return c.intra[port] }
-
-// NeighborID returns the id of the neighbor on the given port.
-func (c *PartCtxStep) NeighborID(port int) int64 { return c.nbrID[port] }
 
 // NeighborLevel returns the BFS level of the intra-part neighbor on the
 // given port.
@@ -119,7 +97,7 @@ func (c *PartCtxStep) NonTreeAssignedPorts() []int {
 }
 
 // Step implements congest.StepProgram: it advances through the
-// preprocessing ops (the same linear script as BuildPartContext) and hands
+// preprocessing ops and hands
 // over to the done callback once the context is complete.
 func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
 	// The phase announcement condition is derived purely from serialized
@@ -204,7 +182,9 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 			for _, in := range inbox {
 				am, ok := in.Msg.(announceMsg)
 				if !ok {
-					continue // skewed-schedule tolerance (see stage2.go)
+					// A neighboring part on a skewed schedule cannot
+					// reach here, but stay tolerant.
+					continue
 				}
 				c.intra[in.Port] = am.PartRoot == c.part.RootID
 				c.nbrID[in.Port] = am.ID
@@ -276,7 +256,7 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 	}
 }
 
-// feedBFS mirrors one wake of the blocking buildBFS loop; returns true at
+// feedBFS consumes one wake of the BFS tree construction; returns true at
 // the deadline.
 func (c *PartCtxStep) feedBFS(api *congest.StepAPI, inbox []congest.Inbound) bool {
 	bestPort := -1
@@ -317,9 +297,9 @@ const (
 	geFinish
 )
 
-// gatherEvalNode is the step-native counterpart of the blocking sequence
-// ctx.Counts() → ctx.GatherGraph(m) → pred at the root →
-// ctx.BroadcastBit(bad), used by the hereditary-property tester.
+// gatherEvalNode counts the part, gathers its graph at the root, evaluates
+// the predicate there, and broadcasts the verdict bit; the
+// hereditary-property tester uses it.
 type gatherEvalNode struct {
 	c    *PartCtxStep
 	pred func(g *graph.Graph) bool
@@ -443,8 +423,7 @@ func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) con
 }
 
 // buildPartGraph assembles the gathered edge list into the part's induced
-// graph on dense indices plus the index->id mapping (shared by the
-// blocking GatherGraph and the step-native gather).
+// graph on dense indices plus the index->id mapping.
 func buildPartGraph(collected []congest.Message, rootID int64) (*graph.Graph, []int64) {
 	idOf := make([]int64, 0, 16)
 	idx := make(map[int64]int, 16)

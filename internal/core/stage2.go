@@ -5,13 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/congest"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/planar"
 )
 
@@ -55,271 +53,7 @@ func (o StageIIOptions) withDefaults() StageIIOptions {
 	return o
 }
 
-// RunStageII executes the Stage II planarity check of §2.2 on this node's
-// part (given by the Stage I outcome) and returns the node's verdict:
-// VerdictReject when the node holds evidence of non-planarity, and
-// VerdictAccept otherwise. It must be called by every node of the network
-// right after Stage I; parts proceed independently (all communication is
-// intra-part after one global boundary round).
-func RunStageII(api *congest.API, part *partition.Outcome, opts StageIIOptions) congest.Verdict {
-	opts = opts.withDefaults()
-	s := &stage2{api: api, part: part, opts: opts}
-
-	// Step A: agree on a tight round budget from the Stage I tree depth.
-	s.computeBudget()
-	// Step B: one boundary round — intra-part ports and neighbor ids.
-	s.exchangeIdentity()
-	// Step C: BFS tree T_B^j rooted at the part root (§2.2.1).
-	s.buildBFS()
-	// Step D: levels exchange and edge assignment.
-	s.assignEdges()
-	// Step E: count n(G^j) and m(G^j); Euler-bound rejection.
-	if !s.countAndCheckEuler() {
-		if s.tree.IsRoot() {
-			api.Output(congest.VerdictReject)
-			return congest.VerdictReject
-		}
-		return congest.VerdictAccept
-	}
-	if s.partM == 0 || s.partN <= 2 {
-		return congest.VerdictAccept // trivially planar part
-	}
-	// Step F: embedding (Ghaffari–Haeupler substitution; DESIGN.md §3).
-	if !s.embed() {
-		// Strict mode found non-planarity at the root.
-		if s.tree.IsRoot() {
-			api.Output(congest.VerdictReject)
-			return congest.VerdictReject
-		}
-		return congest.VerdictAccept
-	}
-	// Step G: label the BFS tree per the embedding (§2.2.2).
-	s.distributeLabels()
-	// Step H: exchange labels across non-tree edges.
-	s.exchangeNonTreeLabels()
-	// Steps I-J: sample non-tree edges, gather and rebroadcast their
-	// label pairs.
-	samples := s.sampleAndShare()
-	// Step K: local violation checks (Definition 7).
-	if s.detectViolations(samples) {
-		api.Output(congest.VerdictReject)
-		return congest.VerdictReject
-	}
-	return congest.VerdictAccept
-}
-
-type stage2 struct {
-	api  *congest.API
-	part *partition.Outcome
-	opts StageIIOptions
-
-	budget   int // 2*oldDepth+2: covers any intra-part distance
-	maxDepth int // Stage I tree depth bound agreed part-wide
-
-	intra  []bool  // per port: same part
-	nbrID  []int64 // per port: neighbor id
-	nbrLvl []int64 // per port: neighbor BFS level
-
-	tree  congest.Tree // BFS tree T_B
-	level int64
-
-	assigned []int // ports of edges assigned to this node
-	partN    int64
-	partM    int64
-
-	rotPorts []int // clockwise rotation as ports (intra-part edges)
-
-	label       Label   // vertex label (tree path edge positions)
-	edgePos     []int32 // per port: attachment position in the rotation (-1 none)
-	nbrLabels   []Label // per port: non-tree neighbor's attachment label
-	nonTree     []LabeledEdge
-	haveNonTree bool
-}
-
-// computeBudget measures the Stage I tree's depth exactly and derives the
-// part-wide operation budget 2*depth+2 (an upper bound on the part's
-// induced diameter, plus slack).
-func (s *stage2) computeBudget() {
-	t := s.part.Tree
-	probe := s.api.N() + 2
-	d, ok := t.BroadcastDown(s.api, s.api.Round()+probe, valMsg{V: 0}, depthTransform)
-	if !ok {
-		panic("core: depth probe under-budgeted")
-	}
-	maxd, ok := t.Convergecast(s.api, s.api.Round()+probe, d, combineMaxVal)
-	if !ok {
-		panic("core: depth convergecast under-budgeted")
-	}
-	agreed, ok := t.BroadcastDown(s.api, s.api.Round()+probe, maxd, nil)
-	if !ok {
-		panic("core: depth broadcast under-budgeted")
-	}
-	s.maxDepth = int(agreed.(valMsg).V)
-	s.budget = 2*s.maxDepth + 2
-}
-
-// exchangeIdentity is the single global round in which every node learns,
-// per port, the neighbor's part and id. After this round all Stage II
-// communication is intra-part, so parts may proceed on skewed schedules.
-func (s *stage2) exchangeIdentity() {
-	deg := s.api.Degree()
-	s.intra = make([]bool, deg)
-	s.nbrID = make([]int64, deg)
-	s.api.SendAll(announceMsg{PartRoot: s.part.RootID, ID: s.api.ID()})
-	for _, in := range s.api.NextRound() {
-		am, ok := in.Msg.(announceMsg)
-		if !ok {
-			continue // a neighboring part on a skewed schedule cannot
-			// reach here (see DESIGN.md), but stay tolerant
-		}
-		s.intra[in.Port] = am.PartRoot == s.part.RootID
-		s.nbrID[in.Port] = am.ID
-	}
-}
-
-// buildBFS constructs the BFS tree of the part (§2.2.1 preprocessing).
-func (s *stage2) buildBFS() {
-	deadline := s.api.Round() + s.budget + 3
-	parentPort := -1
-	var childPorts []int
-	adopted := s.part.Tree.IsRoot()
-	s.level = 0
-	if adopted {
-		for p, ok := range s.intra {
-			if ok {
-				s.api.Send(p, bfsMsg{Level: 0})
-			}
-		}
-	}
-	for s.api.Round() < deadline {
-		inbox := s.api.SleepUntil(deadline)
-		bestPort := -1
-		for _, in := range inbox {
-			switch m := in.Msg.(type) {
-			case bfsMsg:
-				if adopted || !s.intra[in.Port] {
-					continue
-				}
-				if bestPort == -1 || s.nbrID[in.Port] < s.nbrID[bestPort] {
-					bestPort = in.Port
-					s.level = m.Level + 1
-				}
-			case childMsg:
-				childPorts = append(childPorts, in.Port)
-			}
-		}
-		if bestPort >= 0 {
-			adopted = true
-			parentPort = bestPort
-			s.api.Send(parentPort, childMsg{})
-			for p, ok := range s.intra {
-				if ok && p != parentPort {
-					s.api.Send(p, bfsMsg{Level: s.level})
-				}
-			}
-		}
-	}
-	if !adopted {
-		panic("core: BFS did not reach a part node (invalid partition)")
-	}
-	sort.Ints(childPorts)
-	s.tree = congest.Tree{ParentPort: parentPort, ChildPorts: childPorts}
-	if s.part.Tree.IsRoot() {
-		s.tree.ParentPort = -1
-	}
-}
-
-// assignEdges exchanges BFS levels and assigns each intra-part edge to its
-// higher-level endpoint (ties by larger id), per §2.2.1.
-func (s *stage2) assignEdges() {
-	deg := s.api.Degree()
-	s.nbrLvl = make([]int64, deg)
-	for p, ok := range s.intra {
-		if ok {
-			s.api.Send(p, lvlMsg{Level: s.level})
-		}
-	}
-	for _, in := range s.api.NextRound() {
-		if m, ok := in.Msg.(lvlMsg); ok {
-			s.nbrLvl[in.Port] = m.Level
-		}
-	}
-	for p, ok := range s.intra {
-		if !ok {
-			continue
-		}
-		if s.level > s.nbrLvl[p] || (s.level == s.nbrLvl[p] && s.api.ID() > s.nbrID[p]) {
-			s.assigned = append(s.assigned, p)
-		}
-	}
-}
-
-// countAndCheckEuler aggregates n(G^j) and m(G^j) on the BFS tree and
-// rejects at the root when m > 3n-6 (the part cannot be planar). Returns
-// false when the part rejected.
-func (s *stage2) countAndCheckEuler() bool {
-	d := s.api.Round() + s.budget + 2
-	agg, ok := s.tree.Convergecast(s.api, d, countsMsg{N: 1, M: int64(len(s.assigned))}, combineCounts)
-	if !ok {
-		panic("core: counts convergecast under-budgeted")
-	}
-	c := agg.(countsMsg)
-	if s.tree.IsRoot() {
-		c.Reject = c.N >= 3 && c.M > 3*c.N-6
-	}
-	res, ok := s.tree.BroadcastDown(s.api, s.api.Round()+s.budget+2, c, nil)
-	if !ok {
-		panic("core: counts broadcast under-budgeted")
-	}
-	rc := res.(countsMsg)
-	s.partN = rc.N
-	s.partM = rc.M
-	return !rc.Reject
-}
-
-// embed runs the substituted embedding step: the part's edge list is
-// pipelined to the root, the root computes a combinatorial embedding (a
-// genuine planar one when the part is planar), and rotation entries are
-// pipelined back down. Costs O(m + depth) real rounds; the modeled
-// Ghaffari–Haeupler cost O(D + min(log n, D)) is charged to the metrics.
-// Returns false if StrictEmbedReject is set and the part is not planar.
-func (s *stage2) embed() bool {
-	items := make([]congest.Message, 0, len(s.assigned))
-	for _, p := range s.assigned {
-		items = append(items, edgeItem{A: s.api.ID(), B: s.nbrID[p]})
-	}
-	gatherBudget := int(s.partM) + s.budget + 4
-	collected, ok := s.tree.PipelineUp(s.api, s.api.Round()+gatherBudget, items)
-	if s.tree.IsRoot() && !ok {
-		panic("core: edge gather under-budgeted")
-	}
-
-	var out []congest.Message
-	strictFail := false
-	if s.tree.IsRoot() {
-		out, strictFail = embedRotationItems(collected, s.api.ID(), s.partN, s.opts)
-		// Modeled cost of the real GH embedding (DESIGN.md §3).
-		s.api.ChargeModeledRounds(modeledEmbedRounds(s.api.N(), s.maxDepth))
-	}
-	if strictFail {
-		out = []congest.Message{embedFail{}}
-	}
-	scatterBudget := int(2*s.partM) + s.budget + 6
-	got, ok := s.tree.BroadcastItemsDown(s.api, s.api.Round()+scatterBudget, out)
-	if !ok {
-		panic("core: rotation scatter under-budgeted")
-	}
-	if len(got) == 1 {
-		if _, fail := got[0].(embedFail); fail {
-			return false
-		}
-	}
-	s.rotPorts = rotationPorts(got, s.api.ID(), s.intra, s.nbrID)
-	return true
-}
-
-// embedRotationItems is the root-side embedding step shared by both
-// execution models: it builds the part graph from the gathered edge list,
+// embedRotationItems is the root-side embedding step: it builds the part graph from the gathered edge list,
 // runs the (substituted) embedding, and flattens the rotation system into
 // scatter items.
 func embedRotationItems(collected []congest.Message, rootID int64, partN int64, opts StageIIOptions) (out []congest.Message, strictFail bool) {
@@ -370,7 +104,7 @@ func modeledEmbedRounds(n, maxDepth int) int {
 }
 
 // rotationPorts extracts this node's rotation from the scattered items,
-// mapping neighbor ids back to ports (shared by both execution models).
+// mapping neighbor ids back to ports.
 func rotationPorts(got []congest.Message, id int64, intra []bool, nbrID []int64) []int {
 	portOf := make(map[int64]int, len(intra))
 	for p, ok := range intra {
@@ -400,8 +134,7 @@ func rotationPorts(got []congest.Message, id int64, intra []bool, nbrID []int64)
 	return rotPorts
 }
 
-// labelElemsPerChunkFor is the per-element size used when chunking labels
-// (shared by both execution models).
+// labelElemsPerChunkFor is the per-element size used when chunking labels.
 func labelElemsPerChunkFor(bitBound, n int) int {
 	per := (bitBound - 16) / (congest.BitsForID(n) + 2)
 	if per < 1 {
@@ -421,130 +154,6 @@ func sampleWant(opts StageIIOptions, n int) float64 {
 	return opts.SampleCoeff * (math.Log(float64(n)) + 1) / opts.Epsilon
 }
 
-func (s *stage2) labelElemsPerChunk() int {
-	return labelElemsPerChunkFor(s.api.BitBound(), s.api.N())
-}
-
-func (s *stage2) chunksPerLabel() int {
-	return chunksPerLabelFor(s.budget, s.labelElemsPerChunk())
-}
-
-// distributeLabels implements the labeling of §2.2.2: each node's label is
-// its parent's label extended by the clockwise index of its tree edge
-// (counted from the parent edge in the embedding's rotation). Labels are
-// chunked down the BFS tree.
-func (s *stage2) distributeLabels() {
-	s.edgePos = edgePositionsFromRotation(s.rotPorts, s.tree.ParentPort, s.api.Degree())
-
-	per := s.labelElemsPerChunk()
-	deadline := s.api.Round() + (s.budget+1)*(s.chunksPerLabel()+1) + 4
-
-	sendToChildren := func() {
-		// Stream each child its full label (ours plus its edge index),
-		// one chunk per round per child, in lockstep across children.
-		childLbl := make([]Label, len(s.tree.ChildPorts))
-		for i, c := range s.tree.ChildPorts {
-			childLbl[i] = append(append(make(Label, 0, len(s.label)+1), s.label...), s.edgePos[c])
-		}
-		maxLen := len(s.label) + 1
-		chunks := (maxLen + per - 1) / per
-		for ci := 0; ci < chunks; ci++ {
-			for i, c := range s.tree.ChildPorts {
-				lbl := childLbl[i]
-				lo := ci * per
-				hi := lo + per
-				if hi > len(lbl) {
-					hi = len(lbl)
-				}
-				s.api.Send(c, labelChunk{Elems: lbl[lo:hi], Last: ci == chunks-1})
-			}
-			s.api.NextRound()
-		}
-	}
-
-	if s.tree.IsRoot() {
-		s.label = Label{}
-		sendToChildren()
-	} else {
-		done := false
-		for !done && s.api.Round() < deadline {
-			for _, in := range s.api.SleepUntil(deadline) {
-				ch, ok := in.Msg.(labelChunk)
-				if !ok || in.Port != s.tree.ParentPort {
-					panic("core: unexpected message during labeling")
-				}
-				s.label = append(s.label, ch.Elems...)
-				if ch.Last {
-					done = true
-				}
-			}
-		}
-		if !done {
-			panic("core: label wave under-budgeted")
-		}
-		sendToChildren()
-	}
-	s.api.Idle(deadline - s.api.Round())
-}
-
-// exchangeNonTreeLabels sends this node's per-edge attachment label
-// (vertex label extended by the edge's rotation position), chunked, over
-// every intra-part non-tree edge (both directions simultaneously).
-func (s *stage2) exchangeNonTreeLabels() {
-	s.nbrLabels = make([]Label, s.api.Degree())
-	var ports []int
-	for p, ok := range s.intra {
-		if !ok || p == s.tree.ParentPort || isIn(s.tree.ChildPorts, p) {
-			continue
-		}
-		ports = append(ports, p)
-	}
-	attach := make(map[int]Label, len(ports))
-	for _, p := range ports {
-		attach[p] = append(append(Label{}, s.label...), s.edgePos[p])
-	}
-	per := s.labelElemsPerChunk()
-	llen := len(s.label) + 1
-	chunks := (llen + per - 1) / per
-	deadline := s.api.Round() + s.chunksPerLabel() + 3
-	finished := make(map[int]bool)
-	ci := 0
-	for s.api.Round() < deadline {
-		if ci < chunks {
-			lo := ci * per
-			hi := lo + per
-			if hi > llen {
-				hi = llen
-			}
-			for _, p := range ports {
-				s.api.Send(p, labelChunk{Elems: attach[p][lo:hi], Last: ci == chunks-1})
-			}
-			ci++
-		}
-		var inbox []congest.Inbound
-		if ci < chunks {
-			inbox = s.api.NextRound()
-		} else {
-			inbox = s.api.SleepUntil(deadline)
-		}
-		for _, in := range inbox {
-			ch, ok := in.Msg.(labelChunk)
-			if !ok {
-				panic("core: unexpected message during label exchange")
-			}
-			s.nbrLabels[in.Port] = append(s.nbrLabels[in.Port], ch.Elems...)
-			if ch.Last {
-				finished[in.Port] = true
-			}
-		}
-	}
-	for _, p := range ports {
-		if !finished[p] {
-			panic("core: label exchange under-budgeted")
-		}
-	}
-}
-
 func isIn(xs []int, x int) bool {
 	for _, y := range xs {
 		if y == x {
@@ -559,8 +168,7 @@ func isIn(xs []int, x int) bool {
 // parent edge (the tree's outer-face walk order; see EdgePositions). All
 // intra-part edges get positions; tree children extend vertex labels,
 // non-tree edges extend attachment labels. The result is indexed by port
-// (deg entries, -1 on ports without a position). Shared by both
-// execution models.
+// (deg entries, -1 on ports without a position).
 func edgePositionsFromRotation(rotPorts []int, parentPort, deg int) []int32 {
 	edgePos := make([]int32, deg)
 	for i := range edgePos {
@@ -583,18 +191,6 @@ func edgePositionsFromRotation(rotPorts []int, parentPort, deg int) []int32 {
 		}
 	}
 	return edgePos
-}
-
-// assignedNonTree returns the labeled pairs of this node's assigned
-// non-tree edges, using attachment labels at both endpoints. The result
-// is computed once and cached (both the sampling and the violation-check
-// steps read it).
-func (s *stage2) assignedNonTree() []LabeledEdge {
-	if !s.haveNonTree {
-		s.nonTree = assignedNonTreeEdges(s.assigned, s.tree, s.nbrLabels, s.label, s.edgePos)
-		s.haveNonTree = true
-	}
-	return s.nonTree
 }
 
 // assignedNonTreeEdges is the shared implementation of assignedNonTree.
@@ -629,34 +225,9 @@ func assignedNonTreeEdges(assigned []int, tree congest.Tree, nbrLabels []Label, 
 	return out
 }
 
-// sampleAndShare samples Theta(log n / eps) non-tree edges uniformly,
-// pipelines their label pairs to the root, and rebroadcasts them to the
-// whole part (§2.2.2). Every node returns the sampled label pairs.
-func (s *stage2) sampleAndShare() []LabeledEdge {
-	mt := s.partM - (s.partN - 1) // non-tree edge count m~
-	want := sampleWant(s.opts, s.api.N())
-	capEdges := int(4*want) + 8
-	chunksPer := 2*s.chunksPerLabel() + 2
-
-	var items []congest.Message
-	if mt > 0 {
-		items = buildSampleChunks(s.assignedNonTree(), want/float64(mt),
-			s.labelElemsPerChunk(), s.api.ID(), s.api.Rand())
-	}
-	budget := capEdges*chunksPer + s.budget + 6
-	up, _ := s.tree.PipelineUp(s.api, s.api.Round()+budget, items)
-	// The root truncates an oversampled collection (a 1/poly(n) tail
-	// event; the run then degrades gracefully, never rejecting wrongly).
-	if s.tree.IsRoot() && len(up) > capEdges*chunksPer {
-		up = up[:capEdges*chunksPer]
-	}
-	down, _ := s.tree.BroadcastItemsDown(s.api, s.api.Round()+budget, up)
-	return collectSamples(down)
-}
-
 // buildSampleChunks samples each assigned non-tree edge with probability p
-// and chunks the selected label pairs (shared by both execution models;
-// the RNG draw order is part of the deterministic schedule).
+// and chunks the selected label pairs (the RNG draw order is part of the
+// deterministic schedule).
 func buildSampleChunks(mine []LabeledEdge, p float64, per int, id int64, rng *rand.Rand) []congest.Message {
 	var items []congest.Message
 	for ei, le := range mine {
@@ -688,8 +259,8 @@ var sampleScratch = sync.Pool{
 	New: func() any { return new([]*sampleChunk) },
 }
 
-// collectSamples reassembles the scattered sample chunks into label pairs
-// (shared by both execution models). Every node of a part receives the
+// collectSamples reassembles the scattered sample chunks into label pairs.
+// Every node of a part receives the
 // same stream of shared chunk boxes in the same order, so the reassembly
 // — dominated by the (owner, edge, chunk) sort — runs once per part: the
 // stream's first box hosts the memo and the rest of the part reuses it.
@@ -764,17 +335,4 @@ func reassembleSamples(down []congest.Message) []LabeledEdge {
 		}
 	}
 	return out
-}
-
-// detectViolations checks every assigned non-tree edge against every
-// sampled edge for the crossing condition of Definition 7.
-func (s *stage2) detectViolations(samples []LabeledEdge) bool {
-	for _, mine := range s.assignedNonTree() {
-		for _, sm := range samples {
-			if Intersects(mine, sm) {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -5,20 +5,27 @@ import (
 	"repro/internal/partition"
 )
 
-// This file is the native StepProgram port of Stage II (stage2.go); its
-// per-node state is engine-"cold" (one object per node behind the
-// StepProgram interface, see DESIGN.md §8) and every per-wake access
-// goes through the slab-backed StepAPI. The
-// §2.2.1 preprocessing (budget, boundary round, BFS, edge assignment) is
-// the shared PartCtxStep prelude in partctx_step.go; the remaining
-// schedule here is a linear script of tree operations (driven by the step
-// state machines of package congest), single exchange rounds, and two
-// message-driven label-stream windows.
-// The port is round-exact: it sends the same messages in the same rounds,
-// draws the same per-node randomness in the same order, and calls Output
-// at the same rounds as the blocking implementation, so the hybrid tester
-// produces byte-identical Results (TestTesterEngineEquivalence). Local
-// computation is shared with the blocking path (embedRotationItems,
+// This file implements the Stage II planarity check of §2.2 as a
+// StepProgram. Parts proceed independently: after one global boundary
+// round all communication is intra-part. The schedule per part is:
+//
+//   - the §2.2.1 preprocessing, the shared PartCtxStep prelude in
+//     partctx_step.go: agree on a round budget from the Stage I tree
+//     depth, learn intra-part ports and neighbor ids in one boundary
+//     round, build the BFS tree T_B^j, and assign edges by level;
+//   - count n(G^j) and m(G^j), rejecting at the root on the Euler bound;
+//   - embed the part (the Ghaffari–Haeupler substitution, DESIGN.md §3);
+//   - label the BFS tree per the embedding (§2.2.2) and exchange labels
+//     across non-tree edges;
+//   - sample non-tree edges, gather and rebroadcast their label pairs;
+//   - check the samples locally for violations (Definition 7).
+//
+// The per-node state is engine-"cold" (one object per node behind the
+// StepProgram interface, see DESIGN.md §8) and every per-wake access goes
+// through the slab-backed StepAPI. The script is a linear list of tree
+// operations (driven by the step state machines of package congest),
+// single exchange rounds, and two message-driven label-stream windows.
+// Local computation lives in stage2.go (embedRotationItems,
 // edgePositionsFromRotation, buildSampleChunks, collectSamples, ...).
 
 type s2op uint8
@@ -36,8 +43,9 @@ const (
 )
 
 // NewStageIINode returns the native Stage II continuation for a node with
-// the given Stage I outcome. It is the step counterpart of RunStageII plus
-// the TestPlanarity verdict wrap-up. The §2.2.1 preprocessing runs as the
+// the given Stage I outcome: VerdictReject at nodes holding evidence of
+// non-planarity, VerdictAccept at all others. The §2.2.1 preprocessing
+// runs as the
 // shared PartCtxStep prelude (partctx_step.go) — the same machine the
 // minor-free testers chain from — which then hands over to the Stage II
 // op script in the same round.
@@ -82,8 +90,7 @@ type stage2Node struct {
 	bid congest.BroadcastItemsDownStep
 	reg congest.Message // result register between dependent ops
 
-	// Mirror of the blocking stage2 state. edgePos and nbrLabels are
-	// port-indexed slices (the step port interns all per-port lookups).
+	// Stage II state. edgePos and nbrLabels are port-indexed slices.
 	budget    int
 	maxDepth  int
 	intra     []bool
@@ -365,8 +372,8 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 			}
 
 		case o2Finish:
-			// TestPlanarity wrap-up: a Stage I rejection overrides, and
-			// non-rejecting nodes accept.
+			// A Stage I rejection overrides, and non-rejecting nodes
+			// accept.
 			v := s.verdict
 			if s.part.Rejected {
 				v = congest.VerdictReject // already output during Stage I
@@ -396,7 +403,8 @@ type edgeListMsg struct{ items []congest.Message }
 
 func (edgeListMsg) Bits() int { return 0 }
 
-// beginLabels starts the label wave (the step port of distributeLabels).
+// beginLabels starts the label wave that labels the BFS tree per the
+// embedding (§2.2.2).
 func (s *stage2Node) beginLabels(api *congest.StepAPI) {
 	s.edgePos = edgePositionsFromRotation(s.rotPorts, s.tree.ParentPort, api.Degree())
 	s.per = labelElemsPerChunkFor(api.BitBound(), api.N())
@@ -436,8 +444,8 @@ func (s *stage2Node) tailChunk(k int) []int32 {
 	return s.tails[k*tlen : (k+1)*tlen]
 }
 
-// startLabelStream mirrors sendToChildren: the first chunk goes out in the
-// current round, one chunk per round follows.
+// startLabelStream sends a label to the children: the first chunk goes
+// out in the current round, one chunk per round follows.
 func (s *stage2Node) startLabelStream(api *congest.StepAPI) {
 	s.buildTails(s.tree.ChildPorts)
 	s.ci = 0
@@ -495,7 +503,7 @@ func (s *stage2Node) feedLabels(api *congest.StepAPI, inbox []congest.Inbound) (
 		if s.ci < s.chunks {
 			s.sendLabelChunk(api)
 		} else {
-			s.streaming = false // one trailing round, as in the blocking loop
+			s.streaming = false // one trailing round
 		}
 	}
 	if !s.streaming && api.Round() >= s.deadline {
@@ -504,8 +512,8 @@ func (s *stage2Node) feedLabels(api *congest.StepAPI, inbox []congest.Inbound) (
 	return false, s.labelsWake()
 }
 
-// beginExchange starts the non-tree attachment label swap (the step port
-// of exchangeNonTreeLabels). Attachment labels share s.label as their
+// beginExchange starts the non-tree attachment label swap: labels cross
+// every non-tree edge. Attachment labels share s.label as their
 // prefix exactly like the child labels of the wave, so only the per-port
 // tails are materialized (buildTails).
 func (s *stage2Node) beginExchange(api *congest.StepAPI) {

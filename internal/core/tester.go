@@ -83,28 +83,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// TestPlanarity is the complete one-sided distributed planarity tester:
-// Stage I partitions the graph (or the EN baseline does), Stage II checks
-// each part. Every node outputs accept or reject; on planar inputs every
-// node accepts, and on eps-far inputs at least one node rejects whp.
-func TestPlanarity(api *congest.API, opts Options) congest.Verdict {
-	opts = opts.withDefaults()
-	var po *partition.Outcome
-	if opts.UseEN {
-		po = partition.RunElkinNeiman(api, opts.Partition.Epsilon)
-	} else {
-		po = partition.RunStageI(api, opts.Partition)
-	}
-	v := RunStageII(api, po, opts.StageII)
-	if po.Rejected {
-		v = congest.VerdictReject // already output during Stage I
-	}
-	if v != congest.VerdictReject {
-		api.Output(congest.VerdictAccept)
-	}
-	return api.Verdict()
-}
-
 // RunResult summarizes one tester execution.
 type RunResult struct {
 	Rejected   bool
@@ -115,18 +93,15 @@ type RunResult struct {
 	Phases obs.PhaseBreakdown
 }
 
-// RunTester executes the full tester on g with the given seed and returns
-// the global verdict and metrics. It uses StopOnReject semantics: the run
-// ends at the first reject.
+// RunTester executes the complete one-sided distributed planarity tester
+// on g with the given seed and returns the global verdict and metrics:
+// Stage I partitions the graph (or the Elkin–Neiman baseline does), and
+// Stage II checks each part. On planar inputs every node accepts; on
+// eps-far inputs at least one node rejects whp. It uses StopOnReject
+// semantics: the run ends at the first reject.
 //
-// Every Options combination — deterministic or randomized Stage I, or the
-// Elkin–Neiman baseline — runs on the engine's native step execution
-// model: the partitioning stage hands each node over to the Stage II
-// state machine at the exact round it completes for its part, so the
-// whole tester runs with zero goroutines and zero channel operations.
-// Both paths produce byte-identical results for a fixed seed
-// (TestTesterEngineEquivalence); RunTesterBlocking forces the goroutine
-// compatibility path, which only the equivalence tests use.
+// The partitioning stage hands each node over to the Stage II state
+// machine at the exact round it completes for its part.
 func RunTester(g *graph.Graph, opts Options, seed int64) (*RunResult, error) {
 	o := opts.withDefaults()
 	if o.UseEN {
@@ -142,16 +117,6 @@ func RunTester(g *graph.Graph, opts Options, seed int64) (*RunResult, error) {
 		return plan.NewNode(func(api *congest.StepAPI, po *partition.Outcome) congest.Status {
 			return congest.BecomeStep(NewStageIINode(po, o.StageII))
 		})
-	})
-	return newRunResult(res, err)
-}
-
-// RunTesterBlocking executes the full tester on the blocking
-// compatibility path (one goroutine per node); kept for the
-// engine-equivalence tests.
-func RunTesterBlocking(g *graph.Graph, opts Options, seed int64) (*RunResult, error) {
-	res, err := congest.Run(testerConfig(g, seed, opts), func(api *congest.API) {
-		TestPlanarity(api, opts)
 	})
 	return newRunResult(res, err)
 }

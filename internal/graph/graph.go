@@ -531,3 +531,15 @@ func (g *Graph) DegeneracyOrder() (order []int, degeneracy int) {
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d}", g.n, g.m)
 }
+
+// CutSize returns the number of edges of g whose endpoints lie in
+// different parts.
+func CutSize(g *Graph, part []int) int {
+	cut := 0
+	for _, e := range g.Edges() {
+		if part[e.U] != part[e.V] {
+			cut++
+		}
+	}
+	return cut
+}

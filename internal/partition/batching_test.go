@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/congest"
@@ -12,7 +13,7 @@ import (
 	"repro/internal/graph"
 )
 
-// runStageI is CollectStageIStep with worker-count and checkpoint control,
+// runStageI is CollectStageI with worker-count and checkpoint control,
 // optionally collecting the concrete interpreter nodes so the batching
 // tests can observe fast-forward state at checkpoint barriers.
 func runStageI(g *graph.Graph, opts Options, seed int64, workers int,
@@ -96,7 +97,7 @@ func compareStageIRuns(t *testing.T, name string, want, got stageIRun) {
 		if wo.RootID != go_.RootID || wo.Rejected != go_.Rejected ||
 			wo.PhasesRun != go_.PhasesRun || wo.EarlyExit != go_.EarlyExit ||
 			wo.Tree.ParentPort != go_.Tree.ParentPort ||
-			!equalPorts(wo.Tree.ChildPorts, go_.Tree.ChildPorts) {
+			!slices.Equal(wo.Tree.ChildPorts, go_.Tree.ChildPorts) {
 			t.Fatalf("%s: node %d outcome mismatch:\nwant: %+v\ngot:  %+v",
 				name, v, wo, go_)
 		}

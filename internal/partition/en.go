@@ -1,10 +1,6 @@
 package partition
 
-import (
-	"math"
-
-	"repro/internal/congest"
-)
+import "math"
 
 // This file implements the random-shift clustering baseline discussed in
 // §1.1 of the paper: the Elkin–Neiman/Miller–Peng–Xu style partition that
@@ -34,104 +30,4 @@ func ENShiftCap(n int, beta float64) int {
 		return 1
 	}
 	return int(math.Ceil(2 * math.Log(float64(n)) / beta))
-}
-
-// RunElkinNeiman executes the random-shift clustering inside a node
-// program: every node draws an exponential shift delta_v with rate beta =
-// eps/2 and wakes at round cap-floor(delta_v); the first claim to reach a
-// node (ties broken by priority, then root id) wins, and claims flood
-// outward one hop per round. Returns the same Outcome shape as Stage I so
-// that Stage II runs unchanged on the resulting parts.
-func RunElkinNeiman(api *congest.API, eps float64) *Outcome {
-	if eps <= 0 || eps > 1 {
-		panic("partition: eps must be in (0,1]")
-	}
-	beta := eps / 2
-	n := api.N()
-	shiftCap := ENShiftCap(n, beta)
-	delta := api.Rand().ExpFloat64() / beta
-	if delta > float64(shiftCap) {
-		delta = float64(shiftCap)
-	}
-	start := shiftCap - int(math.Floor(delta))
-	// Priority: the fractional part of the shift, quantized; larger wins
-	// (it corresponds to an earlier fractional start time).
-	prio := int64((delta - math.Floor(delta)) * (1 << 20))
-
-	base := api.Round()
-	deadline := base + 2*shiftCap + 2 // flood completes by then
-
-	rootID := int64(-1)
-	parentPort := -1
-	var bestPrio int64
-	var claimed bool
-
-	flood := func() {
-		api.SendAll(claimMsg{Root: rootID, Prio: bestPrio})
-	}
-
-	for api.Round() < deadline {
-		if !claimed && api.Round() >= base+start {
-			// Wake: claim self.
-			claimed = true
-			rootID = api.ID()
-			bestPrio = prio
-			parentPort = -1
-			flood()
-			api.NextRound()
-			continue
-		}
-		var until int
-		if !claimed {
-			until = base + start
-			if until > deadline {
-				until = deadline
-			}
-		} else {
-			until = deadline
-		}
-		inbox := api.SleepUntil(until)
-		if claimed {
-			continue // already decided; ignore later claims
-		}
-		best := -1
-		for i, in := range inbox {
-			cm, ok := in.Msg.(claimMsg)
-			if !ok {
-				continue
-			}
-			if best == -1 {
-				best = i
-				continue
-			}
-			bc := inbox[best].Msg.(claimMsg)
-			if cm.Prio > bc.Prio || (cm.Prio == bc.Prio && cm.Root < bc.Root) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			cm := inbox[best].Msg.(claimMsg)
-			claimed = true
-			rootID = cm.Root
-			bestPrio = cm.Prio
-			parentPort = inbox[best].Port
-			flood()
-			api.NextRound()
-		}
-	}
-
-	// Acknowledgement round: children notify parents.
-	if parentPort >= 0 {
-		api.Send(parentPort, ackMsg{})
-	}
-	var childPorts []int
-	for _, in := range api.NextRound() {
-		if _, ok := in.Msg.(ackMsg); ok {
-			childPorts = append(childPorts, in.Port)
-		}
-	}
-	return &Outcome{
-		RootID: rootID,
-		Tree:   congest.Tree{ParentPort: parentPort, ChildPorts: childPorts},
-	}
 }

@@ -7,14 +7,14 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the native StepProgram port of the Elkin–Neiman-style
-// random-shift clustering baseline (en.go). The blocking program is a
-// single wait-claim-flood loop, so the port is a five-state machine whose
-// transitions replicate the blocking control flow yield for yield: every
-// SleepUntil becomes a Sleep status, every NextRound a Running status, and
-// the one ExpFloat64 draw happens at the same program point (the first
-// wake). Both execution models therefore produce byte-identical Results
-// for a fixed seed (TestENEngineEquivalence).
+// This file implements the Elkin–Neiman-style random-shift clustering
+// baseline (en.go) as a StepProgram: every node draws an exponential
+// shift delta_v with rate beta = eps/2 and wakes at round
+// cap-floor(delta_v); the first claim to reach a node (ties broken by
+// priority, then root id) wins, and claims flood outward one hop per
+// round. The node is a five-state machine around one wait-claim-flood
+// loop, and draws its one ExpFloat64 at its first wake. Its Outcome has
+// the shape of Stage I's, so Stage II runs unchanged on the parts.
 
 type enState uint8
 
@@ -43,7 +43,7 @@ type enNode struct {
 	childPorts []int
 }
 
-// NewENNode returns the native StepProgram for one node of the
+// NewENNode returns the StepProgram for one node of the
 // Elkin–Neiman baseline. onDone is invoked exactly once, at the round the
 // clustering completes at this node, with the node's Outcome; its Status
 // becomes the node's next scheduling instruction (Done for standalone
@@ -85,7 +85,7 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 			e.st = enFlooded
 			return congest.Running()
 		}
-		// Loop top of the blocking program.
+		// Loop top.
 		if api.Round() >= e.deadline {
 			return e.ackPhase(api)
 		}
@@ -133,8 +133,8 @@ func (e *enNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Sta
 	}
 }
 
-// init mirrors the entry of RunElkinNeiman: validate eps, draw the
-// exponential shift, and derive the schedule constants.
+// init validates eps, draws the exponential shift, and derives the
+// schedule constants.
 func (e *enNode) init(api *congest.StepAPI) {
 	if e.eps <= 0 || e.eps > 1 {
 		panic("partition: eps must be in (0,1]")
@@ -167,10 +167,9 @@ func (e *enNode) ackPhase(api *congest.StepAPI) congest.Status {
 	return congest.Running()
 }
 
-// CollectENStep runs the native step-model baseline partition on g (the
-// step counterpart of CollectENBlocking; both produce byte-identical
-// results for a fixed seed).
-func CollectENStep(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
+// CollectEN runs the Elkin–Neiman-style baseline partition on g and
+// returns the per-node outcomes, the assigned ids, and the run result.
+func CollectEN(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
 	ids := permIDs(g.N(), seed)
 	outs := make([]*Outcome, g.N())
 	res, err := congest.RunStep(congest.Config{Graph: g, Seed: seed, IDs: ids}, func(node int) congest.StepProgram {

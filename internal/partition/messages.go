@@ -1,11 +1,6 @@
 package partition
 
-import (
-	"cmp"
-	"slices"
-
-	"repro/internal/congest"
-)
+import "repro/internal/congest"
 
 // Message vocabulary of Stage I. Every type reports its size per the
 // CONGEST O(log n)-bit discipline; list-valued messages are bounded by
@@ -133,47 +128,6 @@ func (m decompAgg) Bits() int {
 		b += bitsVal(w.Root) + 1
 	}
 	return b
-}
-
-// mergeDecomp merges child aggregates into own, keeping entries sorted by
-// root id and capped at limit active parts.
-func mergeDecomp(own decompAgg, children []congest.Message, limit int) decompAgg {
-	byRoot := make(map[int64]int64)
-	tooMany := own.TooMany
-	for _, e := range own.Entries {
-		byRoot[e.Root] += e.Weight
-	}
-	watch := make(map[int64]bool)
-	for _, w := range own.Watch {
-		watch[w.Root] = w.Active
-	}
-	for _, c := range children {
-		a, ok := c.(decompAgg)
-		if !ok {
-			continue // noneMsg from non-contributing children
-		}
-		tooMany = tooMany || a.TooMany
-		for _, e := range a.Entries {
-			byRoot[e.Root] += e.Weight
-		}
-		for _, w := range a.Watch {
-			watch[w.Root] = w.Active
-		}
-	}
-	out := decompAgg{TooMany: tooMany}
-	for r, w := range byRoot {
-		out.Entries = append(out.Entries, rootWeight{Root: r, Weight: w})
-	}
-	slices.SortFunc(out.Entries, func(a, b rootWeight) int { return cmp.Compare(a.Root, b.Root) })
-	if len(out.Entries) > limit {
-		out.TooMany = true
-		out.Entries = out.Entries[:limit]
-	}
-	for r, f := range watch {
-		out.Watch = append(out.Watch, rootFlag{Root: r, Active: f})
-	}
-	slices.SortFunc(out.Watch, func(a, b rootFlag) int { return cmp.Compare(a.Root, b.Root) })
-	return out
 }
 
 // selMsg announces the selected out-edge (target part and weight).

@@ -304,3 +304,20 @@ func TestStageILargerGrid(t *testing.T) {
 		t.Fatalf("cut %d exceeds eps*m/2", cut)
 	}
 }
+
+// TestStageIStepValidates runs Stage I on a larger grid and
+// checks the structural partition guarantees end to end.
+func TestStageIStepValidates(t *testing.T) {
+	g := graph.Grid(10, 10)
+	opts := Options{Epsilon: 0.25, Schedule: PracticalSchedule}
+	outs, ids, res, err := CollectStageI(g, opts, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rejected() {
+		t.Fatal("planar grid rejected by Stage I")
+	}
+	if err := ValidateOutcomes(g, ids, outs, 0); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -11,8 +11,7 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the native StepProgram port of Stage I (stage1.go), in both
-// variants. The interpreter state below is the per-node "cold" side of
+// This file implements Stage I as a StepProgram, in both variants. The interpreter state below is the per-node "cold" side of
 // the engine's memory model (DESIGN.md §8): one heap object per node
 // behind the StepProgram interface, reached once per wake through the
 // slab-backed StepAPI, with its own per-wake-hot fields (pc, inOp, the
@@ -22,12 +21,14 @@ import (
 // whole phase schedule compiles to a flat op list interpreted by a small
 // state machine. The Deterministic variant compiles the forest
 // decomposition into the script; the Randomized variant compiles the
-// weighted-edge-selection trials (select_random.go) instead, drawing
-// per-node randomness in the same program order as the blocking
-// implementation. The port is round-exact: it sends the same messages in
-// the same rounds (and calls Output at the same rounds) as the blocking
-// implementation, so both execution models produce byte-identical Results
-// for a fixed seed (verified by TestStageIEngineEquivalence).
+// weighted-edge-selection trials of §4 (Theorem 4) instead. The golden
+// table (golden_test.go) pins the Results of both variants, so a change
+// to the message schedule or to the order of per-node random draws shows
+// up there.
+
+// treeHeightBound is the height bound of the marked subtrees T (the paper
+// cites height <= 10 from Czygrinow et al.); we use a small safety margin.
+const treeHeightBound = 12
 
 type sOpKind uint8
 
@@ -86,8 +87,11 @@ const (
 	tTrialWeight      // cvg: w(P, target) evaluation (arg = trial)
 )
 
-// fFetch sites expand to the op triple [bcast own | cross forward | cvg
-// pickup] sharing the fFetch mechanics of state.go.
+// fFetch sites retrieve a part-level value from the F-parent part: every
+// part broadcasts its own value, every node forwards it across F-child
+// ports, and the designated node u^j convergecasts what it received from
+// v^j. They expand to the op triple [bcast own | cross forward | cvg
+// pickup], 2D+1 rounds.
 
 type sOp struct {
 	kind sOpKind
@@ -260,7 +264,7 @@ func NewStageIPlan(opts Options, n int) *StageIPlan {
 // NewNode creates the StepProgram for one node. onDone is invoked exactly
 // once, at the round Stage I completes at this node, with the node's
 // Outcome; its Status becomes the node's next scheduling instruction
-// (Done for standalone runs, Become(stageII) for the full tester).
+// (Done for standalone runs, BecomeStep(stageII) for the full tester).
 func (pl *StageIPlan) NewNode(onDone func(api *congest.StepAPI, out *Outcome) congest.Status) congest.StepProgram {
 	s := pl.allocNode()
 	s.plan = pl
@@ -281,9 +285,9 @@ func (pl *StageIPlan) allocNode() *stageINode {
 	return s
 }
 
-// stageINode is the per-node interpreter state plus the mirror of the
-// blocking state struct (state.go), with port-indexed slices in place of
-// maps and reusable scratch buffers in place of per-phase allocation.
+// stageINode is the per-node interpreter state plus the node's Stage I
+// state, held in port-indexed slices and reusable scratch buffers so that
+// no phase allocates.
 type stageINode struct {
 	// The dispatch cluster — everything Step touches before entering an
 	// op — is packed into the struct's first cache line: with ~19 lines
@@ -313,7 +317,8 @@ type stageINode struct {
 	bd congest.BroadcastDownStep
 	cv congest.ConvergecastStep
 
-	// Mirror of the blocking per-node state.
+	// Stage I state. Fields prefixed "part" are meaningful only at the
+	// part root, which acts for the auxiliary node v(P).
 	rootID   int64
 	tree     congest.Tree
 	rejected bool
@@ -543,8 +548,7 @@ func (s *stageINode) initNode(api *congest.StepAPI) {
 	}
 }
 
-// beginPhase mirrors state.resetPhase plus the per-phase bookkeeping of
-// RunStageI's loop.
+// beginPhase resets the per-phase state and does the phase bookkeeping.
 func (s *stageINode) beginPhase(api *congest.StepAPI) {
 	s.phase++
 	s.phasesRun++
@@ -597,7 +601,7 @@ func (s *stageINode) beginPhase(api *congest.StepAPI) {
 }
 
 // markedChildPorts iterates ports with a marked child edge in ascending
-// order (the slice mirror of state.markedChildPorts).
+// order.
 func (s *stageINode) eachMarkedChild(f func(p int)) {
 	for p, m := range s.fChildMark {
 		if m {
@@ -607,7 +611,7 @@ func (s *stageINode) eachMarkedChild(f func(p int)) {
 }
 
 // prepBcast returns the root payload for a broadcast op (non-root values
-// are ignored by BroadcastDown, mirroring the blocking call sites). All
+// are ignored by BroadcastDownStep). All
 // prepare-time side effects are root-only, so non-root nodes skip payload
 // construction entirely and avoid the interface boxing.
 func (s *stageINode) prepBcast(api *congest.StepAPI, op *sOp) congest.Message {
@@ -847,10 +851,9 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 		}
 		return own, s.fdCombine
 	case tTrialPick:
-		// Mirror of selectRandomized step (1): each node draws a uniform
-		// incident cut edge; the convergecast performs the weighted
-		// reservoir pick (combineTrial draws the same randomness in the
-		// same program order as the blocking combiner).
+		// Each node draws a uniform incident cut edge; the convergecast
+		// performs the weighted reservoir pick (combineTrial), so the part
+		// draws a uniform cut edge via the tree sampling of §4.1.
 		s.crossScratch = s.crossScratch[:0]
 		for p, c := range s.cross {
 			if c {
@@ -1010,7 +1013,7 @@ func (s *stageINode) absorbCvg(api *congest.StepAPI, op *sOp, agg congest.Messag
 				}
 			}
 			if int(op.arg) == s.plan.trials-1 && s.bestW > 0 {
-				// selectRandomized exit glue: the maximum-weight draw wins.
+				// After the last trial the maximum-weight draw wins.
 				s.partHasOut = true
 				s.partTarget = s.bestTarget
 				s.partWeight = s.bestW
@@ -1065,8 +1068,9 @@ func (s *stageINode) absorbCvg(api *congest.StepAPI, op *sOp, agg congest.Messag
 	}
 }
 
-// fdRootDecision mirrors the root decision logic of the forest
-// decomposition super-round loop.
+// fdRootDecision is the root's decision in one super-round of the forest
+// decomposition, which emulates the Barenboim–Elkin peeling on the
+// auxiliary graph G_i (§2.1.5).
 func (s *stageINode) fdRootDecision(api *congest.StepAPI, agg decompAgg, l int) {
 	alpha := s.plan.opts.Alpha
 	if s.fdActive {
@@ -1099,8 +1103,9 @@ func (s *stageINode) fdRootDecision(api *congest.StepAPI, agg decompAgg, l int) 
 	}
 }
 
-// fdFinish mirrors the post-loop logic of forestDecomposition (reject
-// evidence or conservative resolution) plus storeOuts/selectHeaviest.
+// fdFinish ends the forest decomposition at the root: it records reject
+// evidence or the conservative resolution, and keeps the heaviest
+// out-edge candidate.
 func (s *stageINode) fdFinish(api *congest.StepAPI) {
 	if !s.tree.IsRoot() {
 		return
@@ -1358,9 +1363,8 @@ func (s *stageINode) mergeFD(own decompAgg, children []congest.Message) congest.
 	return out
 }
 
-// prepCross performs this node's sends for a single cross-boundary round
-// (the step counterpart of state.crossRound call sites, sends in
-// ascending port order).
+// prepCross performs this node's sends for a single cross-boundary round,
+// in ascending port order.
 func (s *stageINode) prepCross(api *congest.StepAPI, op *sOp) {
 	if op.ff {
 		for p, f := range s.fChild {
@@ -1552,8 +1556,7 @@ func (s *stageINode) feedFlip(api *congest.StepAPI, inbox []congest.Inbound) boo
 	return api.Round() >= s.deadline
 }
 
-// insertPortSorted inserts p into the ascending port list (the slice
-// equivalent of append+sort.Ints in the blocking contract).
+// insertPortSorted inserts p into the ascending port list.
 func insertPortSorted(ports []int, p int) []int {
 	i := len(ports)
 	for i > 0 && ports[i-1] > p {
@@ -1574,8 +1577,8 @@ var (
 	emptyDecomp   congest.Message = decompAgg{}
 )
 
-// combineColorSums merges colorSums contributions (shared with the
-// blocking collectColorSums).
+// combineColorSums merges colorSums contributions: the total incoming
+// aux-edge weight per child color.
 func combineColorSums(own congest.Message, children []congest.Message) congest.Message {
 	sum := own.(colorSums)
 	for _, c := range children {
@@ -1590,11 +1593,9 @@ func combineColorSums(own congest.Message, children []congest.Message) congest.M
 	return sum
 }
 
-// CollectStageIStep runs the native step-model Stage I on g and returns
-// the per-node outcomes, the assigned ids, and the run result (the step
-// counterpart of CollectStageI; both produce byte-identical results for a
-// fixed seed).
-func CollectStageIStep(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
+// CollectStageI runs Stage I on g and returns the per-node outcomes, the
+// assigned ids, and the run result.
+func CollectStageI(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
 	ids := permIDs(g.N(), seed)
 	outs := make([]*Outcome, g.N())
 	plan := NewStageIPlan(opts, g.N())
@@ -1611,4 +1612,14 @@ func CollectStageIStep(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []
 		})
 	})
 	return outs, ids, res, err
+}
+
+func removePort(ports *[]int, p int) {
+	out := (*ports)[:0]
+	for _, q := range *ports {
+		if q != p {
+			out = append(out, q)
+		}
+	}
+	*ports = out
 }

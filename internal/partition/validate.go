@@ -4,52 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/congest"
 	"repro/internal/graph"
 )
-
-// CollectStageI runs Stage I on g and returns the per-node outcomes, the
-// assigned ids, and the run result. It executes on the engine's native
-// step path (both variants are ported); CollectStageIBlocking forces the
-// goroutine compatibility path, which produces byte-identical results for
-// a fixed seed (TestStageIEngineEquivalence).
-func CollectStageI(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
-	return CollectStageIStep(g, opts, seed)
-}
-
-// CollectStageIBlocking runs Stage I on the blocking compatibility path
-// (one goroutine per node); kept for the engine-equivalence tests.
-func CollectStageIBlocking(g *graph.Graph, opts Options, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
-	ids := permIDs(g.N(), seed)
-	outs := make([]*Outcome, g.N())
-	res, err := congest.Run(congest.Config{
-		Graph:        g,
-		Seed:         seed,
-		IDs:          ids,
-		StopOnReject: true,
-		MaxRounds:    1 << 40,
-	}, func(api *congest.API) {
-		outs[api.Index()] = RunStageI(api, opts)
-	})
-	return outs, ids, res, err
-}
-
-// CollectEN runs the Elkin–Neiman-style baseline partition on the native
-// step path; CollectENBlocking forces the compatibility path.
-func CollectEN(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
-	return CollectENStep(g, eps, seed)
-}
-
-// CollectENBlocking runs the baseline partition on the blocking
-// compatibility path; kept for the engine-equivalence tests.
-func CollectENBlocking(g *graph.Graph, eps float64, seed int64) ([]*Outcome, []int64, *congest.Result, error) {
-	ids := permIDs(g.N(), seed)
-	outs := make([]*Outcome, g.N())
-	res, err := congest.Run(congest.Config{Graph: g, Seed: seed, IDs: ids}, func(api *congest.API) {
-		outs[api.Index()] = RunElkinNeiman(api, eps)
-	})
-	return outs, ids, res, err
-}
 
 func permIDs(n int, seed int64) []int64 {
 	rng := rand.New(rand.NewSource(seed ^ 0x7A31))

@@ -107,8 +107,8 @@ func TestPlanarityClosedUnderSubgraphs(t *testing.T) {
 }
 
 // Property: contracting an edge of a planar graph keeps it planar
-// (planarity is minor-closed); exercised via the Weighted contraction
-// plus rebuild.
+// (planarity is minor-closed); exercised by contracting one edge and
+// rebuilding the graph.
 func TestPlanarityClosedUnderContraction(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

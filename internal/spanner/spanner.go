@@ -48,67 +48,16 @@ type NodeSpanner struct {
 	StretchBound int
 }
 
-// Build constructs the spanner inside a node program: the node's Stage I
-// tree edges plus every cross-part edge. One extra round re-discovers
-// boundaries after Stage I.
-func Build(api *congest.API, opts Options) *NodeSpanner {
-	if opts.Epsilon <= 0 || opts.Epsilon > 1 {
-		panic("spanner: Epsilon must be in (0,1]")
-	}
-	if opts.Partition.Epsilon == 0 {
-		opts.Partition.Epsilon = opts.Epsilon
-	}
-	po := partition.RunStageI(api, opts.Partition)
-
-	// Depth probe on the part tree for the stretch certificate.
-	probe := api.N() + 2
-	d, ok := po.Tree.BroadcastDown(api, api.Round()+probe, depthMsg{}, depthHop)
-	if !ok {
-		panic("spanner: depth probe under-budgeted")
-	}
-	maxd, ok := po.Tree.Convergecast(api, api.Round()+probe, d, combineMaxDepth)
-	if !ok {
-		panic("spanner: depth convergecast under-budgeted")
-	}
-	agreed, ok := po.Tree.BroadcastDown(api, api.Round()+probe, maxd, nil)
-	if !ok {
-		panic("spanner: depth broadcast under-budgeted")
-	}
-
-	// Boundary round: flag cross edges.
-	ports := make([]bool, api.Degree())
-	api.SendAll(rootMsg{Root: po.RootID})
-	for _, in := range api.NextRound() {
-		if rm, ok := in.Msg.(rootMsg); ok && rm.Root != po.RootID {
-			ports[in.Port] = true // cross-part edge: keep
-		}
-	}
-	// Part tree edges: parent and children ports.
-	if po.Tree.ParentPort >= 0 {
-		ports[po.Tree.ParentPort] = true
-	}
-	for _, c := range po.Tree.ChildPorts {
-		ports[c] = true
-	}
-	return &NodeSpanner{
-		Ports:        ports,
-		PartRoot:     po.RootID,
-		StretchBound: 2 * int(agreed.(depthMsg).D),
-	}
-}
-
 type depthMsg struct{ D int64 }
 
 func (m depthMsg) Bits() int { return 2 + congest.BitsForValue(m.D) }
 
-// depthHop increments the depth-probe payload on each hop (shared by both
-// execution models).
+// depthHop increments the depth-probe payload on each hop.
 func depthHop(m congest.Message) congest.Message {
 	return depthMsg{D: m.(depthMsg).D + 1}
 }
 
-// combineMaxDepth keeps the maximum depth contribution (shared by both
-// execution models).
+// combineMaxDepth keeps the maximum depth contribution.
 func combineMaxDepth(own congest.Message, ch []congest.Message) congest.Message {
 	best := own.(depthMsg).D
 	for _, c := range ch {
@@ -122,36 +71,6 @@ func combineMaxDepth(own congest.Message, ch []congest.Message) congest.Message 
 type rootMsg struct{ Root int64 }
 
 func (m rootMsg) Bits() int { return 2 + congest.BitsForValue(m.Root) }
-
-// Collect runs the construction on g and returns the spanner subgraph,
-// the per-node views, and the run metrics. It runs on the engine's native
-// step path; CollectBlocking forces the goroutine compatibility path,
-// which produces byte-identical results for a fixed seed
-// (TestSpannerEngineEquivalence). Panics on invalid Options (Epsilon
-// outside (0,1]), like Build.
-func Collect(g *graph.Graph, opts Options, seed int64) (*graph.Graph, []*NodeSpanner, congest.Metrics, error) {
-	return CollectStep(g, opts, seed)
-}
-
-// CollectBlocking runs the construction on the blocking compatibility
-// path (one goroutine per node); kept for the engine-equivalence tests.
-func CollectBlocking(g *graph.Graph, opts Options, seed int64) (*graph.Graph, []*NodeSpanner, congest.Metrics, error) {
-	views := make([]*NodeSpanner, g.N())
-	res, err := congest.Run(congest.Config{
-		Graph:     g,
-		Seed:      seed,
-		MaxRounds: 1 << 40,
-		Workers:   opts.Workers,
-		Cancel:    opts.Cancel,
-		Deadline:  opts.Deadline,
-	}, func(api *congest.API) {
-		views[api.Index()] = Build(api, opts)
-	})
-	if err != nil {
-		return nil, nil, congest.Metrics{}, err
-	}
-	return assembleSpanner(g, views), views, res.Metrics, nil
-}
 
 // VerifySymmetric checks that both endpoints of every spanner edge agree
 // on membership.

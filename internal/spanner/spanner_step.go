@@ -6,13 +6,12 @@ import (
 	"repro/internal/partition"
 )
 
-// This file is the native StepProgram port of the spanner construction
-// (Build in spanner.go): after the step-model Stage I, each node runs the
-// depth probe (broadcast, convergecast, broadcast on the part tree) and
-// one boundary round, then assembles its NodeSpanner view. The port is
-// round-exact versus the blocking Build, so both execution models produce
-// byte-identical Results and views for a fixed seed
-// (TestSpannerEngineEquivalence).
+// This file implements the spanner construction as a StepProgram: after
+// Stage I, each node runs the depth probe (broadcast, convergecast,
+// broadcast on the part tree) for the stretch certificate and one
+// boundary round that flags cross-part edges, then assembles its
+// NodeSpanner view: the node's Stage I tree edges plus every cross-part
+// edge.
 
 type spOp uint8
 
@@ -133,11 +132,10 @@ func (s *spannerNode) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 	}
 }
 
-// CollectStep runs the native step-model construction on g and returns the
-// spanner subgraph, the per-node views, and the run metrics (the step
-// counterpart of CollectBlocking; both produce byte-identical results for
-// a fixed seed).
-func CollectStep(g *graph.Graph, opts Options, seed int64) (*graph.Graph, []*NodeSpanner, congest.Metrics, error) {
+// Collect runs the construction on g and returns the spanner subgraph,
+// the per-node views, and the run metrics. Panics on invalid Options
+// (Epsilon outside (0,1]).
+func Collect(g *graph.Graph, opts Options, seed int64) (*graph.Graph, []*NodeSpanner, congest.Metrics, error) {
 	if opts.Epsilon <= 0 || opts.Epsilon > 1 {
 		panic("spanner: Epsilon must be in (0,1]")
 	}
@@ -168,7 +166,7 @@ func CollectStep(g *graph.Graph, opts Options, seed int64) (*graph.Graph, []*Nod
 }
 
 // assembleSpanner materializes the spanner subgraph from the per-node
-// views (shared by both execution models' Collect paths).
+// views.
 func assembleSpanner(g *graph.Graph, views []*NodeSpanner) *graph.Graph {
 	b := graph.NewBuilder(g.N())
 	for v := 0; v < g.N(); v++ {

@@ -10,10 +10,14 @@ import (
 	"repro/internal/partition"
 )
 
-// TestSpannerEngineEquivalence proves that the native step path of the
-// spanner construction and the blocking path produce byte-identical
-// Metrics, views, and spanner subgraphs for fixed seeds across ≥3 graph
-// families and both Stage I variants (issue acceptance criterion).
+// TestSpannerEngineEquivalence builds the spanner on the sequential
+// engine (Workers=1) and on the worker pool (Workers=4) for fixed seeds,
+// across planar families and both Stage I variants. The two must return
+// identical Metrics, per-node views and spanner edges, both endpoints of
+// every edge must agree on it, and the spanner of a connected input must
+// be connected. The golden table pins the first four families' absolute
+// values; the pool steps only barriers of at least 64 due nodes, so the
+// last family is large enough to reach it.
 func TestSpannerEngineEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	families := []struct {
@@ -24,30 +28,35 @@ func TestSpannerEngineEquivalence(t *testing.T) {
 		{"maximal-planar", graph.MaximalPlanar(50, rng)},
 		{"outerplanar", graph.Outerplanar(35, rng)},
 		{"tree", graph.RandomTree(40, rng)},
+		{"maximal-planar-90", graph.MaximalPlanar(90, rand.New(rand.NewSource(12)))},
 	}
 	variants := []partition.Variant{partition.Deterministic, partition.Randomized}
 	for _, fam := range families {
 		for _, variant := range variants {
 			for seed := int64(0); seed < 2; seed++ {
 				name := fmt.Sprintf("%s/variant%d/seed%d", fam.name, variant, seed)
-				opts := Options{Epsilon: 0.3, Partition: partition.Options{
+				opts := Options{Epsilon: 0.3, Workers: 1, Partition: partition.Options{
 					Epsilon: 0.3, Variant: variant, Schedule: partition.PracticalSchedule}}
-				nsp, nviews, nm, nErr := CollectStep(fam.g, opts, seed)
-				bsp, bviews, bm, bErr := CollectBlocking(fam.g, opts, seed)
-				if (nErr == nil) != (bErr == nil) {
-					t.Fatalf("%s: err mismatch: native=%v blocking=%v", name, nErr, bErr)
+				ssp, sviews, sm, sErr := Collect(fam.g, opts, seed)
+				opts.Workers = 4
+				psp, pviews, pm, pErr := Collect(fam.g, opts, seed)
+				if sErr != nil || pErr != nil {
+					t.Fatalf("%s: sequential: %v, pool: %v", name, sErr, pErr)
 				}
-				if nErr != nil {
-					continue
+				if !reflect.DeepEqual(sm, pm) {
+					t.Fatalf("%s: metrics mismatch:\nworkers=1: %+v\nworkers=4: %+v", name, sm, pm)
 				}
-				if !reflect.DeepEqual(nm, bm) {
-					t.Fatalf("%s: metrics mismatch:\nnative:   %+v\nblocking: %+v", name, nm, bm)
-				}
-				if !reflect.DeepEqual(nviews, bviews) {
+				if !reflect.DeepEqual(sviews, pviews) {
 					t.Fatalf("%s: views mismatch", name)
 				}
-				if !reflect.DeepEqual(nsp.Edges(), bsp.Edges()) {
+				if !reflect.DeepEqual(ssp.Edges(), psp.Edges()) {
 					t.Fatalf("%s: spanner subgraph mismatch", name)
+				}
+				if err := VerifySymmetric(fam.g, sviews); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if fam.g.IsConnected() && !ssp.IsConnected() {
+					t.Fatalf("%s: spanner of a connected input is disconnected", name)
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"repro/internal/congest"
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/partition"
 )
 
 // PartPredicate decides a hereditary graph property on one part. It runs
@@ -14,62 +13,20 @@ import (
 // diameter; gathering the poly(1/eps)-diameter part is one such way).
 type PartPredicate func(g *graph.Graph) bool
 
-// TestHereditary is the generic tester behind the §4.2 remark: for any
-// hereditary property P (closed under induced subgraphs, so parts of a
-// P-graph keep P) that can be decided per part, it partitions the graph
-// and evaluates P on each part:
+// RunHereditary runs the generic tester behind the §4.2 remark on g over
+// the simulator: for any hereditary property P (closed under induced
+// subgraphs, so parts of a P-graph keep P) that can be decided per part,
+// it partitions the graph and evaluates P on each part:
 //
 //   - if G has P, every part has P (hereditary) — every node accepts;
 //   - if G is eps-far from P and minor-free, the partition removes at
 //     most eps*m edges, so some part violates P — its root rejects.
-func TestHereditary(api *congest.API, pred PartPredicate, opts Options) congest.Verdict {
-	if opts.Epsilon <= 0 || opts.Epsilon > 1 {
-		panic("testers: Epsilon must be in (0,1]")
-	}
-	if opts.Partition.Epsilon == 0 {
-		opts.Partition.Epsilon = opts.Epsilon
-	}
-	po := partition.RunStageI(api, opts.Partition)
-	ctx := core.BuildPartContext(api, po)
-	_, m := ctx.Counts()
-	pg, _ := ctx.GatherGraph(m)
-	bad := false
-	if pg != nil { // part root
-		bad = !pred(pg)
-	}
-	reject := ctx.BroadcastBit(bad)
-	if reject || po.Rejected {
-		// Per the paper only the root needs to reject; rejecting at the
-		// root keeps the verdict semantics identical.
-		if pg != nil || po.Rejected {
-			api.Output(congest.VerdictReject)
-			return congest.VerdictReject
-		}
-		api.Output(congest.VerdictAccept)
-		return congest.VerdictAccept
-	}
-	api.Output(congest.VerdictAccept)
-	return congest.VerdictAccept
-}
-
-// RunHereditary executes TestHereditary on g over the simulator. It runs
-// on the engine's native step path; RunHereditaryBlocking forces the
-// goroutine compatibility path, which produces byte-identical results for
-// a fixed seed (TestHereditaryEngineEquivalence). Panics on invalid
-// Options (Epsilon outside (0,1]), like core.RunTester.
+//
+// Panics on invalid Options (Epsilon outside (0,1]), like core.RunTester.
 func RunHereditary(g *graph.Graph, pred PartPredicate, opts Options, seed int64) (*core.RunResult, error) {
 	plan := stageIPlanFor(g, opts)
 	res, err := congest.RunStep(testersConfig(g, opts, seed), func(node int) congest.StepProgram {
 		return newHereditaryProgram(plan, pred)
-	})
-	return newRunResult(res, err)
-}
-
-// RunHereditaryBlocking executes TestHereditary on the blocking
-// compatibility path; kept for the engine-equivalence tests.
-func RunHereditaryBlocking(g *graph.Graph, pred PartPredicate, opts Options, seed int64) (*core.RunResult, error) {
-	res, err := congest.Run(testersConfig(g, opts, seed), func(api *congest.API) {
-		TestHereditary(api, pred, opts)
 	})
 	return newRunResult(res, err)
 }

@@ -63,64 +63,15 @@ type Options struct {
 	Deadline time.Time
 }
 
-// Test runs the distributed property tester inside a node program and
-// returns (and outputs) the node's verdict: on inputs with the property
-// every node accepts; on minor-free inputs eps-far from the property at
-// least one node rejects.
-func Test(api *congest.API, prop Property, opts Options) congest.Verdict {
-	if opts.Epsilon <= 0 || opts.Epsilon > 1 {
-		panic("testers: Epsilon must be in (0,1]")
-	}
-	if opts.Partition.Epsilon == 0 {
-		opts.Partition.Epsilon = opts.Epsilon
-	}
-	po := partition.RunStageI(api, opts.Partition)
-	ctx := core.BuildPartContext(api, po)
-
-	reject := false
-	switch prop {
-	case CycleFreeness:
-		// Any intra-part non-tree edge closes a cycle.
-		reject = len(ctx.NonTreeAssignedPorts()) > 0
-	case Bipartiteness:
-		// An intra-part edge between equal level parities closes an
-		// odd cycle (BFS-level argument, §4.2).
-		for _, p := range ctx.AssignedPorts() {
-			if (ctx.Level()+ctx.NeighborLevel(p))%2 == 0 {
-				reject = true
-				break
-			}
-		}
-	default:
-		panic("testers: unknown property")
-	}
-	if reject || po.Rejected {
-		api.Output(congest.VerdictReject)
-		return congest.VerdictReject
-	}
-	api.Output(congest.VerdictAccept)
-	return congest.VerdictAccept
-}
-
-// Run executes the tester on g over the simulator and returns the run
-// result (StopOnReject semantics). It runs on the engine's native step
-// path; RunBlocking forces the goroutine compatibility path, which
-// produces byte-identical results for a fixed seed
-// (TestMinorFreeEngineEquivalence). Panics on invalid Options (Epsilon
+// Run executes the distributed property tester on g over the simulator
+// and returns the run result (StopOnReject semantics): on inputs with the
+// property every node accepts; on minor-free inputs eps-far from the
+// property at least one node rejects. Panics on invalid Options (Epsilon
 // outside (0,1]), like core.RunTester.
 func Run(g *graph.Graph, prop Property, opts Options, seed int64) (*core.RunResult, error) {
 	plan := stageIPlanFor(g, opts)
 	res, err := congest.RunStep(testersConfig(g, opts, seed), func(node int) congest.StepProgram {
 		return newPropertyProgram(plan, prop)
-	})
-	return newRunResult(res, err)
-}
-
-// RunBlocking executes the tester on the blocking compatibility path (one
-// goroutine per node); kept for the engine-equivalence tests.
-func RunBlocking(g *graph.Graph, prop Property, opts Options, seed int64) (*core.RunResult, error) {
-	res, err := congest.Run(testersConfig(g, opts, seed), func(api *congest.API) {
-		Test(api, prop, opts)
 	})
 	return newRunResult(res, err)
 }

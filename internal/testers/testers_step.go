@@ -7,12 +7,10 @@ import (
 	"repro/internal/partition"
 )
 
-// This file contains the native StepProgram runners behind Run and
-// RunHereditary: the step-model Stage I plan (either variant) hands each
-// node over to the part-context builder (core.PartCtxStep), whose done
-// callback performs the same local checks and verdict outputs, in the same
-// rounds, as the blocking Test/TestHereditary. The blocking runners are
-// kept as *Blocking for the engine-equivalence tests.
+// This file contains the StepProgram runners behind Run and
+// RunHereditary: the Stage I plan (either variant) hands each node over
+// to the part-context builder (core.PartCtxStep), whose done callback
+// performs the local checks and outputs the verdict.
 
 // newPropertyProgram builds the per-node step program of the minor-free
 // property tester: after the part context is ready the checks are purely
@@ -23,8 +21,11 @@ func newPropertyProgram(plan *partition.StageIPlan, prop Property) congest.StepP
 			reject := false
 			switch prop {
 			case CycleFreeness:
+				// Any intra-part non-tree edge closes a cycle.
 				reject = len(c.NonTreeAssignedPorts()) > 0
 			case Bipartiteness:
+				// An intra-part edge between equal level parities closes
+				// an odd cycle (BFS-level argument, §4.2).
 				for _, p := range c.AssignedPorts() {
 					if (c.Level()+c.NeighborLevel(p))%2 == 0 {
 						reject = true
@@ -46,8 +47,8 @@ func newPropertyProgram(plan *partition.StageIPlan, prop Property) congest.StepP
 
 // newHereditaryProgram builds the per-node step program of the generic
 // hereditary-property tester: the part context chains into the
-// gather-and-evaluate continuation, and the verdict rule mirrors
-// TestHereditary (only the root — or a Stage I rejector — rejects).
+// gather-and-evaluate continuation, and only the part root (or a Stage I
+// rejector) rejects.
 func newHereditaryProgram(plan *partition.StageIPlan, pred PartPredicate) congest.StepProgram {
 	return plan.NewNode(func(api *congest.StepAPI, po *partition.Outcome) congest.Status {
 		return congest.BecomeStep(core.NewPartCtxStep(po, func(api *congest.StepAPI, c *core.PartCtxStep) congest.Status {
@@ -63,8 +64,8 @@ func newHereditaryProgram(plan *partition.StageIPlan, pred PartPredicate) conges
 	})
 }
 
-// stageIPlanFor validates the options exactly like the blocking testers
-// and compiles the shared Stage I plan.
+// stageIPlanFor validates the options and compiles the shared Stage I
+// plan.
 func stageIPlanFor(g *graph.Graph, opts Options) *partition.StageIPlan {
 	if opts.Epsilon <= 0 || opts.Epsilon > 1 {
 		panic("testers: Epsilon must be in (0,1]")

@@ -4,7 +4,8 @@
 # when any flagship (E1/E11/E12), Engine, Service/cache-hit, or the
 # CI-sized LargeN planar benchmarks (n10000, n100000) regressed by more
 # than the threshold in ns/op. New benchmarks (present only in the fresh
-# file) and the 10^6-node LargeN sizes (minutes-long single iterations,
+# file), gated baseline rows missing from the fresh file (deleted
+# benchmarks, listed as [removed]), and the 10^6-node LargeN sizes (minutes-long single iterations,
 # skipped in -short mode) are reported but never gate; the gated LargeN
 # sizes are single iterations too, so their threshold rides on the
 # shared BENCH_REGRESSION_THRESHOLD. Committed baselines must come from
@@ -48,17 +49,24 @@ extract() {
         | sed 's/"name"[[:space:]]*:[[:space:]]*"//; s/"[[:space:]]*,[[:space:]]*"ns_per_op"[[:space:]]*:[[:space:]]*/ /'
 }
 
+# is_gated reports whether a benchmark row is under the regression gate.
+is_gated() {
+    case "$1" in
+        BenchmarkE1RoundsVsN*|BenchmarkE11Baseline*|BenchmarkE12Congestion*|BenchmarkEngine*) return 0 ;;
+        BenchmarkLargeN/planar-n10000|BenchmarkLargeN/planar-n100000) return 0 ;;
+        BenchmarkService/cache-hit) return 0 ;;
+    esac
+    return 1
+}
+
 echo "bench_compare: $fresh vs baseline $base (gate: >${THRESHOLD}% ns/op on E1/E11/E12/Engine/Service-cache-hit/LargeN-n10000/LargeN-n100000)"
 base_pairs="$(extract "$base")" || base_pairs=""
+fresh_pairs="$(extract "$fresh")" || fresh_pairs=""
 fail=0
 compared=0
 while read -r name ns; do
     gated=0
-    case "$name" in
-        BenchmarkE1RoundsVsN*|BenchmarkE11Baseline*|BenchmarkE12Congestion*|BenchmarkEngine*) gated=1 ;;
-        BenchmarkLargeN/planar-n10000|BenchmarkLargeN/planar-n100000) gated=1 ;;
-        BenchmarkService/cache-hit) gated=1 ;;
-    esac
+    is_gated "$name" && gated=1
     bns="$(printf '%s\n' "$base_pairs" | awk -v n="$name" '$1 == n { print $2; exit }')" || bns=""
     if [ -z "$bns" ]; then
         printf '  %-55s %16.0f ns/op (new, no baseline)\n' "$name" "$ns"
@@ -72,7 +80,16 @@ while read -r name ns; do
         printf "  %-55s %14.0f -> %14.0f ns/op (%+6.1f%%) [%s]\n", n, b, f, pct, status
         exit (g && pct > t) ? 1 : 0
     }' || fail=1
-done < <(extract "$fresh")
+done <<< "$fresh_pairs"
+
+# A gated baseline row that the fresh run lacks belongs to a deleted
+# benchmark: list it so the deletion is visible, but never fail on it.
+while read -r name ns; do
+    [ -n "$name" ] && is_gated "$name" || continue
+    if ! printf '%s\n' "$fresh_pairs" | awk -v n="$name" '$1 == n { found = 1 } END { exit !found }'; then
+        printf '  %-55s %14.0f ns/op (absent from the fresh run) [removed]\n' "$name" "$ns"
+    fi
+done <<< "$base_pairs"
 
 # Fail closed: a gate that compared nothing (unparseable file, renamed
 # benchmarks) must not pass silently.
