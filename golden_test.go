@@ -83,6 +83,14 @@ var goldenRuns = map[string]func(seed int64, workers int) (congest.Metrics, stri
 			Epsilon: 0.25, Partition: goldenRandomized, Workers: workers}, seed)
 		return goldenRunResult(res, err)
 	},
+	// A reject run cut by StopOnReject while other parts are still
+	// inside a part-tree broadcast or stream: the cut must count only the
+	// traffic sent up to its final round.
+	"cut/gnp300": func(seed int64, workers int) (congest.Metrics, string) {
+		g := graph.GNP(300, 8.0/300, rand.New(rand.NewSource(1)))
+		return goldenResult(core.RunTester(g, core.Options{Epsilon: 0.2, Workers: workers,
+			Partition: partition.Options{Epsilon: 0.2, Schedule: partition.PracticalSchedule}}, seed))
+	},
 	"spanner": func(seed int64, workers int) (congest.Metrics, string) {
 		g := graph.RandomPlanar(200, 400, rand.New(rand.NewSource(10)))
 		sp, _, m, err := spanner.Collect(g, spanner.Options{
@@ -357,6 +365,9 @@ func goldenSpanner(sp *graph.Graph, views []*spanner.NodeSpanner, m congest.Metr
 var goldenTable = []goldenRow{
 	{"bipartiteness", 1, 15859, 0, 59803, 250523, "rejected=true by=5"},
 	{"bipartiteness", 2, 15861, 0, 61233, 249239, "rejected=true by=11"},
+	{"cut/gnp300", 1, 520, 0, 94031, 1084278, "8f85e17ddb9cbaef"},
+	{"cut/gnp300", 2, 520, 0, 94181, 1085593, "2274401726c15465"},
+	{"cut/gnp300", 3, 520, 0, 94042, 1085343, "3f9b001c1cf64707"},
 	{"cycle-freeness", 1, 15899, 0, 65309, 227568, "rejected=true by=3"},
 	{"cycle-freeness", 2, 15891, 0, 64226, 223636, "rejected=true by=1"},
 	{"elkin-neiman/collect", 1, 173, 0, 899, 19298, "cf61008505e3e825"},

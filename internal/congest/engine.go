@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/faultpoint"
@@ -239,8 +240,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		outbox:       make([][]outMsg, n),
 		rejFlag:      make([]bool, n),
 		modeled:      make([]int64, n),
-		chargedMsgs:  make([]int64, n),
-		chargedBits:  make([]int64, n),
+		charged:      make([]charge, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
@@ -279,15 +279,20 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		due = append(due, int32(i)) // round 0: every node wakes, empty inbox
 	}
 	eng.run(due, false)
-	eng.shutdown()
+	return eng.finish()
+}
 
-	eng.m.Rounds = eng.round
-	for i := range eng.modeled {
-		eng.m.ModeledRounds += eng.modeled[i]
-		eng.m.Messages += eng.chargedMsgs[i]
-		eng.m.TotalBits += eng.chargedBits[i]
+// finish ends a run after the scheduler loop returned: it stops the
+// worker pool, charges the traffic of elided windows still open at the
+// final round (elide.go), and assembles the Result.
+func (e *engine) finish() (*Result, error) {
+	e.shutdown()
+	e.foldOpenWindows()
+	e.m.Rounds = e.round
+	for i := range e.modeled {
+		e.m.ModeledRounds += e.modeled[i]
 	}
-	return &Result{Verdicts: eng.verdicts, Metrics: eng.m, Phases: eng.finishObs()}, eng.runErr
+	return &Result{Verdicts: e.verdicts, Metrics: e.m, Phases: e.finishObs()}, e.runErr
 }
 
 // engine is the scheduler core. The per-node hot state is laid out as
@@ -366,13 +371,18 @@ type engine struct {
 	doneDue []int32
 	donePos []int32
 
-	// chargedMsgs/chargedBits are per-node slabs of modeled traffic
-	// charged through StepAPI.ChargeTraffic for exchanges a program
-	// elided (e.g. Stage I's fixed-point fast-forward); summed into
-	// Metrics.Messages/TotalBits at run end, and folded into snapshot
-	// headers so resumed totals stay byte-identical (DESIGN.md §10).
-	chargedMsgs []int64
-	chargedBits []int64
+	// charged is the per-node slab of traffic a Step accounted for
+	// without routing it: StepAPI.ChargeTraffic (Stage I's fixed-point
+	// fast-forward) and the elided fixed-content windows of elide.go.
+	// The barrier merge folds it into Metrics in due order, where routed
+	// traffic is counted, so charges land in the same barrier, phase and
+	// snapshot header as the messages they stand for (DESIGN.md §10).
+	charged []charge
+
+	// el is the run's elided-window state (elide.go), allocated by the
+	// first window through elOnce.
+	el     *elideState
+	elOnce sync.Once
 
 	// Observability (internal/obs). All slabs below are nil unless
 	// Config.Probe is set; the disabled fast path is a nil check per
@@ -381,7 +391,10 @@ type engine struct {
 	// and the engine loop folds announcements sequentially, in due
 	// order, at the barrier — so attribution is deterministic for every
 	// Workers value. pWin* accumulate ChargeTraffic calls per node
-	// between barriers for per-phase fast-forward accounting.
+	// between barriers for per-phase fast-forward accounting. pAdj holds
+	// the elided relays a node charged this barrier whose literal send
+	// rounds fall before it, by the phase current at those rounds
+	// (elide.go); pMarks is the run's phase history that decides it.
 	probe      *obs.Probe
 	trace      obs.TraceSink
 	progress   *obs.Progress
@@ -389,6 +402,8 @@ type engine struct {
 	pWinMsgs   []int64         // per-node charged msgs since last barrier
 	pWinBits   []int64         // per-node charged bits since last barrier
 	pWinCnt    []int64         // per-node ChargeTraffic calls since last barrier
+	pAdj       [][]phaseCharge // per-node earlier-round relays charged this barrier
+	pMarks     []phaseMark     // phase switches, in round order
 	pStats     []obs.PhaseStat // per-phase accumulators, indexed by PhaseID
 	pPhase     int32           // current phase id (0: "run")
 	pLastMsgs  int64           // m.Messages at the last fold
@@ -835,6 +850,9 @@ func (e *engine) mergeSharded(due []int32, sts []Status, mw int) bool {
 		if len(e.outbox[i]) > 0 {
 			e.apis[i].clearRound()
 		}
+		if c := &e.charged[i]; c.msgs != 0 {
+			e.foldCharge(c)
+		}
 		if e.rejFlag[i] {
 			e.rejected = true
 		}
@@ -1073,11 +1091,26 @@ func (e *engine) finishNode(i int, status Status) bool {
 		}
 		api.clearRound()
 	}
+	if c := &e.charged[i]; c.msgs != 0 {
+		e.foldCharge(c)
+	}
 	if e.rejFlag[i] {
 		e.rejected = true
 	}
 	e.applyStatus(i, status)
 	return true
+}
+
+// foldCharge moves one node's charged traffic into the run's Metrics,
+// counting each charged message exactly as a routed one (its size
+// raises MaxMessageBits), and clears the node's slot.
+func (e *engine) foldCharge(c *charge) {
+	e.m.Messages += c.msgs
+	e.m.TotalBits += c.bits
+	if c.max > e.m.MaxMessageBits {
+		e.m.MaxMessageBits = c.max
+	}
+	*c = charge{}
 }
 
 // applyStatus applies a stepped node's scheduling outcome: termination,

@@ -37,6 +37,7 @@ func (e *engine) initObs(cfg Config) {
 		e.pWinMsgs = make([]int64, e.n)
 		e.pWinBits = make([]int64, e.n)
 		e.pWinCnt = make([]int64, e.n)
+		e.pAdj = make([][]phaseCharge, e.n)
 		e.pStat(int32(len(e.probe.Names()) - 1)) // size for pre-interned phases
 		e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits
 	}
@@ -59,12 +60,28 @@ func (e *engine) pStat(id int32) *obs.PhaseStat {
 	return &e.pStats[id]
 }
 
+// phaseMark records a phase switch: the barrier at round became the
+// first one charged to phase.
+type phaseMark struct {
+	round int64
+	phase int32
+}
+
+// phaseCharge is traffic attributed to a phase other than the folding
+// barrier's (an elided relay sent at an earlier round).
+type phaseCharge struct {
+	phase      int32
+	msgs, bits int64
+}
+
 // foldProbe is the per-barrier attribution step, called by the
 // scheduler loop right after a barrier completes (before any
 // checkpoint, so snapshots capture folded state). It applies phase
 // announcements in due order, then charges the barrier's wakes,
-// routed-traffic deltas, fast-forward windows, and wall time to the
-// resulting current phase.
+// traffic deltas (routed and charged), fast-forward windows, and wall
+// time to the resulting current phase — except the elided relays whose
+// literal send rounds precede this barrier, which go to the phases of
+// those rounds (pAdj).
 func (e *engine) foldProbe(due []int32) {
 	for _, i := range due {
 		if r := e.pReq[i]; r != 0 {
@@ -74,13 +91,7 @@ func (e *engine) foldProbe(due []int32) {
 			}
 		}
 	}
-	st := e.pStat(e.pPhase)
-	st.Barriers++
-	st.Wakes += int64(len(due))
-	st.Messages += e.m.Messages - e.pLastMsgs
-	st.Bits += e.m.TotalBits - e.pLastBits
-	e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits
-	var wMsgs, wBits, wCnt int64
+	var wMsgs, wBits, wCnt, adjMsgs, adjBits int64
 	for _, i := range due {
 		if c := e.pWinCnt[i]; c != 0 {
 			wCnt += c
@@ -88,11 +99,27 @@ func (e *engine) foldProbe(due []int32) {
 			wBits += e.pWinBits[i]
 			e.pWinCnt[i], e.pWinMsgs[i], e.pWinBits[i] = 0, 0, 0
 		}
+		if len(e.pAdj[i]) != 0 {
+			for _, a := range e.pAdj[i] {
+				ps := e.pStat(a.phase)
+				ps.Messages += a.msgs
+				ps.Bits += a.bits
+				adjMsgs += a.msgs
+				adjBits += a.bits
+			}
+			e.pAdj[i] = e.pAdj[i][:0]
+		}
 	}
+	st := e.pStat(e.pPhase)
+	st.Barriers++
+	st.Wakes += int64(len(due))
+	st.Messages += e.m.Messages - e.pLastMsgs - adjMsgs
+	st.Bits += e.m.TotalBits - e.pLastBits - adjBits
+	e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits
 	if wCnt != 0 {
+		// The windows' traffic is already in the Metrics delta above:
+		// the barrier merge folded the charges with the routed sends.
 		st.Windows += wCnt
-		st.Messages += wMsgs
-		st.Bits += wBits
 		if e.trace != nil {
 			e.trace.Emit(obs.Event{Event: "fast_forward", Round: int64(e.round), Barrier: e.barriers,
 				Phase: e.phaseName(e.pPhase), Windows: wCnt, Messages: wMsgs, Bits: wBits})
@@ -113,6 +140,7 @@ func (e *engine) switchPhase(to int32) {
 	}
 	e.pPhase = to
 	e.pStat(to)
+	e.pMarks = append(e.pMarks, phaseMark{round: int64(e.round), phase: to})
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Event: "phase_enter", Phase: e.phaseName(to),
 			Round: int64(e.round), Barrier: e.barriers})
@@ -213,6 +241,11 @@ func (e *engine) encodeObsSection(enc *SnapEncoder) {
 		enc.Varint(st.Windows)
 	}
 	enc.Uvarint(uint64(e.pPhase))
+	enc.Uvarint(uint64(len(e.pMarks)))
+	for _, m := range e.pMarks {
+		enc.Uvarint(uint64(m.round))
+		enc.Uvarint(uint64(m.phase))
+	}
 }
 
 // decodeObsSection restores the attribution state written by
@@ -245,15 +278,33 @@ func (e *engine) decodeObsSection(d *SnapDecoder) {
 		}
 	}
 	cur := d.Uvarint()
+	nMarks := d.Uvarint()
+	if d.Err() != nil || nMarks > uint64(d.Remaining()) {
+		d.Uvarint() // force a sticky error on a hostile count
+		return
+	}
+	marks := make([]phaseMark, 0, nMarks)
+	for i := uint64(0); i < nMarks; i++ {
+		round, ph := d.Uvarint(), d.Uvarint()
+		if ph >= count {
+			d.Uvarint()
+			return
+		}
+		marks = append(marks, phaseMark{round: int64(round), phase: int32(ph)})
+	}
 	if d.Err() != nil || e.probe == nil {
 		return
 	}
+	ids := make([]int32, count)
 	for i, name := range names {
-		id := e.probe.Phase(name)
-		*e.pStat(int32(id)) = stats[i]
+		ids[i] = int32(e.probe.Phase(name))
+		*e.pStat(ids[i]) = stats[i]
 	}
 	if cur < count {
-		e.pPhase = int32(e.probe.Phase(names[cur]))
+		e.pPhase = ids[cur]
+	}
+	for _, m := range marks {
+		e.pMarks = append(e.pMarks, phaseMark{round: m.round, phase: ids[m.phase]})
 	}
 	e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits
 }

@@ -20,8 +20,8 @@ import (
 // (deadline heap, next-round list, mail-due list) are pure functions of
 // the phase/deadline/mailbox slabs and are rebuilt on restore, so the
 // format serializes only: the run header, the per-node slabs, each
-// node's mailbox, its lazy RNG draw count, and its program state via the
-// Snapshottable interface. Restore re-enters the scheduler loop right
+// node's mailbox, its lazy RNG draw count, its program state via the
+// Snapshottable interface, and the elided windows still open (elide.go). Restore re-enters the scheduler loop right
 // after the barrier, so a restored run executes the exact same barrier
 // sequence — and produces a byte-identical Result — as an uninterrupted
 // one.
@@ -30,7 +30,7 @@ import (
 // version 1"); snapshotVersion is bumped on any layout change.
 const (
 	snapshotMagic   = "PCK1"
-	snapshotVersion = 3
+	snapshotVersion = 4
 )
 
 // snapshotFooterLen is the length of the SHA-256 integrity footer.
@@ -504,17 +504,10 @@ func (e *engine) encodeSnapshot() ([]byte, error) {
 	enc.Uvarint(uint64(e.barriers))
 	enc.Uvarint(uint64(e.alive))
 	enc.Bool(e.rejected)
-	// Traffic charged through StepAPI.ChargeTraffic folds into the
-	// header totals: the resumed engine starts with the folded sums and
-	// fresh zero charge slabs, so final Messages/TotalBits are identical
-	// no matter where the run was cut (DESIGN.md §10).
-	var chMsgs, chBits int64
-	for i := 0; i < e.n; i++ {
-		chMsgs += e.chargedMsgs[i]
-		chBits += e.chargedBits[i]
-	}
-	enc.Uvarint(uint64(e.m.Messages + chMsgs))
-	enc.Uvarint(uint64(e.m.TotalBits + chBits))
+	// Charged traffic is already in the totals: the barrier merge folds
+	// every node's charges before a snapshot can be taken.
+	enc.Uvarint(uint64(e.m.Messages))
+	enc.Uvarint(uint64(e.m.TotalBits))
 	enc.Uvarint(uint64(e.m.MaxMessageBits))
 	enc.Uvarint(uint64(e.m.DroppedToDone))
 	for _, id := range e.ids {
@@ -553,6 +546,7 @@ func (e *engine) encodeSnapshot() ([]byte, error) {
 		enc.Uvarint(uint64(sp.SnapshotKind()))
 		enc.Bytes(sub.buf)
 	}
+	e.encodeElideSection(enc)
 	e.encodeObsSection(enc)
 	if enc.err != nil {
 		return nil, enc.err
@@ -646,8 +640,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		outbox:       make([][]outMsg, n),
 		rejFlag:      make([]bool, n),
 		modeled:      make([]int64, n),
-		chargedMsgs:  make([]int64, n),
-		chargedBits:  make([]int64, n),
+		charged:      make([]charge, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
@@ -749,6 +742,9 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		}
 		eng.hot[i].prog = prog
 	}
+	if err := eng.decodeElideSection(d); err != nil {
+		return nil, err
+	}
 	eng.initObs(cfg)
 	eng.decodeObsSection(d)
 	if d.err != nil {
@@ -784,13 +780,5 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 	}
 
 	eng.run(nil, true)
-	eng.shutdown()
-
-	eng.m.Rounds = eng.round
-	for i := range eng.modeled {
-		eng.m.ModeledRounds += eng.modeled[i]
-		eng.m.Messages += eng.chargedMsgs[i]
-		eng.m.TotalBits += eng.chargedBits[i]
-	}
-	return &Result{Verdicts: eng.verdicts, Metrics: eng.m, Phases: eng.finishObs()}, eng.runErr
+	return eng.finish()
 }

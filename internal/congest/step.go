@@ -160,23 +160,41 @@ func (a *StepAPI) ChargeModeledRounds(r int) {
 	a.eng.modeled[a.node] += int64(r)
 }
 
-// ChargeTraffic adds msgs messages totaling bits bits to this node's
-// modeled-traffic counters. Programs that elide exchanges whose content
-// is provably fixed — Stage I's forest-decomposition fast-forward
-// (DESIGN.md §10) — charge exactly the traffic the elided rounds would
-// have sent, so Metrics.Messages and Metrics.TotalBits stay identical
-// to an unbatched run. Charges are per-node, summed into the run's
-// Metrics at the end, and folded into snapshot headers so resumed runs
-// report the same totals.
-func (a *StepAPI) ChargeTraffic(msgs, bits int64) {
-	a.eng.chargedMsgs[a.node] += msgs
-	a.eng.chargedBits[a.node] += bits
+// ChargeTraffic charges one fast-forward window: msgs messages totaling
+// bits bits, the largest of maxBits bits. Programs that elide exchanges
+// whose content is provably fixed — Stage I's forest-decomposition
+// fast-forward (DESIGN.md §10) — charge exactly the traffic the elided
+// rounds would have sent, so Metrics.Messages, TotalBits and
+// MaxMessageBits stay identical to an unbatched run. The barrier merge
+// folds the charge into Metrics exactly like the node's routed sends of
+// this round. A charged message must fit the bit bound: maxBits above it
+// panics.
+func (a *StepAPI) ChargeTraffic(msgs, bits int64, maxBits int) {
+	if maxBits > a.eng.bitBound {
+		panic(fmt.Sprintf("congest: node %d charged a %d-bit message, bound is %d", a.node, maxBits, a.eng.bitBound))
+	}
+	a.eng.charged[a.node].add(msgs, bits, maxBits)
 	if a.eng.pWinCnt != nil {
 		// Per-phase attribution: record the fast-forward window so the
-		// barrier fold can charge it to the current phase (obs.go).
+		// barrier fold can count it and trace it (obs.go).
 		a.eng.pWinCnt[a.node]++
 		a.eng.pWinMsgs[a.node] += msgs
 		a.eng.pWinBits[a.node] += bits
+	}
+}
+
+// charge is traffic a node accounted for in its current Step without
+// routing it; see engine.charged.
+type charge struct {
+	msgs, bits int64
+	max        int
+}
+
+func (c *charge) add(msgs, bits int64, maxBits int) {
+	c.msgs += msgs
+	c.bits += bits
+	if maxBits > c.max {
+		c.max = maxBits
 	}
 }
 

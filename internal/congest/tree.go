@@ -20,17 +20,12 @@ func (t Tree) isChildPort(p int) bool {
 	return false
 }
 
-// pipeItem wraps a payload moving through PipelineUpStep or
-// BroadcastItemsDownStep.
+// pipeItem wraps a single pipelined payload.
 // The wrapped size is computed once at boxing time: the same boxed item
 // is re-routed at every tree hop, and the engine checks Bits() per hop.
 type pipeItem struct {
 	payload Message
 	bits    int
-}
-
-func newPipeItem(payload Message) pipeItem {
-	return pipeItem{payload: payload, bits: 1 + payload.Bits()}
 }
 
 func (p pipeItem) Bits() int { return p.bits }
@@ -49,18 +44,30 @@ type pipeBatch struct {
 func (p pipeBatch) Bits() int { return p.bits }
 
 // packPipe packs a maximal prefix of items into one pipelined message
-// within bitBound bits (batch header 1 bit, plus 1+Bits() per payload,
-// mirroring pipeItem's framing) and returns it with the count consumed.
-// A single payload travels as a bare pipeItem — also the fallback when
-// the batch framing would not fit the bound. The returned batch aliases
-// items, so callers must not rewrite consumed slots while the message
-// may be in flight (popping a prefix and appending is fine).
+// within bitBound bits and returns it with the count consumed (see
+// packLen). The returned batch aliases items, so callers must not
+// rewrite consumed slots while the message may be in flight (popping a
+// prefix and appending is fine).
 func packPipe(items []Message, bitBound int) (Message, int) {
-	bits := 1 + 1 + items[0].Bits()
-	if bits > bitBound {
-		return newPipeItem(items[0]), 1
+	n, bits := packLen(items, bitBound)
+	if n == 1 {
+		return pipeItem{payload: items[0], bits: bits}, 1
 	}
-	n := 1
+	return pipeBatch{payloads: items[:n:n], bits: bits}, n
+}
+
+// packLen returns how many items the next pipelined message packs and
+// its size: a batch header of 1 bit plus 1+Bits() per payload (mirroring
+// pipeItem's framing), within bitBound. A single payload travels as a
+// bare pipeItem — also the fallback when the batch framing would not fit
+// the bound.
+func packLen(items []Message, bitBound int) (n, bits int) {
+	first := items[0].Bits()
+	bits = 1 + 1 + first
+	if bits > bitBound {
+		return 1, 1 + first
+	}
+	n = 1
 	for n < len(items) {
 		nb := 1 + items[n].Bits()
 		if bits+nb > bitBound {
@@ -70,13 +77,13 @@ func packPipe(items []Message, bitBound int) (Message, int) {
 		n++
 	}
 	if n == 1 {
-		return newPipeItem(items[0]), 1
+		return 1, 1 + first
 	}
-	return pipeBatch{payloads: items[:n:n], bits: bits}, n
+	return n, bits
 }
 
 // pushPipePayloads appends the payloads of a received pipeItem/pipeBatch
-// to a relay queue (shared receive path of the pipelined primitives).
+// to a relay queue.
 // It reports false for messages that are not pipelined items.
 func pushPipePayloads(queue []Message, m Message) ([]Message, bool) {
 	switch pm := m.(type) {

@@ -23,24 +23,39 @@ import "fmt"
 // per-round send path does not re-chase it through the engine.
 
 // BroadcastDownStep distributes a message from the root to every tree
-// node, transformed on each hop by the transform function (nil means
-// identity). Nodes forward to their children one round after receiving.
+// node. With a per-hop transform, Begin relays it hop by hop: nodes
+// forward the transformed message to their children one round after
+// receiving. With a nil transform the content is fixed at the root, and
+// the broadcast runs as an elided window (elide.go): no message moves,
+// every node reads the root's payload at the deadline, and every node
+// charges exactly the relays it would have sent.
 type BroadcastDownStep struct {
 	t         Tree
 	deadline  int
 	transform func(Message) Message
 	got       Message
 	ok        bool
+	fixed     bool // an elided window is open at this node
 }
 
 // Begin starts the broadcast at the current round (the root sends to its
 // children immediately). It returns true when the operation is already
-// complete (deadline reached).
+// complete (deadline reached). With a nil transform, Results, rounds and
+// traffic are those of the relay; a root whose payload exceeds the bit
+// bound, or a broadcast with no rounds, sends literally, so the run
+// fails or ends exactly as the relay would.
 func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Message, transform func(Message) Message) bool {
 	b.t, b.deadline, b.transform = t, deadline, transform
 	b.got, b.ok = nil, false
 	if t.IsRoot() {
 		b.got, b.ok = rootMsg, true
+	}
+	b.fixed = transform == nil && api.Round() < deadline && !(t.IsRoot() && rootMsg.Bits() > api.BitBound())
+	if b.fixed {
+		api.openWindow(t, deadline, rootMsg, nil, false)
+		return false
+	}
+	if t.IsRoot() {
 		for _, c := range t.ChildPorts {
 			api.Send(c, rootMsg)
 		}
@@ -50,6 +65,21 @@ func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Me
 
 // Feed consumes one wake and reports whether the operation completed.
 func (b *BroadcastDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
+	if b.fixed {
+		if len(inbox) > 0 {
+			panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
+		}
+		if api.Round() < b.deadline {
+			return false
+		}
+		b.fixed = false
+		if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
+			if p := api.closeWindow(); p != nil && !b.t.IsRoot() {
+				b.got, b.ok = p.msg, true
+			}
+		}
+		return true
+	}
 	if b.got == nil && !b.t.IsRoot() {
 		for _, in := range inbox {
 			if in.Port != b.t.ParentPort {
@@ -79,12 +109,14 @@ func (b *BroadcastDownStep) Result() (Message, bool) { return b.got, b.ok }
 
 // EncodeState serializes the machine for a checkpoint. The transform
 // function is not serialized: the owning program must reinstall it after
-// DecodeState (before the next Feed) when it uses one.
+// DecodeState (before the next Feed) when it uses one. An open elided
+// window is carried by the engine's snapshot section.
 func (b *BroadcastDownStep) EncodeState(e *SnapEncoder) {
 	e.Tree(b.t)
 	e.Int(b.deadline)
 	e.Msg(b.got)
 	e.Bool(b.ok)
+	e.Bool(b.fixed)
 }
 
 // DecodeState restores the machine from a checkpoint record.
@@ -93,6 +125,7 @@ func (b *BroadcastDownStep) DecodeState(d *SnapDecoder) {
 	b.deadline = d.Int()
 	b.got = d.Msg()
 	b.ok = d.Bool()
+	b.fixed = d.Bool()
 	b.transform = nil
 }
 
@@ -340,142 +373,134 @@ func (p *PipelineUpStep) DecodeState(d *SnapDecoder) {
 	p.wantNext = d.Bool()
 }
 
-// BroadcastItemsDownStep streams a sequence of items from the root to
-// every tree node, one B-bit batch per round, pipelined through the tree.
-// Items must individually fit the bit bound.
+// BroadcastItemsDownStep streams a sequence of items, fixed at the root,
+// to every tree node. Its literal schedule pipelines one B-bit batch per
+// round through the tree (packPipe), then an end marker; it runs as an
+// elided window (elide.go): the root publishes the items, every node
+// reads them at the deadline, and every node charges exactly the batches
+// it would have relayed. Items must individually fit the bit bound.
 type BroadcastItemsDownStep struct {
 	t        Tree
 	deadline int
-	bitBound int       // captured at Begin (run constant)
-	items    []Message // root: the source items
-	got      []Message // non-root: received items (reused)
-	next     int       // root: index of the next item to send
-	endSent  bool      // root: pipeEnd dispatched
-	done     bool      // non-root: pipeEnd received
-
-	// Keep, when non-nil, filters which received items a non-root node
-	// retains in its Result slice. Forwarding down the tree (and thus the
-	// message schedule) is unaffected — the filter only cuts the local
-	// buffer, for streams where a node needs a small slice of the items
-	// (e.g. its own rotation entries out of the whole part's). Set it
-	// before Begin; it applies until replaced, so callers reusing the
-	// struct for an unfiltered stream must reset it to nil before that
-	// Begin. The root's Result is always the unfiltered source items.
-	Keep func(Message) bool
+	items    []Message // root: the source items; elsewhere: the root's, once complete
+	ok       bool
+	fail     int      // root: index of the first over-bound stream message (-1: none)
+	failAt   int      // root: the round the relay sends it
+	slot     *pubSlot // the published stream, in the completing wake
 }
 
-// Begin starts the stream at the current round (the root sends the first
-// item immediately).
+// Begin starts the stream at the current round.
 func (b *BroadcastItemsDownStep) Begin(api *StepAPI, t Tree, deadline int, items []Message) bool {
-	b.t, b.deadline, b.items = t, deadline, items
-	b.bitBound = api.BitBound()
-	b.got = b.got[:0]
-	b.next, b.endSent, b.done = 0, false, false
+	b.t, b.deadline, b.slot = t, deadline, nil
+	b.items, b.ok, b.fail, b.failAt = nil, false, -1, 0
 	if t.IsRoot() {
-		b.rootSend(api)
+		b.items, b.ok = items, true
 	}
-	return api.Round() >= b.deadline
+	if api.Round() >= deadline {
+		// No rounds: the root's first send lands in the next op, as the
+		// relay's would.
+		if t.IsRoot() {
+			b.sendLiteral(api, 0)
+		}
+		return true
+	}
+	if k := api.openWindow(t, deadline, nil, items, true); k >= 0 && api.Round()+k <= deadline {
+		// An over-bound message: send it at its literal round, where the
+		// engine fails the run with the relay's error.
+		b.fail, b.failAt = k, api.Round()+k
+		if k == 0 {
+			b.sendLiteral(api, 0)
+		}
+	}
+	return false
 }
 
-func (b *BroadcastItemsDownStep) rootSend(api *StepAPI) {
-	if b.next < len(b.items) {
-		m, n := packPipe(b.items[b.next:], b.bitBound) // boxed once for all children
-		b.next += n
-		for _, c := range b.t.ChildPorts {
-			api.Send(c, m)
+// sendLiteral sends stream message k (batch k, or the end marker after
+// the last batch) from the root to its children.
+func (b *BroadcastItemsDownStep) sendLiteral(api *StepAPI, k int) {
+	var m Message = pipeEnd{}
+	for rest := b.items; len(rest) > 0; k-- {
+		batch, n := packPipe(rest, api.BitBound())
+		if k == 0 {
+			m = batch
+			break
 		}
-		return
+		rest = rest[n:]
 	}
-	if !b.endSent {
-		for _, c := range b.t.ChildPorts {
-			api.Send(c, pipeEnd{})
-		}
-		b.endSent = true
+	for _, c := range b.t.ChildPorts {
+		api.Send(c, m)
 	}
 }
 
 // Feed consumes one wake and reports whether the operation completed.
 func (b *BroadcastItemsDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if b.t.IsRoot() {
-		if !b.endSent {
-			b.rootSend(api)
-		}
-		return api.Round() >= b.deadline
+	if len(inbox) > 0 {
+		panic(fmt.Sprintf("congest: BroadcastItemsDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
 	}
-	if !b.done {
-		for _, in := range inbox {
-			if in.Port != b.t.ParentPort {
-				panic(fmt.Sprintf("congest: BroadcastItemsDown: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			switch m := in.Msg.(type) {
-			case pipeItem:
-				if b.Keep == nil || b.Keep(m.payload) {
-					b.got = append(b.got, m.payload)
-				}
-			case pipeBatch:
-				for _, pl := range m.payloads {
-					if b.Keep == nil || b.Keep(pl) {
-						b.got = append(b.got, pl)
-					}
-				}
-			case pipeEnd:
-				b.done = true
-				for _, c := range b.t.ChildPorts {
-					api.Send(c, pipeEnd{})
-				}
-				continue
-			default:
-				panic("congest: BroadcastItemsDown: unexpected message type")
-			}
-			for _, c := range b.t.ChildPorts {
-				api.Send(c, in.Msg) // forward the already-boxed message
-			}
+	if b.fail > 0 && api.Round() == b.failAt {
+		b.sendLiteral(api, b.fail)
+		b.fail = -1
+	}
+	if api.Round() < b.deadline {
+		return false
+	}
+	if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
+		b.slot = api.closeWindow()
+		if b.slot != nil && !b.t.IsRoot() {
+			b.items, b.ok = b.slot.items, true
 		}
 	}
-	return api.Round() >= b.deadline
+	return true
 }
 
 // Wake is the scheduling request while the operation is incomplete.
 func (b *BroadcastItemsDownStep) Wake() Status {
-	if b.t.IsRoot() && !b.endSent {
-		return Running()
+	if b.fail > 0 && b.failAt < b.deadline {
+		return Sleep(b.failAt)
 	}
 	return Sleep(b.deadline)
 }
 
-// Result returns the full item sequence as seen by this node; ok is false
-// when the deadline was too small. Non-root callers must copy the slice if
-// they retain it (it is reused by the next Begin).
-func (b *BroadcastItemsDownStep) Result() ([]Message, bool) {
-	if b.t.IsRoot() {
-		return b.items, true
+// Result returns the full item sequence (shared with every node of the
+// tree: read-only) and whether the relay would have delivered it by the
+// deadline (at the root: always). It is valid in the completing wake.
+func (b *BroadcastItemsDownStep) Result() ([]Message, bool) { return b.items, b.ok }
+
+// Shared returns a value computed once per stream from its items by
+// build, for all nodes of the tree (the first caller computes it, the
+// others get the same value; build must be a pure function of the
+// items). It is valid in the completing wake.
+func (b *BroadcastItemsDownStep) Shared(build func(items []Message) any) any {
+	if b.slot == nil {
+		return build(b.items) // a childless root publishes nothing
 	}
-	return b.got, b.done
+	sv := b.slot.shared
+	sv.once.Do(func() { sv.v = build(b.slot.items) })
+	return sv.v
 }
 
-// EncodeState serializes the machine for a checkpoint. Keep is not
-// serialized: the owning program must reinstall it after DecodeState
-// when the in-flight stream uses a filter.
+// EncodeState serializes the machine for a checkpoint. Only the root
+// holds items (the others read the published stream when it completes).
 func (b *BroadcastItemsDownStep) EncodeState(e *SnapEncoder) {
 	e.Tree(b.t)
 	e.Int(b.deadline)
-	e.Int(b.bitBound)
-	e.Msgs(b.items)
-	e.Msgs(b.got)
-	e.Int(b.next)
-	e.Bool(b.endSent)
-	e.Bool(b.done)
+	if b.t.IsRoot() {
+		e.Msgs(b.items)
+	} else {
+		e.Msgs(nil)
+	}
+	e.Bool(b.ok)
+	e.Int(b.fail)
+	e.Int(b.failAt)
 }
 
 // DecodeState restores the machine from a checkpoint record.
 func (b *BroadcastItemsDownStep) DecodeState(d *SnapDecoder) {
 	b.t = d.Tree()
 	b.deadline = d.Int()
-	b.bitBound = d.Int()
 	b.items = d.Msgs()
-	b.got = d.Msgs()
-	b.next = d.Int()
-	b.endSent = d.Bool()
-	b.done = d.Bool()
-	b.Keep = nil
+	b.ok = d.Bool()
+	b.fail = d.Int()
+	b.failAt = d.Int()
+	b.slot = nil
 }

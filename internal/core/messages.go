@@ -1,10 +1,6 @@
 package core
 
-import (
-	"sync"
-
-	"repro/internal/congest"
-)
+import "repro/internal/congest"
 
 // Message vocabulary of Stage II. Large logical payloads (node labels,
 // sampled label pairs, part edge lists, rotations) are chunked into
@@ -95,21 +91,13 @@ func (m labelChunk) Bits() int {
 
 // sampleChunk carries a slice of a sampled edge's label pair, keyed by the
 // owning node and the edge's index at that node. The payload flattens
-// [len(u), u..., len(v), v...]. Chunks are boxed as pointers: the sample
-// stream is broadcast to a whole part, so every member holds the same
-// boxes, and the first box of the stream hosts the once-per-part
-// reassembly memo of collectSamples. The memo fields are receiver-local
-// state, not payload — Bits ignores them and the checkpoint codec does
-// not carry them (a restored stream simply reassembles again).
+// [len(u), u..., len(v), v...].
 type sampleChunk struct {
 	Owner int64
 	EIdx  int32
 	CIdx  int32
 	Last  bool
 	Elems []int32
-
-	memoOnce sync.Once
-	memo     []LabeledEdge
 }
 
 func (m *sampleChunk) Bits() int {

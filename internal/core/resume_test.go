@@ -130,3 +130,53 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 		t.Fatalf("expected ErrBadSnapshot for mismatched graph, got %v", err)
 	}
 }
+
+// TestCrashEveryBarrier kills a small tester run at every barrier and
+// resumes each crash. A crash at barrier b resumes from the checkpoint
+// barrier b wrote, so the run checkpoints every barrier once and every
+// checkpoint is resumed (alternating one and two workers), each to the
+// uninterrupted run's exact RunResult. Every elided part-tree window
+// (elide.go in internal/congest) spans at least its start barrier, so
+// every window kind — Stage I broadcasts, the part-context depth
+// agreement, the counts broadcast, the rotation scatter and the sample
+// stream — is cut at least once, at every offset into it. The grid runs
+// both Stage I variants; the far input, which StopOnReject also cuts
+// inside open windows, runs the deterministic one.
+func TestCrashEveryBarrier(t *testing.T) {
+	far, _ := graph.PlanarPlusRandomEdges(40, 30, rand.New(rand.NewSource(4)))
+	both := []partition.Variant{partition.Deterministic, partition.Randomized}
+	for _, fam := range []struct {
+		name     string
+		g        *graph.Graph
+		variants []partition.Variant
+	}{{"grid", graph.Grid(6, 6), both}, {"far", far, both[:1]}} {
+		for _, v := range fam.variants {
+			opts := Options{Epsilon: 0.25, Partition: partition.Options{
+				Epsilon: 0.25, Variant: v, Schedule: partition.PracticalSchedule}}
+			var snaps [][]byte
+			run := opts
+			run.Workers = 1
+			run.Checkpoint = congest.CheckpointConfig{
+				EveryBarriers: 1,
+				Sink:          func(_ int, data []byte) error { snaps = append(snaps, data); return nil },
+			}
+			base, err := RunTester(fam.g, run, 1)
+			if err != nil {
+				t.Fatalf("%s/%v: %v", fam.name, v, err)
+			}
+			for b, snap := range snaps {
+				res := opts
+				res.Workers = 1 + b%2
+				got, err := ResumeTester(fam.g, res, 1, snap)
+				if err != nil {
+					t.Fatalf("%s/%v: resume at barrier %d: %v", fam.name, v, b+1, err)
+				}
+				if !reflect.DeepEqual(base, got) {
+					t.Fatalf("%s/%v: resumed at barrier %d of %d:\nbase:    %+v\nresumed: %+v",
+						fam.name, v, b+1, len(snaps), base, got)
+				}
+			}
+			t.Logf("%s/%v: %d barriers, rejected=%v", fam.name, v, len(snaps), base.Rejected)
+		}
+	}
+}

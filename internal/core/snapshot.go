@@ -403,22 +403,11 @@ func resumeStage2(d *congest.SnapDecoder, opts StageIIOptions) (congest.StepProg
 }
 
 // reattach reinstalls the function-typed state a checkpoint cannot carry:
-// the counts combiner and the rotation-scatter Keep filter (the only two
-// ops that park with a function installed — the sample stream runs with
-// Keep nil and every Stage II broadcast uses a nil transform).
-func (s *stage2Node) reattach(api *congest.StepAPI) {
-	if !s.inOp {
-		return
-	}
-	switch s.pc {
-	case o2CountUp:
+// the counts combiner (the only op that parks with a function installed
+// — every Stage II broadcast and stream carries fixed content).
+func (s *stage2Node) reattach() {
+	if s.inOp && s.pc == o2CountUp {
 		s.cv.SetCombine(combineCounts)
-	case o2Scatter:
-		id := api.ID()
-		s.bid.Keep = func(m congest.Message) bool {
-			r, ok := m.(rotItem)
-			return !ok || r.Node == id
-		}
 	}
 }
 

@@ -103,6 +103,31 @@ func modeledEmbedRounds(n, maxDepth int) int {
 	return 2*maxDepth + mD
 }
 
+// rotationIndex maps a part node's id to the range [lo, hi) of its
+// entries in the rotation scatter stream.
+type rotationIndex map[int64][2]int
+
+// indexRotation builds the rotation stream's index. embedRotationItems
+// emits each node's entries contiguously, so one pass finds the ranges.
+func indexRotation(items []congest.Message) any {
+	idx := make(rotationIndex)
+	for lo := 0; lo < len(items); {
+		r, ok := items[lo].(rotItem)
+		hi := lo + 1
+		for ok && hi < len(items) {
+			if next, ok2 := items[hi].(rotItem); !ok2 || next.Node != r.Node {
+				break
+			}
+			hi++
+		}
+		if ok {
+			idx[r.Node] = [2]int{lo, hi}
+		}
+		lo = hi
+	}
+	return idx
+}
+
 // rotationPorts extracts this node's rotation from the scattered items,
 // mapping neighbor ids back to ports.
 func rotationPorts(got []congest.Message, id int64, intra []bool, nbrID []int64) []int {
@@ -259,27 +284,11 @@ var sampleScratch = sync.Pool{
 	New: func() any { return new([]*sampleChunk) },
 }
 
-// collectSamples reassembles the scattered sample chunks into label pairs.
-// Every node of a part receives the
-// same stream of shared chunk boxes in the same order, so the reassembly
-// — dominated by the (owner, edge, chunk) sort — runs once per part: the
-// stream's first box hosts the memo and the rest of the part reuses it.
-// The returned edges are therefore shared, read-only data. A stream whose
-// first box is not a chunk (or a restored stream, whose boxes are decoded
-// per node) falls back to reassembling locally.
-func collectSamples(down []congest.Message) []LabeledEdge {
-	if len(down) == 0 {
-		return nil
-	}
-	if first, ok := down[0].(*sampleChunk); ok {
-		first.memoOnce.Do(func() { first.memo = reassembleSamples(down) })
-		return first.memo
-	}
-	return reassembleSamples(down)
-}
-
-// reassembleSamples is the uncached reassembly behind collectSamples.
-// Only the scratch is pooled; the returned edges own their label storage.
+// reassembleSamples reassembles the sample stream's chunks into label
+// pairs. Every node of a part reads the same stream, so the part runs it
+// once (BroadcastItemsDownStep.Shared) and its nodes share the result:
+// read-only data. Only the scratch is pooled; the returned edges own
+// their label storage.
 func reassembleSamples(down []congest.Message) []LabeledEdge {
 	scratch := sampleScratch.Get().(*[]*sampleChunk)
 	chunks := (*scratch)[:0]

@@ -26,7 +26,7 @@ import (
 // operations (driven by the step state machines of package congest),
 // single exchange rounds, and two message-driven label-stream windows.
 // Local computation lives in stage2.go (embedRotationItems,
-// edgePositionsFromRotation, buildSampleChunks, collectSamples, ...).
+// edgePositionsFromRotation, buildSampleChunks, reassembleSamples, ...).
 
 type s2op uint8
 
@@ -144,7 +144,7 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 	}
 	if s.restored {
 		s.restored = false
-		s.reattach(api)
+		s.reattach()
 	}
 	for {
 		switch s.pc {
@@ -242,14 +242,6 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 				if strictFail {
 					out = []congest.Message{embedFail{}}
 				}
-				// Only this node's rotation entries (plus any control
-				// message) are retained; forwarding is unaffected, so the
-				// whole part's stream no longer lives in every node.
-				id := api.ID()
-				s.bid.Keep = func(m congest.Message) bool {
-					r, ok := m.(rotItem)
-					return !ok || r.Node == id
-				}
 				scatterBudget := int(2*s.partM) + s.budget + 6
 				if !s.bid.Begin(api, s.tree, api.Round()+scatterBudget, out) {
 					s.inOp = true
@@ -275,7 +267,10 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 					continue
 				}
 			}
-			s.rotPorts = rotationPorts(got, api.ID(), s.intra, s.nbrID)
+			// Every node of the part reads the root's stream; the index
+			// the first reader builds hands each node its own entries.
+			own := s.bid.Shared(indexRotation).(rotationIndex)[api.ID()]
+			s.rotPorts = rotationPorts(got[own[0]:own[1]], api.ID(), s.intra, s.nbrID)
 			s.pc = o2Labels
 
 		case o2Labels:
@@ -344,7 +339,6 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 						up = up[:s.capChunks]
 					}
 				}
-				s.bid.Keep = nil // every node needs the full sample stream
 				if !s.bid.Begin(api, s.tree, api.Round()+s.sBudget, up) {
 					s.inOp = true
 					return s.bid.Wake()
@@ -354,8 +348,13 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 			} else {
 				s.inOp = false
 			}
-			down, _ := s.bid.Result()
-			s.samples = collectSamples(down)
+			if _, ok := s.bid.Result(); !ok {
+				panic("core: sample broadcast under-budgeted")
+			}
+			// The part's nodes share the root's chunks and one reassembly.
+			s.samples = s.bid.Shared(func(items []congest.Message) any {
+				return reassembleSamples(items)
+			}).([]LabeledEdge)
 			s.pc = o2Finish
 
 			// Step K: local violation checks (Definition 7).

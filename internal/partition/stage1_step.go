@@ -1168,15 +1168,23 @@ func (s *stageINode) fdWindow(api *congest.StepAPI, l int) bool {
 		}
 	}
 	msgs := int64(len(s.tree.ChildPorts) + nCross)
-	bits := int64(len(s.tree.ChildPorts)) * int64(s.stStatus.Bits())
+	bits, maxBits := int64(0), 0
+	if len(s.tree.ChildPorts) > 0 {
+		b := s.stStatus.Bits()
+		bits, maxBits = int64(len(s.tree.ChildPorts))*int64(b), b
+	}
 	if nCross > 0 {
-		bits += int64(nCross) * int64(activityMsg{Root: s.rootID, Active: s.stStatus.Active}.Bits())
+		b := activityMsg{Root: s.rootID, Active: s.stStatus.Active}.Bits()
+		bits += int64(nCross) * int64(b)
+		maxBits = max(maxBits, b)
 	}
 	if !s.tree.IsRoot() {
+		b := s.cvRes.Bits()
 		msgs++
-		bits += int64(s.cvRes.Bits())
+		bits += int64(b)
+		maxBits = max(maxBits, b)
 	}
-	api.ChargeTraffic(int64(K)*msgs, int64(K)*bits)
+	api.ChargeTraffic(int64(K)*msgs, int64(K)*bits, maxBits)
 	s.fdFF = true
 	s.fdFFUntil = api.Round() + K*(2*s.D+1)
 	s.pc = pl.fdEnd
@@ -1258,16 +1266,20 @@ func (s *stageINode) cascWindow(api *congest.StepAPI, op *sOp) bool {
 	}
 	kids := int64(len(s.tree.ChildPorts))
 	msgs := kids
-	bits := kids * int64(noneMsg{}.Bits())
-	if !s.tree.IsRoot() {
-		msgs++
-		if op.tag == tParAnn {
-			bits += int64(pairMsg{}.Bits())
-		} else {
-			bits += int64(noneMsg{}.Bits())
-		}
+	bits, maxBits := kids*int64(noneMsg{}.Bits()), 0
+	if kids > 0 {
+		maxBits = noneMsg{}.Bits()
 	}
-	api.ChargeTraffic(int64(K)*msgs, int64(K)*bits)
+	if !s.tree.IsRoot() {
+		up := noneMsg{}.Bits()
+		if op.tag == tParAnn {
+			up = pairMsg{}.Bits()
+		}
+		msgs++
+		bits += int64(up)
+		maxBits = max(maxBits, up)
+	}
+	api.ChargeTraffic(int64(K)*msgs, int64(K)*bits, maxBits)
 	// Mirror the state the skipped inert hops would have left behind.
 	s.opMsg = noneMsg{}
 	if op.tag == tParAnn {
