@@ -139,28 +139,51 @@ func (s *wakeState) Step(api *StepAPI, inbox []Inbound) Status {
 	return Running()
 }
 
+// calendarWakeState is wakeState parked on the wake calendar: after
+// every wake the node sleeps two rounds, so all nodes share each
+// deadline and every barrier's due list is one calendar bucket.
+type calendarWakeState struct{ wakeState }
+
+func (s *calendarWakeState) Step(api *StepAPI, inbox []Inbound) Status {
+	if st := s.wakeState.Step(api, inbox); st.kind == statusDone {
+		return st
+	}
+	return Sleep(api.Round() + 2)
+}
+
 // BenchmarkEngineWake measures the engine's per-wake cost with no
 // messages: a 10^5-node random planar graph where every node wakes
 // benchWakes+1 times, stepped at Workers 1 and 2. It reports ns/wake,
-// the cost computeNode, the status merge and the due-list rebuild add
-// to each wake of a real algorithm.
+// the cost computeNode, parking and the due-list rebuild add to each
+// wake of a real algorithm. The workersN rows park every node for
+// round+1; the sleep-workersN rows park every node on a common
+// deadline two rounds out, so the calendar path is measured too.
 func BenchmarkEngineWake(b *testing.B) {
 	const n = 100_000
 	g := graph.RandomPlanar(n, 3*n/2, rand.New(rand.NewSource(1)))
-	for _, w := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := RunStep(Config{Graph: g, Seed: int64(i), Workers: w}, func(int) StepProgram {
-					return new(wakeState)
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, mode := range []struct {
+		name string
+		prog func() StepProgram
+		gap  int // rounds between wakes
+	}{
+		{"", func() StepProgram { return new(wakeState) }, 1},
+		{"sleep-", func() StepProgram { return new(calendarWakeState) }, 2},
+	} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%sworkers%d", mode.name, w), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := RunStep(Config{Graph: g, Seed: int64(i), Workers: w}, func(int) StepProgram {
+						return mode.prog()
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if res.Metrics.Rounds != mode.gap*benchWakes {
+						b.Fatalf("rounds = %d, want %d", res.Metrics.Rounds, mode.gap*benchWakes)
+					}
 				}
-				if res.Metrics.Rounds != benchWakes {
-					b.Fatalf("rounds = %d, want %d", res.Metrics.Rounds, benchWakes)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(benchWakes+1)), "ns/wake")
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*(benchWakes+1)), "ns/wake")
+			})
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/faultpoint"
@@ -43,12 +44,13 @@ type Config struct {
 	// reject decides the global output, so testers use this to terminate
 	// promptly once evidence is found (remaining nodes are shut down).
 	StopOnReject bool
-	// Workers is the number of engine worker goroutines that step due
-	// nodes inside a round barrier. 0 uses runtime.GOMAXPROCS(0); 1 keeps
-	// the engine fully sequential. Inboxes are captured before any due
-	// node steps and sends only become deliverable at the next barrier,
-	// so stepping is data-parallel; outboxes, scheduling effects, and
-	// metrics are merged in node-index order after the barrier —
+	// Workers is the number of goroutines that step due nodes inside a
+	// round barrier, the engine loop included. 0 uses
+	// runtime.GOMAXPROCS(0); 1 keeps the engine fully sequential. Sends
+	// only become deliverable at the next barrier, so stepping (and
+	// parking each stepped node for its next wake) is data-parallel;
+	// outboxes, terminations, and metrics are merged in node-index order
+	// after the barrier —
 	// message-heavy barriers route in parallel by disjoint receiver
 	// shard, which preserves the same per-mailbox order — making
 	// Results byte-identical for every Workers value
@@ -236,6 +238,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		phase:        make([]nodePhase, n),
 		deadline:     make([]int64, n),
 		heapDl:       make([]int64, n),
+		cal:          newCalendar(),
 		hot:          make([]nodeHot, n),
 		outbox:       make([][]outMsg, n),
 		rejFlag:      make([]bool, n),
@@ -301,10 +304,10 @@ func (e *engine) finish() (*Result, error) {
 // nodes streams through contiguous cache lines instead of chasing one
 // heap object per node (DESIGN.md §8). All slabs are owned by the engine
 // loop between barriers; inside a barrier, worker goroutines only read
-// and write the slab entries of the nodes in their chunk (distinct
-// indices, so the compute phase is race-free) plus their own panic slot,
-// and the barrier join establishes the happens-before edges back to the
-// engine loop.
+// and write the slab entries of the nodes in the blocks they claimed
+// (distinct indices, so the compute phase is race-free) plus those
+// blocks' park lists and their own fold slot, and the barrier join
+// establishes the happens-before edges back to the engine loop.
 type engine struct {
 	g       *graph.Graph
 	revPort [][]int32
@@ -320,7 +323,7 @@ type engine struct {
 	// See DESIGN.md §8 for the layout rationale and field sizes.
 	phase    []nodePhase // parked/done; the barrier scan's hottest byte
 	deadline []int64     // absolute round to wake by (while waiting)
-	heapDl   []int64     // deadline of a live heap entry (0: none)
+	heapDl   []int64     // wake round of the node's newest calendar entry (0: none)
 	hot      []nodeHot   // dispatch cluster: program, inbox, mailbox
 	outbox   [][]outMsg  // sends queued by the current Step call
 	sentBits []uint64    // flat dup-send bitsets; node i owns words [apis[i].sentOff, +⌈deg/64⌉)
@@ -345,24 +348,33 @@ type engine struct {
 	runErr       error
 
 	// Event-driven wake tracking: no O(n) scans at round barriers.
-	alive   int       // nodes not yet done
-	dlHeap  []dlEntry // deadline min-heap (lazily invalidated entries)
-	mailDue []int32   // nodes whose mailbox went non-empty this round
-	queued  []uint64  // bitset: already collected for the current barrier
-	nrList  []int32   // nodes parked for exactly round+1 (ascending order)
-	extra   []int32   // scratch: mail/heap wakes of the current barrier
+	alive   int      // nodes not yet done
+	cal     calendar // parked nodes waking after round+1 (calendar.go)
+	mailDue []int32  // nodes whose mailbox went non-empty this round
+	queued  []uint64 // bitset: already collected for the current barrier
+	nrList  []int32  // nodes parked for exactly round+1 (ascending order)
+	extra   []int32  // scratch: mail/calendar wakes of the current barrier
+
+	// Stepping a barrier files every parked node into the lists of its
+	// due-list block (blocks[:nblk]); the engine loop then appends them
+	// to nrList and the calendar in block order (flushParked).
+	blocks []blockPark
+	nblk   int
 
 	// Worker pool (Workers > 1): barriers with enough due nodes are
-	// stepped by a pool of persistent goroutines, then merged in index
-	// order by the engine loop.
-	workers  int
-	pool     int // started worker goroutines
-	workCh   chan workChunk
-	doneCh   chan struct{}
-	statuses []Status // per due position, filled by the workers
-	wPanPos  []int    // per worker: due position of its panic (-1: none)
-	wPanVal  []any
-	wMerge   []mergeState // per worker: sharded-merge accumulators
+	// stepped block by block by the engine loop (as worker 0) and
+	// workers-1 persistent goroutines, which claim blocks of pdue from
+	// nextBlock in ascending order (stepBlocks).
+	workers   int
+	pool      int // started worker goroutines
+	workCh    chan workItem
+	doneCh    chan struct{}
+	pdue      []int32      // the pooled barrier's due list
+	blockSize int          // nodes per block of pdue
+	nextBlock atomic.Int32 // next unclaimed block of pdue
+	wAcc      []workerAcc  // per worker: compute-phase folds and panic
+	wMerge    []mergeState // per worker: sharded-merge accumulators
+	tPooled   time.Time    // trace: end of the last pooled barrier
 
 	// Sharded-merge scratch: due nodes that returned statusDone this
 	// barrier (ascending node ids, parallel due positions), so shard
@@ -413,21 +425,41 @@ type engine struct {
 	runStart   time.Time       // trace: wall zero for run_end
 }
 
-// workChunk is one worker's share of a barrier. In the compute phase it
-// is a contiguous slice of the due list and the matching slice of the
-// status buffer; because the due list is in ascending node order, a
-// chunk walks a contiguous span of every slab. In the merge phase
-// (merge=true) every worker receives the full due list plus a disjoint
-// receiver-id range [shardLo, shardHi) and routes only the messages
-// addressed into its shard (see mergeShard, DESIGN.md §10).
-type workChunk struct {
-	due      []int32
-	statuses []Status
-	base     int // due position of due[0] (compute)
-	wi       int // worker slot for panic/event reporting
-	merge    bool
-	shardLo  int32 // merge: receiver-id range [shardLo, shardHi)
-	shardHi  int32
+// workItem tells a pool goroutine what to do for the current barrier:
+// claim and step blocks of the due list (stepBlocks), or, in the merge
+// phase (merge=true), route the messages addressed into the disjoint
+// receiver-id range [shardLo, shardHi) (mergeShard, DESIGN.md §10).
+type workItem struct {
+	wi      int // worker slot for fold/panic/event reporting
+	merge   bool
+	shardLo int32
+	shardHi int32
+}
+
+// blockPark is what stepping one block of the due list leaves for the
+// engine loop, every list in due (ascending node) order: the nodes
+// parked for round+1, the nodes parked for later rounds grouped into
+// runs of equal wake round, the due positions of the nodes that sent or
+// finished (position<<1 | 1 when the node returned Done), and, when the
+// run has a probe, the nodes that left attribution state for foldProbe.
+// The merge tails and the probe fold visit only those entries.
+type blockPark struct {
+	nr     []int32
+	later  []int32
+	runs   []calRun
+	sof    []int32
+	probed []int32
+}
+
+// workerAcc is one worker's compute-phase fold: its nodes' queued
+// messages, charged traffic and reject flags, and the due position of
+// its panic (-1: none). Written once, when the worker's claim loop ends.
+type workerAcc struct {
+	msgs     int
+	chg      charge
+	rejected bool
+	panPos   int
+	panVal   any
 }
 
 // Merge-phase event kinds: the first (due position, outbox index) event
@@ -457,8 +489,9 @@ type mergeState struct {
 
 // minParallelDue is the barrier size below which the engine steps due
 // nodes inline even when a worker pool is configured: dispatching a
-// handful of nodes to workers costs more than stepping them. Both paths
-// produce identical Results, so the threshold is purely a tuning knob.
+// handful of nodes to workers costs more than stepping them. It is also
+// the smallest block a worker claims. Both paths produce identical
+// Results, so the threshold is purely a tuning knob.
 const minParallelDue = 64
 
 // run is the scheduler loop: step every due node (in index order, which
@@ -483,8 +516,7 @@ func (e *engine) run(due []int32, resumed bool) {
 			e.phase[e.curNode] = phaseDone
 		}
 	}()
-	n := e.n
-	e.queued = make([]uint64, (n+63)/64)
+	e.queued = make([]uint64, (e.n+63)/64)
 	for {
 		if !resumed {
 			if e.cancel != nil {
@@ -499,14 +531,8 @@ func (e *engine) run(due []int32, resumed bool) {
 				if !e.stepParallel(due) {
 					return // fatal error; later nodes' sends stay unrouted
 				}
-			} else {
-				for _, i := range due {
-					e.curNode = int(i)
-					st := e.computeNode(int(i))
-					if !e.finishNode(int(i), st) {
-						return // fatal error; sends of this round stay unrouted
-					}
-				}
+			} else if !e.stepInline(due) {
+				return // fatal error; sends of this round stay unrouted
 			}
 			// The barrier is complete: outboxes are drained and the
 			// engine is quiescent. This is the only point where a
@@ -514,8 +540,9 @@ func (e *engine) run(due []int32, resumed bool) {
 			// cut the run — all three preserve the invariant that a run
 			// either finished a barrier entirely or not at all.
 			e.barriers++
+			e.flushParked()
 			if e.probe != nil {
-				e.foldProbe(due)
+				e.foldProbe(len(due))
 			}
 			if e.progress != nil {
 				e.progress.Set(int64(e.round), e.barriers, obs.PhaseID(e.pPhase))
@@ -555,98 +582,134 @@ func (e *engine) run(due []int32, resumed bool) {
 		if e.alive == 0 {
 			return
 		}
-		// All nodes are parked; find the next event round. Nodes parked
-		// for the immediately next round sit in nrList; mail wakes its
-		// recipient one round after delivery; otherwise the next event is
-		// the earliest live deadline in the heap (stale entries — nodes
-		// re-parked with a different deadline — are dropped lazily).
-		next := -1
-		if len(e.nrList) > 0 {
-			next = e.round + 1
-		} else {
-			for _, i := range e.mailDue {
-				if e.phase[i] == phaseWaiting {
-					next = e.round + 1
-					break
-				}
-			}
-		}
+		mail := e.mailWaiting()
+		next := e.nextRound(mail)
 		if next == -1 {
-			for len(e.dlHeap) > 0 {
-				top := e.dlHeap[0]
-				if e.phase[top.node] != phaseWaiting || e.deadline[top.node] != top.round {
-					p := e.heapPop() // stale
-					if e.heapDl[p.node] == p.round {
-						e.heapDl[p.node] = 0
-					}
-					continue
-				}
-				next = int(top.round)
-				break
-			}
-			if next == -1 {
-				// Unreachable: every live waiting node is either in
-				// nrList (checked above) or has a live heap entry.
-				return
-			}
+			// Unreachable: every live waiting node is either in nrList
+			// or has a live calendar entry.
+			return
 		}
-		if next > e.maxRounds {
+		if next > int64(e.maxRounds) {
 			e.runErr = fmt.Errorf("congest: exceeded %d rounds", e.maxRounds)
 			return
 		}
-		e.round = next // fast-forward over empty rounds
-		// Wake every node that is due: parked for this round or mail
-		// waiting. nrList is already in ascending index order (finishNode
-		// appends in due order), so only the mail/heap wakes need sorting
-		// before the two lists merge. Inboxes are captured for all due
-		// nodes before any of them steps, so same-round sends are only
-		// deliverable at the next barrier.
-		e.extra = e.extra[:0]
-		for _, i := range e.nrList {
-			e.queued[i>>6] |= 1 << (i & 63)
+		e.round = int(next) // fast-forward over empty rounds
+		due = e.collectDue(due, mail)
+	}
+}
+
+// mailWaiting reports whether mail delivered at this barrier wakes a
+// node (its recipient is still waiting).
+func (e *engine) mailWaiting() bool {
+	for _, i := range e.mailDue {
+		if e.phase[i] == phaseWaiting {
+			return true
 		}
-		for _, i := range e.mailDue {
-			if e.phase[i] == phaseWaiting && e.queued[i>>6]&(1<<(i&63)) == 0 {
+	}
+	return false
+}
+
+// nextRound finds the next event round once all nodes are parked. Nodes
+// parked for the immediately next round sit in nrList; mail (mail set)
+// wakes its recipient one round after delivery; otherwise the next
+// event is the earliest calendar round with a live entry. Stale entries
+// — nodes that were woken by mail and re-parked elsewhere, or finished
+// — are dropped from the front of the earliest bucket, each exactly
+// once, so the search is amortized O(1) per entry. It returns -1 when
+// nothing is parked.
+func (e *engine) nextRound(mail bool) int64 {
+	if len(e.nrList) > 0 || mail {
+		return int64(e.round) + 1
+	}
+	for {
+		r, b := e.cal.min()
+		if b == nil {
+			return -1
+		}
+		for ; b.head < len(b.nodes); b.head++ {
+			i := b.nodes[b.head]
+			if e.phase[i] == phaseWaiting && e.deadline[i] == r {
+				return r
+			}
+			if e.heapDl[i] == r {
+				e.heapDl[i] = 0
+			}
+		}
+		e.cal.popMin(b.nodes[:0]) // every entry was stale
+	}
+}
+
+// collectDue builds the ascending due list of the new current round.
+// When the wakes come from one source — only the round+1 list, or only
+// a calendar bucket that the previous barrier filled by itself (every
+// entry live, ascending, no duplicates) — that list is the due list as
+// it stands. Otherwise the round+1 list, the mail wakes and the live
+// entries of this round's bucket are merged through the queued bitset.
+// Inboxes are swapped in by the step paths, not here.
+func (e *engine) collectDue(due []int32, mail bool) []int32 {
+	round := int64(e.round)
+	r, b := e.cal.min()
+	if b != nil && r != round {
+		b = nil // the earliest bucket is for a later round
+	}
+	if !mail {
+		switch {
+		case b == nil:
+			e.mailDue = e.mailDue[:0]
+			due, e.nrList = e.nrList, due[:0]
+			return due
+		case len(e.nrList) == 0 && b.fill == e.barriers && b.head == 0:
+			return e.cal.popMin(due)
+		}
+	}
+	e.extra = e.extra[:0]
+	for _, i := range e.nrList {
+		e.queued[i>>6] |= 1 << (i & 63)
+	}
+	for _, i := range e.mailDue {
+		if e.phase[i] == phaseWaiting && e.queued[i>>6]&(1<<(i&63)) == 0 {
+			e.queued[i>>6] |= 1 << (i & 63)
+			e.extra = append(e.extra, i)
+		}
+	}
+	e.mailDue = e.mailDue[:0]
+	if b != nil {
+		// Only the round's nodes that are still waiting for exactly
+		// this deadline are due; the rest are stale or already queued.
+		for _, i := range b.nodes[b.head:] {
+			if e.phase[i] == phaseWaiting && e.deadline[i] == round &&
+				e.queued[i>>6]&(1<<(i&63)) == 0 {
 				e.queued[i>>6] |= 1 << (i & 63)
 				e.extra = append(e.extra, i)
 			}
 		}
-		e.mailDue = e.mailDue[:0]
-		for len(e.dlHeap) > 0 && e.dlHeap[0].round <= int64(e.round) {
-			top := e.heapPop()
-			if e.heapDl[top.node] == top.round {
-				e.heapDl[top.node] = 0
+		e.cal.popMin(b.nodes[:0])
+	}
+	if k := len(e.nrList) + len(e.extra); len(e.extra) > 0 && 8*k >= len(e.queued) {
+		// Extracting ascending ids from the queued bitset costs one
+		// word per 64 nodes plus one step per due node, which beats
+		// sorting the mail/calendar wakes unless the barrier is very
+		// sparse (fewer than one due node per 512).
+		due = due[:0]
+		for w, bw := range e.queued {
+			if bw == 0 {
+				continue
 			}
-			if e.phase[top.node] != phaseWaiting || e.deadline[top.node] != top.round ||
-				e.queued[top.node>>6]&(1<<(top.node&63)) != 0 {
-				continue // stale or already queued via mail
+			e.queued[w] = 0
+			for bw != 0 {
+				due = append(due, int32(w<<6+bits.TrailingZeros64(bw)))
+				bw &= bw - 1
 			}
-			e.queued[top.node>>6] |= 1 << (top.node & 63)
-			e.extra = append(e.extra, top.node)
 		}
-		if k := len(e.nrList) + len(e.extra); len(e.extra) > 0 && 8*k >= len(e.queued) {
-			// Extracting ascending ids from the queued bitset costs one
-			// word per 64 nodes plus one step per due node, which beats
-			// sorting the mail/heap wakes unless the barrier is very
-			// sparse (fewer than one due node per 512).
-			due = due[:0]
-			for w, bw := range e.queued {
-				for bw != 0 {
-					due = append(due, int32(w<<6+bits.TrailingZeros64(bw)))
-					bw &= bw - 1
-				}
-			}
-		} else {
-			slices.Sort(e.extra)
-			due = mergeAscending(due[:0], e.nrList, e.extra)
-		}
-		e.nrList = e.nrList[:0]
+	} else {
+		slices.Sort(e.extra)
+		due = mergeAscending(due[:0], e.nrList, e.extra)
 		for _, i := range due {
 			e.queued[i>>6] &^= 1 << (i & 63)
-			h := &e.hot[i]
-			h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
 		}
 	}
+	e.nrList = e.nrList[:0]
+	return due
 }
 
 // mergeAscending merges two disjoint ascending lists into dst.
@@ -671,91 +734,352 @@ func mergeAscending(dst, a, b []int32) []int32 {
 	return append(dst, b[j:]...)
 }
 
-// stepParallel runs one barrier on the worker pool: due is split into
-// contiguous chunks, each worker steps its chunk's nodes concurrently
-// (compute phase: only the chunk's slab entries are touched), and the
-// engine loop then routes outboxes and applies statuses in due order
-// (merge phase) — exactly the order the sequential engine uses, so
-// Results are byte-identical. It reports false when the run must end.
-func (e *engine) stepParallel(due []int32) bool {
-	w := e.workers
-	if maxW := (len(due) + minParallelDue - 1) / minParallelDue; w > maxW {
-		w = maxW
+// ensureBlocks sizes the per-block park lists for nb blocks and makes
+// them the current barrier's.
+func (e *engine) ensureBlocks(nb int) {
+	for len(e.blocks) < nb {
+		e.blocks = append(e.blocks, blockPark{})
 	}
-	e.ensurePool(w)
-	if cap(e.statuses) < len(due) {
-		e.statuses = make([]Status, len(due))
-	}
-	sts := e.statuses[:len(due)]
-	chunk := (len(due) + w - 1) / w
-	nw := 0
-	for lo := 0; lo < len(due); lo += chunk {
-		hi := lo + chunk
-		if hi > len(due) {
-			hi = len(due)
+	e.nblk = nb
+}
+
+// resetBlock empties block b's lists, keeping their buffers.
+func (e *engine) resetBlock(b int) *blockPark {
+	p := &e.blocks[b]
+	*p = blockPark{nr: p.nr[:0], later: p.later[:0], runs: p.runs[:0], sof: p.sof[:0], probed: p.probed[:0]}
+	return p
+}
+
+// flushParked moves the parks of the barrier just stepped from the
+// block lists into nrList and the calendar, in block (= due) order, so
+// nrList stays ascending and a calendar bucket filled by this barrier
+// alone is ascending too. The cost is one append per block and per run
+// of equal wake rounds, not one step per parked node.
+func (e *engine) flushParked() {
+	for b := 0; b < e.nblk; b++ {
+		bp := &e.blocks[b]
+		if b == 0 && len(e.nrList) == 0 {
+			e.nrList, bp.nr = bp.nr, e.nrList
+		} else {
+			e.nrList = append(e.nrList, bp.nr...)
 		}
-		e.wPanPos[nw] = -1
-		e.workCh <- workChunk{due: due[lo:hi], statuses: sts[lo:hi], base: lo, wi: nw}
-		nw++
+		off := int32(0)
+		for _, r := range bp.runs {
+			e.cal.add(r.round, bp.later[off:off+r.n], e.barriers)
+			off += r.n
+		}
 	}
-	for k := 0; k < nw; k++ {
+}
+
+// park files waiting node i after its Step returned st: it writes the
+// node's deadline and appends it to p's round+1 list, or to p's later
+// list unless the node already has a calendar entry for that round (a
+// node woken by mail every round while sleeping toward a fixed deadline
+// would otherwise file one duplicate per round). This is the one
+// parking rule of both step paths; Done is applied by the engine loop.
+func (e *engine) park(p *blockPark, i int32, st Status) {
+	d := st.wakeRound(e.round)
+	e.deadline[i] = d
+	if d == int64(e.round)+1 {
+		p.nr = append(p.nr, i)
+		return
+	}
+	if e.heapDl[i] == d {
+		return
+	}
+	e.heapDl[i] = d
+	p.later = append(p.later, i)
+	if k := len(p.runs) - 1; k >= 0 && p.runs[k].round == d {
+		p.runs[k].n++
+	} else {
+		p.runs = append(p.runs, calRun{round: d, n: 1})
+	}
+}
+
+// retire applies a Done status.
+func (e *engine) retire(i int32) {
+	e.phase[i] = phaseDone
+	e.alive--
+}
+
+// stepInline steps a barrier on the engine loop. Every inbox is swapped
+// in before any node steps: routing runs between steps here, so a swap
+// at step time would hand a node mail sent earlier in its own round.
+// It reports false when the run must end.
+func (e *engine) stepInline(due []int32) bool {
+	for _, i := range due {
+		h := &e.hot[i]
+		h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
+	}
+	e.ensureBlocks(1)
+	p := e.resetBlock(0)
+	probed := e.probe != nil
+	for _, i := range due {
+		e.curNode = int(i)
+		st := e.computeNode(int(i))
+		if probed && e.probeTouched(i) {
+			p.probed = append(p.probed, i)
+		}
+		if !e.route(i) {
+			return false
+		}
+		if c := &e.charged[i]; c.msgs != 0 {
+			e.foldCharge(c)
+		}
+		if e.rejFlag[i] {
+			e.rejected = true
+		}
+		if st.kind == statusDone {
+			e.retire(i)
+		} else {
+			e.park(p, i, st)
+		}
+	}
+	return true
+}
+
+// stepParallel runs one barrier on the worker pool. The due list is cut
+// into blocks that the engine loop (as worker 0) and the pool claim in
+// ascending order; each worker swaps in, steps and parks its blocks'
+// nodes (compute phase: only those nodes' slab entries are touched) and
+// folds their charges and reject flags privately. The engine loop then
+// routes the outboxes and applies Done in due order (merge phase) —
+// exactly the order the sequential engine uses, so Results are
+// byte-identical. It reports false when the run must end.
+func (e *engine) stepParallel(due []int32) bool {
+	timed := e.trace != nil
+	var t0, t1, t2 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	bs := max(minParallelDue, len(due)/(8*e.workers))
+	nb := (len(due) + bs - 1) / bs
+	w := min(e.workers, nb)
+	e.ensurePool(w - 1)
+	e.ensureBlocks(nb)
+	e.pdue, e.blockSize = due, bs
+	e.nextBlock.Store(0)
+	for wi := 1; wi < w; wi++ {
+		e.workCh <- workItem{wi: wi}
+	}
+	e.stepBlocks(0)
+	for wi := 1; wi < w; wi++ {
 		<-e.doneCh
 	}
-	panPos := -1
+	// Blocks are claimed in ascending order and a worker stops claiming
+	// at its own panic, so every position below the earliest panic was
+	// stepped and parked.
+	panPos, totalMsgs := -1, 0
 	var panVal any
-	for wi := 0; wi < nw; wi++ {
-		if p := e.wPanPos[wi]; p >= 0 && (panPos == -1 || p < panPos) {
-			panPos, panVal = p, e.wPanVal[wi]
+	for wi := 0; wi < w; wi++ {
+		a := &e.wAcc[wi]
+		if a.panPos >= 0 && (panPos == -1 || a.panPos < panPos) {
+			panPos, panVal = a.panPos, a.panVal
 		}
+		totalMsgs += a.msgs
+		if a.chg.msgs != 0 {
+			e.foldCharge(&a.chg)
+		}
+		if a.rejected {
+			e.rejected = true
+		}
+	}
+	if panPos >= 0 {
+		// Matches the sequential engine's panic handling: earlier nodes'
+		// sends are routed (a bit-bound violation among them decides
+		// first), then the first panicking node in due order decides and
+		// the sends of all later due nodes stay unrouted.
+		if !e.mergeSequential(due, panPos) {
+			return false
+		}
+		i := due[panPos]
+		e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
+			int(i), e.ids[i], e.round, panVal)
+		e.phase[i] = phaseDone
+		return false
+	}
+	if timed {
+		t1 = time.Now()
 	}
 	// Choose the merge strategy. Message-heavy barriers merge by
-	// receiver shard (mergeSharded); barriers with little routing work,
-	// or a compute-phase panic, take the sequential merge below — which is
-	// byte-for-byte the pre-shard engine, so panic semantics are
-	// inherited rather than re-proved (DESIGN.md §10).
-	useShard := panPos < 0
-	totalMsgs := 0
-	if useShard {
-		for _, i := range due {
-			totalMsgs += len(e.outbox[i])
+	// receiver shard (routeSharded); barriers with little routing work
+	// take the sequential merge (DESIGN.md §10).
+	mw := min(e.workers, totalMsgs/minShardMsgs)
+	kind := "sequential"
+	var ok bool
+	if mw >= 2 {
+		kind = "sharded"
+		ok = e.routeSharded(due, mw)
+		if timed {
+			t2 = time.Now()
 		}
+		if ok {
+			e.shardedTail(due)
+		}
+	} else {
+		mw, t2 = 0, t1
+		ok = e.mergeSequential(due, len(due))
 	}
-	if useShard {
-		mw := e.workers
-		if lim := totalMsgs / minShardMsgs; mw > lim {
-			mw = lim
+	if timed {
+		// compute and merge are the pooled phases' walls; serial is the
+		// engine loop's own time since the previous pooled barrier ended.
+		end := time.Now()
+		start := e.tPooled
+		if start.IsZero() {
+			start = e.runStart
 		}
-		if mw >= 2 {
-			if e.trace != nil {
-				e.trace.Emit(obs.Event{Event: "merge", Round: int64(e.round), Barrier: e.barriers,
-					Merge: "sharded", Shards: int64(mw), Messages: int64(totalMsgs)})
+		e.trace.Emit(obs.Event{Event: "merge", Round: int64(e.round), Barrier: e.barriers,
+			Phase: e.phaseName(e.pPhase), Merge: kind, Shards: int64(mw), Messages: int64(totalMsgs),
+			ComputeNs: t1.Sub(t0).Nanoseconds(), MergeNs: t2.Sub(t1).Nanoseconds(),
+			SerialNs: t0.Sub(start).Nanoseconds() + end.Sub(t2).Nanoseconds()})
+		e.tPooled = end
+	}
+	return ok
+}
+
+// stepBlocks is one worker's compute phase: it claims blocks of pdue in
+// ascending order until none is left and, for each node, swaps its
+// inbox in, steps it, and parks it into the block's lists. Routing only
+// starts after the join, so the swap at step time captures exactly the
+// mail delivered at the previous barrier. The block's lists are built
+// in locals and stored when the block ends, so workers never write
+// neighbouring list headers. A panic ends the worker's claim loop and is
+// recorded with its due position; the block's lists up to it are kept
+// for the merge that routes the sends of the earlier positions.
+func (e *engine) stepBlocks(wi int) {
+	a := &e.wAcc[wi]
+	due := e.pdue
+	var (
+		msgs int
+		chg  charge
+		rej  bool
+		k    int
+		bp   *blockPark
+		p    blockPark
+	)
+	a.panPos = -1
+	probed := e.probe != nil
+	defer func() {
+		a.msgs, a.chg, a.rejected = msgs, chg, rej
+		if r := recover(); r != nil {
+			a.panPos, a.panVal = k, r
+			*bp = p
+		}
+	}()
+	for {
+		lo := int(e.nextBlock.Add(1)-1) * e.blockSize
+		if lo >= len(due) {
+			return
+		}
+		hi := min(lo+e.blockSize, len(due))
+		bp = e.resetBlock(lo / e.blockSize)
+		p = *bp
+		for k = lo; k < hi; k++ {
+			i := due[k]
+			h := &e.hot[i]
+			h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
+			st := e.computeNode(int(i))
+			if probed && e.probeTouched(i) {
+				p.probed = append(p.probed, i)
 			}
-			return e.mergeSharded(due, sts, mw)
+			sent := len(e.outbox[i])
+			msgs += sent
+			if c := &e.charged[i]; c.msgs != 0 {
+				chg.add(c.msgs, c.bits, c.max)
+				*c = charge{}
+			}
+			if e.rejFlag[i] {
+				rej = true
+			}
+			if st.kind == statusDone {
+				p.sof = append(p.sof, int32(k)<<1|1)
+				continue
+			}
+			if sent > 0 {
+				p.sof = append(p.sof, int32(k)<<1)
+			}
+			e.park(&p, i, st)
 		}
-		if e.trace != nil {
-			e.trace.Emit(obs.Event{Event: "merge", Round: int64(e.round), Barrier: e.barriers,
-				Merge: "sequential", Messages: int64(totalMsgs)})
+		*bp = p
+	}
+}
+
+// mergeSequential is the merge phase of a message-light pooled barrier:
+// it visits the sent-or-finished positions below limit in due order,
+// routing each outbox and applying each Done — the interleaving the
+// inline path produces, so the drop rule sees the same terminations.
+// It reports false when the run must end.
+func (e *engine) mergeSequential(due []int32, limit int) bool {
+	for b := 0; b < e.nblk; b++ {
+		for _, s := range e.blocks[b].sof {
+			k := int(s >> 1)
+			if k >= limit {
+				return true
+			}
+			i := due[k]
+			// A panic out of route itself (e.g. a Message.Bits
+			// implementation panicking during routing) unwinds to run()'s
+			// recover, which attributes it via curNode.
+			e.curNode = int(i)
+			if !e.route(i) {
+				return false
+			}
+			if s&1 != 0 {
+				e.retire(i)
+			}
 		}
 	}
-	for k, i := range due {
-		if k == panPos {
-			// Matches the sequential engine's panic handling: the first
-			// panicking node in due order decides, its round's sends and
-			// those of all later due nodes stay unrouted.
-			e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
-				int(i), e.ids[i], e.round, panVal)
-			e.phase[i] = phaseDone
+	return true
+}
+
+// route delivers node i's outbox; messages become deliverable at the
+// next barrier. Called in due (node index) order for every stepped
+// node, which keeps every mailbox sorted by sender (at most one message
+// per ordered node pair per round). The adjacency and reverse-port rows
+// are loaded once per node, not once per message. It reports false on
+// a bit-bound violation.
+func (e *engine) route(i int32) bool {
+	ob := e.outbox[i]
+	if len(ob) == 0 {
+		return true
+	}
+	api := &e.apis[i]
+	nbrs := e.g.Neighbors(int(i))
+	rp := e.revPort[i]
+	for _, om := range ob {
+		bits := om.msg.Bits()
+		if bits > e.bitBound {
+			e.runErr = fmt.Errorf("congest: node %d sent %d-bit message, bound is %d",
+				i, bits, e.bitBound)
+			api.clearRound()
 			return false
 		}
-		// A panic out of finishNode itself (e.g. a Message.Bits
-		// implementation panicking during routing) unwinds to run()'s
-		// recover, which attributes it via curNode — keep it current so
-		// the report matches the sequential engine's.
-		e.curNode = int(i)
-		if !e.finishNode(int(i), sts[k]) {
-			return false
+		to := nbrs[om.port]
+		// DroppedToDone counts sends to nodes already done at routing
+		// time. A recipient that terminates later in the same round
+		// keeps the message in its mailbox unread and it still counts
+		// as delivered — the deterministic version of the seed
+		// engine's same-round termination race.
+		if e.phase[to] == phaseDone {
+			e.m.DroppedToDone++
+			continue
+		}
+		th := &e.hot[to]
+		if len(th.mailbox) == 0 {
+			e.mailDue = append(e.mailDue, to)
+		}
+		th.mailbox = append(th.mailbox, Inbound{
+			Port: int(rp[om.port]),
+			From: int(i),
+			Msg:  om.msg,
+		})
+		e.m.Messages++
+		e.m.TotalBits += int64(bits)
+		if bits > e.m.MaxMessageBits {
+			e.m.MaxMessageBits = bits
 		}
 	}
+	api.clearRound()
 	return true
 }
 
@@ -766,45 +1090,44 @@ func (e *engine) stepParallel(due []int32) bool {
 // purely a tuning knob.
 const minShardMsgs = 1024
 
-// mergeSharded is the parallel merge phase of one barrier: the receiver
-// id space [0, n) is cut into mw contiguous shards and each worker
-// routes, in due order, exactly the messages addressed into its shard.
-// Shards are disjoint, so every mailbox has a single writer, and each
-// worker visits senders (and each sender's outbox) in the same order
-// the sequential merge does, so per-mailbox append order — and with it
-// the sorted-by-sender invariant — is preserved by construction.
-// Metric counters and the mailDue list are accumulated per worker and
-// folded sequentially after the join; mailDue order across shards is
-// irrelevant (its consumers filter by phase and dedup through the
-// queued bitset). Status application, clearRound, and the rejection
-// fold run sequentially afterwards in due order, exactly like the
-// sequential merge. See DESIGN.md §10 for the full determinism
-// argument. It reports false when the run must end.
-func (e *engine) mergeSharded(due []int32, sts []Status, mw int) bool {
-	// The sequential merge interleaves routing with status application,
-	// so a message to a node that terminated earlier in due order is
-	// dropped. Shard workers route before any status is applied; the
-	// doneDue/donePos tables let them apply the same rule: drop iff the
-	// receiver was done before the barrier, or returned statusDone at an
-	// earlier due position than the sender.
+// routeSharded is the parallel merge phase of one barrier: the receiver
+// id space [0, n) is cut into mw contiguous shards and each worker (the
+// engine loop taking shard 0) routes, in due order, exactly the
+// messages addressed into its shard. Shards are disjoint, so every
+// mailbox has a single writer, and each worker visits senders (and each
+// sender's outbox) in the same order the sequential merge does, so
+// per-mailbox append order — and with it the sorted-by-sender invariant
+// — is preserved by construction. Metric counters and the mailDue list
+// are accumulated per worker and folded after the join; mailDue order
+// across shards is irrelevant (its consumers filter by phase and dedup
+// through the queued bitset). See DESIGN.md §10 for the full
+// determinism argument. It reports false when the run must end.
+func (e *engine) routeSharded(due []int32, mw int) bool {
+	// The sequential merge interleaves routing with Done, so a message
+	// to a node that terminated earlier in due order is dropped. Shard
+	// workers route before any Done is applied; the doneDue/donePos
+	// tables let them apply the same rule: drop iff the receiver was
+	// done before the barrier, or returned statusDone at an earlier due
+	// position than the sender.
 	e.doneDue, e.donePos = e.doneDue[:0], e.donePos[:0]
-	for k, i := range due {
-		if sts[k].kind == statusDone {
-			e.doneDue = append(e.doneDue, i)
-			e.donePos = append(e.donePos, int32(k))
+	for b := 0; b < e.nblk; b++ {
+		for _, s := range e.blocks[b].sof {
+			if s&1 != 0 {
+				e.doneDue = append(e.doneDue, due[s>>1])
+				e.donePos = append(e.donePos, s>>1)
+			}
 		}
 	}
-	e.ensurePool(mw)
+	e.ensurePool(mw - 1)
 	shard := (e.n + mw - 1) / mw
-	for wi := 0; wi < mw; wi++ {
-		lo := int32(wi * shard)
-		hi := lo + int32(shard)
-		if hi > int32(e.n) {
-			hi = int32(e.n)
-		}
-		e.workCh <- workChunk{due: due, wi: wi, merge: true, shardLo: lo, shardHi: hi}
+	item := func(wi int) workItem {
+		return workItem{wi: wi, merge: true, shardLo: int32(wi * shard), shardHi: int32(min((wi+1)*shard, e.n))}
 	}
-	for k := 0; k < mw; k++ {
+	for wi := 1; wi < mw; wi++ {
+		e.workCh <- item(wi)
+	}
+	e.mergeShard(item(0))
+	for wi := 1; wi < mw; wi++ {
 		<-e.doneCh
 	}
 	// Each worker stopped at its shard's first abort event in
@@ -846,28 +1169,33 @@ func (e *engine) mergeSharded(due []int32, sts []Status, mw int) bool {
 		}
 		e.mailDue = append(e.mailDue, st.mail...)
 	}
-	for k, i := range due {
-		if len(e.outbox[i]) > 0 {
-			e.apis[i].clearRound()
-		}
-		if c := &e.charged[i]; c.msgs != 0 {
-			e.foldCharge(c)
-		}
-		if e.rejFlag[i] {
-			e.rejected = true
-		}
-		e.applyStatus(int(i), sts[k])
-	}
 	return true
 }
 
-// mergeShard routes one receiver shard: it walks the full due list in
-// order and delivers every queued message whose receiver falls in
-// [shardLo, shardHi), maintaining shard-local counters and stopping at
-// the shard's first abort event (bit-bound violation, or a panicking
-// Message.Bits implementation — the only foreign code on this path).
-func (e *engine) mergeShard(wc workChunk) {
+// shardedTail finishes a sharded merge on the engine loop: it clears
+// the senders' per-round send state and applies Done, visiting only the
+// sent-or-finished positions.
+func (e *engine) shardedTail(due []int32) {
+	for b := 0; b < e.nblk; b++ {
+		for _, s := range e.blocks[b].sof {
+			i := due[s>>1]
+			e.apis[i].clearRound()
+			if s&1 != 0 {
+				e.retire(i)
+			}
+		}
+	}
+}
+
+// mergeShard routes one receiver shard: it walks the sent positions of
+// the due list in order and delivers every queued message whose
+// receiver falls in [shardLo, shardHi), maintaining shard-local counters
+// and stopping at the shard's first abort event (bit-bound violation,
+// or a panicking Message.Bits implementation — the only foreign code on
+// this path).
+func (e *engine) mergeShard(wc workItem) {
 	st := &e.wMerge[wc.wi]
+	due := e.pdue
 	var msgs, totalBits, dropped int64
 	maxBits := 0
 	mail := st.mail[:0]
@@ -882,42 +1210,46 @@ func (e *engine) mergeShard(wc workChunk) {
 			st.evtPos, st.evtMsg, st.evtKind, st.evtVal = curPos, curMsg, evtPanic, r
 		}
 	}()
-	for k, i := range wc.due {
-		ob := e.outbox[i]
-		if len(ob) == 0 {
-			continue
-		}
-		nbrs := e.g.Neighbors(int(i))
-		rp := e.revPort[i]
-		for mi := range ob {
-			om := &ob[mi]
-			to := nbrs[om.port]
-			if to < wc.shardLo || to >= wc.shardHi {
+	for b := 0; b < e.nblk; b++ {
+		for _, s := range e.blocks[b].sof {
+			k := int(s >> 1)
+			i := due[k]
+			ob := e.outbox[i]
+			if len(ob) == 0 {
 				continue
 			}
-			curPos, curMsg = k, mi
-			bits := om.msg.Bits()
-			if bits > e.bitBound {
-				evtPos, evtMsg, evtKind, evtBits = k, mi, evtBound, bits
-				return
-			}
-			if e.phase[to] == phaseDone || e.doneBefore(to, k) {
-				dropped++
-				continue
-			}
-			th := &e.hot[to]
-			if len(th.mailbox) == 0 {
-				mail = append(mail, to)
-			}
-			th.mailbox = append(th.mailbox, Inbound{
-				Port: int(rp[om.port]),
-				From: int(i),
-				Msg:  om.msg,
-			})
-			msgs++
-			totalBits += int64(bits)
-			if bits > maxBits {
-				maxBits = bits
+			nbrs := e.g.Neighbors(int(i))
+			rp := e.revPort[i]
+			for mi := range ob {
+				om := &ob[mi]
+				to := nbrs[om.port]
+				if to < wc.shardLo || to >= wc.shardHi {
+					continue
+				}
+				curPos, curMsg = k, mi
+				bits := om.msg.Bits()
+				if bits > e.bitBound {
+					evtPos, evtMsg, evtKind, evtBits = k, mi, evtBound, bits
+					return
+				}
+				if e.phase[to] == phaseDone || e.doneBefore(to, k) {
+					dropped++
+					continue
+				}
+				th := &e.hot[to]
+				if len(th.mailbox) == 0 {
+					mail = append(mail, to)
+				}
+				th.mailbox = append(th.mailbox, Inbound{
+					Port: int(rp[om.port]),
+					From: int(i),
+					Msg:  om.msg,
+				})
+				msgs++
+				totalBits += int64(bits)
+				if bits > maxBits {
+					maxBits = bits
+				}
 			}
 		}
 	}
@@ -932,14 +1264,15 @@ func (e *engine) doneBefore(to int32, senderPos int) bool {
 	return found && int(e.donePos[j]) < senderPos
 }
 
-// ensurePool lazily starts the worker goroutines. Workers exit when
-// workCh closes (engine shutdown).
+// ensurePool lazily starts up to w worker goroutines (the engine loop
+// itself is worker 0). Workers exit when workCh closes (engine
+// shutdown).
 func (e *engine) ensurePool(w int) {
-	if e.workCh == nil {
-		e.workCh = make(chan workChunk, e.workers)
+	if e.wAcc == nil {
+		// One item per worker per phase, so dispatching never blocks.
+		e.workCh = make(chan workItem, e.workers)
 		e.doneCh = make(chan struct{}, e.workers)
-		e.wPanPos = make([]int, e.workers)
-		e.wPanVal = make([]any, e.workers)
+		e.wAcc = make([]workerAcc, e.workers)
 		e.wMerge = make([]mergeState, e.workers)
 	}
 	for e.pool < w {
@@ -953,85 +1286,17 @@ func (e *engine) workerLoop() {
 		if wc.merge {
 			e.mergeShard(wc)
 		} else {
-			e.computeChunk(wc)
+			e.stepBlocks(wc.wi)
 		}
 		e.doneCh <- struct{}{}
 	}
 }
 
-// computeChunk steps every node of one chunk. The due list is ascending,
-// so the chunk's slab accesses sweep one contiguous span per slab — the
-// parallel compute phase keeps the sequential engine's streaming access
-// pattern. A panic is recorded with its due position and ends the chunk
-// — the merge phase aborts at the earliest panic position, so the
-// unstepped tail of this chunk is never read.
-func (e *engine) computeChunk(wc workChunk) {
-	k := 0
-	defer func() {
-		if r := recover(); r != nil {
-			e.wPanPos[wc.wi] = wc.base + k
-			e.wPanVal[wc.wi] = r
-		}
-	}()
-	for ; k < len(wc.due); k++ {
-		wc.statuses[k] = e.computeNode(int(wc.due[k]))
-	}
-}
-
-// dlEntry is a (wake round, node) pair in the deadline min-heap. Rounds
-// are 64-bit like the deadline slab: round numbers legitimately exceed
-// 2^31 in fast-forwarded exponential-budget schedules, so they cannot
-// be narrowed.
-type dlEntry struct {
-	round int64
-	node  int32
-}
-
-func (e *engine) heapPush(round int64, node int32) {
-	h := append(e.dlHeap, dlEntry{round: round, node: node})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].round <= h[i].round {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	e.dlHeap = h
-}
-
-func (e *engine) heapPop() dlEntry {
-	h := e.dlHeap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].round < h[s].round {
-			s = l
-		}
-		if r < len(h) && h[r].round < h[s].round {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	e.dlHeap = h
-	return top
-}
-
 // computeNode advances node i by one round: it runs the node's Step (and
 // any same-round BecomeStep handovers) and returns the resulting
 // status. It touches only node i's slab entries, so distinct nodes'
-// computes may run concurrently; all shared effects (routing,
-// scheduling, metrics) happen in finishNode.
+// computes may run concurrently; all shared effects (routing, Done,
+// metrics) happen on the engine loop.
 func (e *engine) computeNode(i int) Status {
 	h := &e.hot[i]
 	api := &e.apis[i]
@@ -1043,67 +1308,9 @@ func (e *engine) computeNode(i int) Status {
 	return status
 }
 
-// finishNode routes node i's sends and applies its status. Called in due
-// (node index) order for every stepped node, which keeps every mailbox
-// sorted by sender (at most one message per ordered node pair per
-// round). It reports false when the run must end (program panic or
-// bit-bound violation).
-func (e *engine) finishNode(i int, status Status) bool {
-	api := &e.apis[i]
-	// Route this node's outbox; messages become deliverable at the next
-	// barrier. The adjacency and reverse-port rows are loaded once per
-	// node, not once per message.
-	if ob := e.outbox[i]; len(ob) > 0 {
-		nbrs := e.g.Neighbors(i)
-		rp := e.revPort[i]
-		for _, om := range ob {
-			bits := om.msg.Bits()
-			if bits > e.bitBound {
-				e.runErr = fmt.Errorf("congest: node %d sent %d-bit message, bound is %d",
-					i, bits, e.bitBound)
-				api.clearRound()
-				return false
-			}
-			to := int(nbrs[om.port])
-			// DroppedToDone counts sends to nodes already done at routing
-			// time. A recipient that terminates later in the same round
-			// keeps the message in its mailbox unread and it still counts
-			// as delivered — the deterministic version of the seed
-			// engine's same-round termination race.
-			if e.phase[to] == phaseDone {
-				e.m.DroppedToDone++
-				continue
-			}
-			th := &e.hot[to]
-			if len(th.mailbox) == 0 {
-				e.mailDue = append(e.mailDue, int32(to))
-			}
-			th.mailbox = append(th.mailbox, Inbound{
-				Port: int(rp[om.port]),
-				From: i,
-				Msg:  om.msg,
-			})
-			e.m.Messages++
-			e.m.TotalBits += int64(bits)
-			if bits > e.m.MaxMessageBits {
-				e.m.MaxMessageBits = bits
-			}
-		}
-		api.clearRound()
-	}
-	if c := &e.charged[i]; c.msgs != 0 {
-		e.foldCharge(c)
-	}
-	if e.rejFlag[i] {
-		e.rejected = true
-	}
-	e.applyStatus(i, status)
-	return true
-}
-
-// foldCharge moves one node's charged traffic into the run's Metrics,
-// counting each charged message exactly as a routed one (its size
-// raises MaxMessageBits), and clears the node's slot.
+// foldCharge moves charged traffic into the run's Metrics, counting
+// each charged message exactly as a routed one (its size raises
+// MaxMessageBits), and clears the slot.
 func (e *engine) foldCharge(c *charge) {
 	e.m.Messages += c.msgs
 	e.m.TotalBits += c.bits
@@ -1113,51 +1320,9 @@ func (e *engine) foldCharge(c *charge) {
 	*c = charge{}
 }
 
-// applyStatus applies a stepped node's scheduling outcome: termination,
-// a sleep with an explicit wake round, or re-arming for the next round.
-// Called in due order by both merge paths, so nrList stays ascending.
-func (e *engine) applyStatus(i int, status Status) {
-	switch status.kind {
-	case statusDone:
-		e.phase[i] = phaseDone
-		e.alive--
-	case statusSleep:
-		e.phase[i] = phaseWaiting
-		d := status.wake
-		if d <= e.round {
-			d = e.round + 1
-		}
-		e.deadline[i] = int64(d)
-		e.parkNode(i)
-	default: // statusRunning
-		e.phase[i] = phaseWaiting
-		e.deadline[i] = int64(e.round + 1)
-		e.parkNode(i)
-	}
-}
-
-// parkNode records where the waiting node wakes next. Nodes due at the
-// very next round go to nrList (drained every barrier — no heap traffic
-// for the dominant streaming case); others enter the deadline heap
-// unless a live entry with the same deadline is already there (a node
-// woken by mail every round while sleeping toward a fixed deadline would
-// otherwise push one duplicate entry per round).
-func (e *engine) parkNode(i int) {
-	d := e.deadline[i]
-	if d == int64(e.round+1) {
-		e.nrList = append(e.nrList, int32(i))
-		return
-	}
-	if e.heapDl[i] == d {
-		return
-	}
-	e.heapDl[i] = d
-	e.heapPush(d, int32(i))
-}
-
 // shutdown releases the worker pool.
 func (e *engine) shutdown() {
 	if e.workCh != nil {
-		close(e.workCh) // workers exit; no chunk is in flight here
+		close(e.workCh) // workers exit; no work item is in flight here
 	}
 }

@@ -74,32 +74,44 @@ type phaseCharge struct {
 	msgs, bits int64
 }
 
+// probeTouched reports whether stepped node i left attribution state
+// for foldProbe: a phase announcement, a fast-forward window, or relays
+// charged to earlier rounds' phases. Each step path records such nodes
+// in its block's probed list, so the fold visits only them.
+func (e *engine) probeTouched(i int32) bool {
+	return e.pReq[i] != 0 || e.pWinCnt[i] != 0 || len(e.pAdj[i]) != 0
+}
+
 // foldProbe is the per-barrier attribution step, called by the
-// scheduler loop right after a barrier completes (before any
-// checkpoint, so snapshots capture folded state). It applies phase
-// announcements in due order, then charges the barrier's wakes,
-// traffic deltas (routed and charged), fast-forward windows, and wall
-// time to the resulting current phase — except the elided relays whose
-// literal send rounds precede this barrier, which go to the phases of
-// those rounds (pAdj).
-func (e *engine) foldProbe(due []int32) {
-	for _, i := range due {
-		if r := e.pReq[i]; r != 0 {
-			e.pReq[i] = 0
-			if r != e.pPhase {
-				e.switchPhase(r)
+// scheduler loop right after a barrier of wakes due nodes completes
+// (before any checkpoint, so snapshots capture folded state). It
+// applies phase announcements in due order, then charges the barrier's
+// wakes, traffic deltas (routed and charged), fast-forward windows, and
+// wall time to the resulting current phase — except the elided relays
+// whose literal send rounds precede this barrier, which go to the
+// phases of those rounds (pAdj). It visits only the blocks' probed
+// nodes, in due order; every other due node left nothing to fold.
+func (e *engine) foldProbe(wakes int) {
+	blocks := e.blocks[:e.nblk]
+	for _, bp := range blocks {
+		for _, i := range bp.probed {
+			if r := e.pReq[i]; r != 0 {
+				e.pReq[i] = 0
+				if r != e.pPhase {
+					e.switchPhase(r)
+				}
 			}
 		}
 	}
 	var wMsgs, wBits, wCnt, adjMsgs, adjBits int64
-	for _, i := range due {
-		if c := e.pWinCnt[i]; c != 0 {
-			wCnt += c
-			wMsgs += e.pWinMsgs[i]
-			wBits += e.pWinBits[i]
-			e.pWinCnt[i], e.pWinMsgs[i], e.pWinBits[i] = 0, 0, 0
-		}
-		if len(e.pAdj[i]) != 0 {
+	for _, bp := range blocks {
+		for _, i := range bp.probed {
+			if c := e.pWinCnt[i]; c != 0 {
+				wCnt += c
+				wMsgs += e.pWinMsgs[i]
+				wBits += e.pWinBits[i]
+				e.pWinCnt[i], e.pWinMsgs[i], e.pWinBits[i] = 0, 0, 0
+			}
 			for _, a := range e.pAdj[i] {
 				ps := e.pStat(a.phase)
 				ps.Messages += a.msgs
@@ -112,7 +124,7 @@ func (e *engine) foldProbe(due []int32) {
 	}
 	st := e.pStat(e.pPhase)
 	st.Barriers++
-	st.Wakes += int64(len(due))
+	st.Wakes += int64(wakes)
 	st.Messages += e.m.Messages - e.pLastMsgs - adjMsgs
 	st.Bits += e.m.TotalBits - e.pLastBits - adjBits
 	e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits

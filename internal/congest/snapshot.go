@@ -17,7 +17,7 @@ import (
 // is quiescent: all outboxes and duplicate-send bitsets are empty, the
 // queued bitset is clear, and the only in-flight state is the mailboxes
 // (messages deliverable at the next barrier). The scheduling structures
-// (deadline heap, next-round list, mail-due list) are pure functions of
+// (wake calendar, next-round list, mail-due list) are pure functions of
 // the phase/deadline/mailbox slabs and are rebuilt on restore, so the
 // format serializes only: the run header, the per-node slabs, each
 // node's mailbox, its lazy RNG draw count, its program state via the
@@ -636,6 +636,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		phase:        make([]nodePhase, n),
 		deadline:     make([]int64, n),
 		heapDl:       make([]int64, n),
+		cal:          newCalendar(),
 		hot:          make([]nodeHot, n),
 		outbox:       make([][]outMsg, n),
 		rejFlag:      make([]bool, n),
@@ -760,10 +761,11 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 
 	// Rebuild the scheduling structures from the slabs. They are
 	// equivalent to (not bitwise-identical with) the originals — e.g. a
-	// node that entered the original heap with deadline round+1 lands in
-	// nrList here — but both layouts wake the exact same due set in the
-	// exact same (ascending) order at every subsequent barrier, which is
-	// all the scheduler's behavior depends on.
+	// node that entered the original calendar with deadline round+1
+	// lands in nrList here, and no stale entries are rebuilt — but both
+	// layouts wake the exact same due set in the exact same (ascending)
+	// order at every subsequent barrier, which is all the scheduler's
+	// behavior depends on.
 	for i := 0; i < n; i++ {
 		if eng.phase[i] != phaseWaiting {
 			continue
@@ -775,7 +777,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 			eng.nrList = append(eng.nrList, int32(i))
 		} else {
 			eng.heapDl[i] = dl
-			eng.heapPush(dl, int32(i))
+			eng.cal.add(dl, []int32{int32(i)}, -1)
 		}
 	}
 

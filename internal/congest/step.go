@@ -58,6 +58,15 @@ func Running() Status { return Status{kind: statusRunning} }
 // the global round reaches `untilRound`, whichever comes first.
 func Sleep(untilRound int) Status { return Status{kind: statusSleep, wake: untilRound} }
 
+// wakeRound is the round a node parked with status s at round wakes by
+// at the latest: a Sleep's target when it lies ahead, else round+1.
+func (s Status) wakeRound(round int) int64 {
+	if s.kind == statusSleep && s.wake > round {
+		return int64(s.wake)
+	}
+	return int64(round) + 1
+}
+
 // Done terminates the node. Messages sent to it afterwards are dropped
 // (counted in Metrics.DroppedToDone).
 func Done() Status { return Status{kind: statusDone} }

@@ -19,8 +19,9 @@ import (
 //	fast_forward phase, round, barrier, windows, messages, bits
 //	             (charged traffic folded at this barrier)
 //	checkpoint   round, barrier, bytes     (snapshot handed to the sink)
-//	merge        round, barrier, merge ("sharded"|"sequential"), shards,
-//	             messages                  (parallel-barrier merge choice)
+//	merge        round, barrier, phase, merge ("sharded"|"sequential"),
+//	             shards, messages, compute_ns, merge_ns, serial_ns
+//	             (one pooled barrier: merge choice and wall split)
 //	abort        err, round                (canceled/deadline/fault/panic)
 //	run_end      round, barriers, messages, bits, wall_ns  (run totals)
 type Event struct {
@@ -54,6 +55,16 @@ type Event struct {
 	Merge string `json:"merge,omitempty"`
 	// Shards is the number of merge shards of a sharded merge.
 	Shards int64 `json:"shards,omitempty"`
+	// ComputeNs is a pooled barrier's compute-phase wall: dispatch to
+	// join of the workers stepping its due list.
+	ComputeNs int64 `json:"compute_ns,omitempty"`
+	// MergeNs is a pooled barrier's parallel merge wall (sharded
+	// routing, dispatch to join; 0 for a sequential merge).
+	MergeNs int64 `json:"merge_ns,omitempty"`
+	// SerialNs is the engine loop's own wall since the previous pooled
+	// barrier ended: merge tails, parking flushes, wake collection, and
+	// inline barriers.
+	SerialNs int64 `json:"serial_ns,omitempty"`
 	// Err is the abort reason of an abort event.
 	Err string `json:"err,omitempty"`
 	// N is the node count (run_start).

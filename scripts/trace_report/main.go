@@ -1,8 +1,10 @@
 // Command trace_report summarizes a JSONL run trace produced by the
 // engine's obs.Tracer (planartest -trace FILE, or congest.Config.Trace
 // directly): it folds the phase_exit segment deltas into a per-phase
-// table, lists checkpoint/merge/fast-forward activity, and reports how
-// much of the run's wall time the phase segments account for.
+// table, lists checkpoint/merge/fast-forward activity, splits the wall
+// time of the pooled barriers into compute, parallel merge and the
+// engine loop's serial work per phase, and reports how much of the
+// run's wall time the phase segments account for.
 //
 // Usage:
 //
@@ -35,6 +37,9 @@ type event struct {
 	Bytes    int64  `json:"bytes,omitempty"`
 	Merge    string `json:"merge,omitempty"`
 	Shards   int64  `json:"shards,omitempty"`
+	Compute  int64  `json:"compute_ns,omitempty"`
+	MergeNs  int64  `json:"merge_ns,omitempty"`
+	Serial   int64  `json:"serial_ns,omitempty"`
 	Err      string `json:"err,omitempty"`
 	N        int64  `json:"n,omitempty"`
 	M        int64  `json:"m,omitempty"`
@@ -56,6 +61,15 @@ type phaseAgg struct {
 	windows  int64
 }
 
+// poolAgg accumulates one phase's pooled-barrier wall split (merge
+// events).
+type poolAgg struct {
+	name                     string
+	first                    int64
+	barriers                 int64
+	compute, merge, serialNs int64
+}
+
 func main() {
 	if len(os.Args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: trace_report FILE.jsonl")
@@ -69,6 +83,7 @@ func main() {
 	defer f.Close()
 
 	phases := make(map[string]*phaseAgg)
+	pools := make(map[string]*poolAgg)
 	var (
 		runs, checkpoints, ckptBytes, ffWindows, ffMessages int64
 		mergeKinds                                          = map[string]int64{}
@@ -117,6 +132,15 @@ func main() {
 			ffMessages += ev.Messages
 		case "merge":
 			mergeKinds[ev.Merge]++
+			a := pools[ev.Phase]
+			if a == nil {
+				a = &poolAgg{name: ev.Phase, first: ev.AtNs}
+				pools[ev.Phase] = a
+			}
+			a.barriers++
+			a.compute += ev.Compute
+			a.merge += ev.MergeNs
+			a.serialNs += ev.Serial
 		case "abort":
 			aborts = append(aborts, ev.Err)
 		case "run_end":
@@ -180,12 +204,40 @@ func main() {
 		}
 		fmt.Println()
 	}
+	if len(pools) > 0 {
+		printPools(pools, totalWallNs)
+	}
 	if checkpoints > 0 {
 		fmt.Printf("checkpoints: %d written, %d bytes total\n", checkpoints, ckptBytes)
 	}
 	for _, a := range aborts {
 		fmt.Printf("abort: %s\n", a)
 	}
+}
+
+// printPools prints the pooled barriers' wall split per phase. serial is
+// the engine loop's own time between the parallel phases (merge tails,
+// parking flushes, wake collection, inline barriers), so its total over
+// the run wall is the engine's serial share.
+func printPools(pools map[string]*poolAgg, runWallNs int64) {
+	ordered := make([]*poolAgg, 0, len(pools))
+	for _, a := range pools {
+		ordered = append(ordered, a)
+	}
+	sort.Slice(ordered, func(i, j int) bool { return ordered[i].first < ordered[j].first })
+	fmt.Printf("\n%-16s %10s %12s %12s %12s\n", "pooled barriers", "barriers", "compute", "merge", "serial")
+	var tot poolAgg
+	for _, a := range ordered {
+		fmt.Printf("%-16s %10d %11.3fs %11.3fs %11.3fs\n", a.name, a.barriers,
+			float64(a.compute)/1e9, float64(a.merge)/1e9, float64(a.serialNs)/1e9)
+		tot.barriers += a.barriers
+		tot.compute += a.compute
+		tot.merge += a.merge
+		tot.serialNs += a.serialNs
+	}
+	fmt.Printf("%-16s %10d %11.3fs %11.3fs %11.3fs\n", "total", tot.barriers,
+		float64(tot.compute)/1e9, float64(tot.merge)/1e9, float64(tot.serialNs)/1e9)
+	fmt.Printf("engine serial share: %.1f%% of run wall\n", pctOf(tot.serialNs, runWallNs))
 }
 
 func pctOf(part, whole int64) float64 {
