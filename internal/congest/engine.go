@@ -46,20 +46,20 @@ type Config struct {
 	StopOnReject bool
 	// Workers is the number of goroutines that step due nodes inside a
 	// round barrier, the engine loop included. 0 uses
-	// runtime.GOMAXPROCS(0); 1 keeps the engine fully sequential. Sends
+	// runtime.GOMAXPROCS(0); 1 keeps the engine on one goroutine. Sends
 	// only become deliverable at the next barrier, so stepping (and
 	// parking each stepped node for its next wake) is data-parallel;
 	// outboxes, terminations, and metrics are merged in node-index order
-	// after the barrier —
-	// message-heavy barriers route in parallel by disjoint receiver
-	// shard, which preserves the same per-mailbox order — making
-	// Results byte-identical for every Workers value
-	// (TestParallelEngineEquivalence, DESIGN.md §6, §10). Runs that end
-	// in an error (node panic, bit-bound violation) report the same
-	// error, but verdicts recorded in the failing round by nodes after
-	// the failing one may differ from the sequential engine's, and the
-	// aborted round's message/bit counters and undelivered mailboxes
-	// may differ as well — error runs promise only the identical error.
+	// after the barrier, message-heavy barriers in parallel by disjoint
+	// receiver shard, which keeps every mailbox's order and every
+	// termination's place in that order. Results are byte-identical for
+	// every Workers value (TestParallelEngineEquivalence, DESIGN.md §6,
+	// §10). Runs that end in an error (node panic, bit-bound violation)
+	// report the same error, but verdicts recorded in the failing round
+	// by nodes after the failing one may differ between Workers values,
+	// and so may the aborted round's message/bit counters and
+	// undelivered mailboxes: error runs promise only the identical
+	// error.
 	Workers int
 	// Cancel aborts the run when it becomes readable: the engine polls it
 	// at every round barrier and ends the run with ErrCanceled. Pass a
@@ -344,7 +344,6 @@ type engine struct {
 	wallDeadline time.Time        // Config.Deadline (zero: none)
 	ckpt         CheckpointConfig // periodic snapshots (zero: none)
 	ckptOff      bool             // ErrNotSnapshottable seen; stop trying
-	curNode      int              // node being stepped (for the run-level panic recover)
 	runErr       error
 
 	// Event-driven wake tracking: no O(n) scans at round barriers.
@@ -361,27 +360,20 @@ type engine struct {
 	blocks []blockPark
 	nblk   int
 
-	// Worker pool (Workers > 1): barriers with enough due nodes are
-	// stepped block by block by the engine loop (as worker 0) and
-	// workers-1 persistent goroutines, which claim blocks of pdue from
-	// nextBlock in ascending order (stepBlocks).
+	// Barrier workers: every barrier is stepped block by block by the
+	// engine loop (as worker 0) and, when it has more than one block,
+	// up to workers-1 persistent goroutines, which claim blocks of pdue
+	// from nextBlock in ascending order (stepBlocks).
 	workers   int
 	pool      int // started worker goroutines
 	workCh    chan workItem
 	doneCh    chan struct{}
-	pdue      []int32      // the pooled barrier's due list
+	pdue      []int32      // the current barrier's due list
 	blockSize int          // nodes per block of pdue
 	nextBlock atomic.Int32 // next unclaimed block of pdue
 	wAcc      []workerAcc  // per worker: compute-phase folds and panic
-	wMerge    []mergeState // per worker: sharded-merge accumulators
+	wMerge    []mergeState // per worker: merge-shard accumulators
 	tPooled   time.Time    // trace: end of the last pooled barrier
-
-	// Sharded-merge scratch: due nodes that returned statusDone this
-	// barrier (ascending node ids, parallel due positions), so shard
-	// workers can apply the sequential engine's done-at-routing-time
-	// drop rule before any status has been applied (DESIGN.md §10).
-	doneDue []int32
-	donePos []int32
 
 	// charged is the per-node slab of traffic a Step accounted for
 	// without routing it: StepAPI.ChargeTraffic (Stage I's fixed-point
@@ -425,13 +417,15 @@ type engine struct {
 	runStart   time.Time       // trace: wall zero for run_end
 }
 
-// workItem tells a pool goroutine what to do for the current barrier:
-// claim and step blocks of the due list (stepBlocks), or, in the merge
-// phase (merge=true), route the messages addressed into the disjoint
-// receiver-id range [shardLo, shardHi) (mergeShard, DESIGN.md §10).
+// workItem tells a worker what to do for the current barrier: claim
+// and step blocks of the due list (stepBlocks), or, in the merge phase
+// (merge=true), route the sends of the due positions below limit that
+// are addressed into the disjoint receiver-id range [shardLo, shardHi)
+// (mergeShard, DESIGN.md §10).
 type workItem struct {
 	wi      int // worker slot for fold/panic/event reporting
 	merge   bool
+	limit   int
 	shardLo int32
 	shardHi int32
 }
@@ -470,15 +464,17 @@ const (
 	evtPanic
 )
 
-// mergeState is one worker's private accumulator for a sharded merge:
-// shard-local metric counters, the shard's mailDue fragment, and the
-// earliest abort event the worker observed. Workers write only their
-// own entry; the engine loop folds all entries after the join.
+// mergeState is one worker's private accumulator for a merge shard:
+// shard-local metric counters and retirements, the shard's mailDue
+// fragment, and the earliest abort event the worker observed. Workers
+// write only their own entry; the engine loop folds all entries after
+// the join.
 type mergeState struct {
 	msgs    int64
 	bits    int64
 	dropped int64
 	maxBits int
+	retired int     // nodes of the shard that returned Done
 	mail    []int32 // receivers whose mailbox went empty→non-empty
 	evtPos  int     // due position of the first event (-1: none)
 	evtMsg  int     // outbox index of the first event
@@ -487,21 +483,19 @@ type mergeState struct {
 	evtVal  any // evtPanic: the recovered value
 }
 
-// minParallelDue is the barrier size below which the engine steps due
-// nodes inline even when a worker pool is configured: dispatching a
-// handful of nodes to workers costs more than stepping them. It is also
-// the smallest block a worker claims. Both paths produce identical
-// Results, so the threshold is purely a tuning knob.
+// minParallelDue is the smallest block of the due list a worker
+// claims: stepping a handful of nodes costs less than handing them to
+// another goroutine, so a barrier of at most minParallelDue due nodes
+// is one block that the engine loop steps itself.
 const minParallelDue = 64
 
 // run is the scheduler loop: step every due node (in index order, which
 // keeps inboxes sorted by sender without any sorting), route its sends,
 // then fast-forward the global round to the next deadline or delivery.
-// With Workers > 1, large barriers are stepped by the worker pool and
-// merged in index order (see stepParallel); small barriers and
-// single-worker runs step inline, where a panic from a step program
-// unwinds to the single recover here (one deferred frame per run
-// instead of one per node step).
+// Every barrier is stepped and merged by step; a panic from a step
+// program or a Message.Bits implementation is caught there and decides
+// the run error, and the recover here is the backstop for the engine
+// loop's own code.
 //
 // A restored run (ResumeStep) enters with resumed=true and an empty due
 // list: the snapshot was taken right after a barrier's steps, so the
@@ -511,9 +505,7 @@ const minParallelDue = 64
 func (e *engine) run(due []int32, resumed bool) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
-				e.curNode, e.ids[e.curNode], e.round, r)
-			e.phase[e.curNode] = phaseDone
+			e.runErr = fmt.Errorf("congest: engine panicked at round %d: %v", e.round, r)
 		}
 	}()
 	e.queued = make([]uint64, (e.n+63)/64)
@@ -527,12 +519,8 @@ func (e *engine) run(due []int32, resumed bool) {
 				default:
 				}
 			}
-			if e.workers > 1 && len(due) >= minParallelDue {
-				if !e.stepParallel(due) {
-					return // fatal error; later nodes' sends stay unrouted
-				}
-			} else if !e.stepInline(due) {
-				return // fatal error; sends of this round stay unrouted
+			if !e.step(due) {
+				return // fatal error; later nodes' sends stay unrouted
 			}
 			// The barrier is complete: outboxes are drained and the
 			// engine is quiescent. This is the only point where a
@@ -776,7 +764,7 @@ func (e *engine) flushParked() {
 // list unless the node already has a calendar entry for that round (a
 // node woken by mail every round while sleeping toward a fixed deadline
 // would otherwise file one duplicate per round). This is the one
-// parking rule of both step paths; Done is applied by the engine loop.
+// parking rule; Done is applied by the merge phase (mergeShard).
 func (e *engine) park(p *blockPark, i int32, st Status) {
 	d := st.wakeRound(e.round)
 	e.deadline[i] = d
@@ -796,63 +784,26 @@ func (e *engine) park(p *blockPark, i int32, st Status) {
 	}
 }
 
-// retire applies a Done status.
-func (e *engine) retire(i int32) {
-	e.phase[i] = phaseDone
-	e.alive--
-}
-
-// stepInline steps a barrier on the engine loop. Every inbox is swapped
-// in before any node steps: routing runs between steps here, so a swap
-// at step time would hand a node mail sent earlier in its own round.
-// It reports false when the run must end.
-func (e *engine) stepInline(due []int32) bool {
-	for _, i := range due {
-		h := &e.hot[i]
-		h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
-	}
-	e.ensureBlocks(1)
-	p := e.resetBlock(0)
-	probed := e.probe != nil
-	for _, i := range due {
-		e.curNode = int(i)
-		st := e.computeNode(int(i))
-		if probed && e.probeTouched(i) {
-			p.probed = append(p.probed, i)
-		}
-		if !e.route(i) {
-			return false
-		}
-		if c := &e.charged[i]; c.msgs != 0 {
-			e.foldCharge(c)
-		}
-		if e.rejFlag[i] {
-			e.rejected = true
-		}
-		if st.kind == statusDone {
-			e.retire(i)
-		} else {
-			e.park(p, i, st)
-		}
-	}
-	return true
-}
-
-// stepParallel runs one barrier on the worker pool. The due list is cut
-// into blocks that the engine loop (as worker 0) and the pool claim in
-// ascending order; each worker swaps in, steps and parks its blocks'
+// step runs one barrier. The due list is cut into blocks that the
+// engine loop (as worker 0) and up to workers-1 pool goroutines claim
+// in ascending order; each worker swaps in, steps and parks its blocks'
 // nodes (compute phase: only those nodes' slab entries are touched) and
-// folds their charges and reject flags privately. The engine loop then
-// routes the outboxes and applies Done in due order (merge phase) —
-// exactly the order the sequential engine uses, so Results are
-// byte-identical. It reports false when the run must end.
-func (e *engine) stepParallel(due []int32) bool {
+// folds their charges and reject flags privately. A single-worker run
+// steps every barrier as one block, and so does a pool for a barrier
+// too small to split, both on the engine loop with no dispatch. The
+// merge phase then routes the outboxes and applies Done in due order
+// (merge), so Results are byte-identical for every Workers value. It
+// reports false when the run must end.
+func (e *engine) step(due []int32) bool {
 	timed := e.trace != nil
 	var t0, t1, t2 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	bs := max(minParallelDue, len(due)/(8*e.workers))
+	if e.workers == 1 {
+		bs = max(bs, len(due))
+	}
 	nb := (len(due) + bs - 1) / bs
 	w := min(e.workers, nb)
 	e.ensurePool(w - 1)
@@ -884,57 +835,61 @@ func (e *engine) stepParallel(due []int32) bool {
 			e.rejected = true
 		}
 	}
+	if timed {
+		t1 = time.Now()
+	}
+	// Message-heavy barriers merge by receiver shard on the pool; the
+	// rest merge on the engine loop as one shard (DESIGN.md §10). A
+	// compute-phase panic limits the merge to the positions before it.
+	mw := max(1, min(e.workers, totalMsgs/minShardMsgs))
+	limit := len(due)
 	if panPos >= 0 {
-		// Matches the sequential engine's panic handling: earlier nodes'
-		// sends are routed (a bit-bound violation among them decides
-		// first), then the first panicking node in due order decides and
-		// the sends of all later due nodes stay unrouted.
-		if !e.mergeSequential(due, panPos) {
-			return false
-		}
+		limit = panPos
+	}
+	ok := e.merge(due, limit, mw)
+	if timed {
+		t2 = time.Now()
+	}
+	if !ok {
+		return false
+	}
+	if panPos >= 0 {
+		// The sends of the earlier nodes were routed (a bit-bound
+		// violation among them decided first); now the first panicking
+		// node in due order decides, and the sends of all later due
+		// nodes stay unrouted.
 		i := due[panPos]
 		e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
 			int(i), e.ids[i], e.round, panVal)
 		e.phase[i] = phaseDone
 		return false
 	}
-	if timed {
-		t1 = time.Now()
-	}
-	// Choose the merge strategy. Message-heavy barriers merge by
-	// receiver shard (routeSharded); barriers with little routing work
-	// take the sequential merge (DESIGN.md §10).
-	mw := min(e.workers, totalMsgs/minShardMsgs)
-	kind := "sequential"
-	var ok bool
-	if mw >= 2 {
-		kind = "sharded"
-		ok = e.routeSharded(due, mw)
-		if timed {
-			t2 = time.Now()
+	// The senders' per-round send state is cleared once every shard has
+	// read their outboxes.
+	for b := 0; b < e.nblk; b++ {
+		for _, s := range e.blocks[b].sof {
+			e.apis[due[s>>1]].clearRound()
 		}
-		if ok {
-			e.shardedTail(due)
-		}
-	} else {
-		mw, t2 = 0, t1
-		ok = e.mergeSequential(due, len(due))
 	}
-	if timed {
+	if timed && w > 1 {
 		// compute and merge are the pooled phases' walls; serial is the
 		// engine loop's own time since the previous pooled barrier ended.
+		kind, shards, mergeEnd := "sequential", 0, t1
+		if mw > 1 {
+			kind, shards, mergeEnd = "sharded", mw, t2
+		}
 		end := time.Now()
 		start := e.tPooled
 		if start.IsZero() {
 			start = e.runStart
 		}
 		e.trace.Emit(obs.Event{Event: "merge", Round: int64(e.round), Barrier: e.barriers,
-			Phase: e.phaseName(e.pPhase), Merge: kind, Shards: int64(mw), Messages: int64(totalMsgs),
-			ComputeNs: t1.Sub(t0).Nanoseconds(), MergeNs: t2.Sub(t1).Nanoseconds(),
-			SerialNs: t0.Sub(start).Nanoseconds() + end.Sub(t2).Nanoseconds()})
+			Phase: e.phaseName(e.pPhase), Merge: kind, Shards: int64(shards), Messages: int64(totalMsgs),
+			ComputeNs: t1.Sub(t0).Nanoseconds(), MergeNs: mergeEnd.Sub(t1).Nanoseconds(),
+			SerialNs: t0.Sub(start).Nanoseconds() + end.Sub(mergeEnd).Nanoseconds()})
 		e.tPooled = end
 	}
-	return ok
+	return true
 }
 
 // stepBlocks is one worker's compute phase: it claims blocks of pdue in
@@ -1004,124 +959,34 @@ func (e *engine) stepBlocks(wi int) {
 	}
 }
 
-// mergeSequential is the merge phase of a message-light pooled barrier:
-// it visits the sent-or-finished positions below limit in due order,
-// routing each outbox and applying each Done — the interleaving the
-// inline path produces, so the drop rule sees the same terminations.
-// It reports false when the run must end.
-func (e *engine) mergeSequential(due []int32, limit int) bool {
-	for b := 0; b < e.nblk; b++ {
-		for _, s := range e.blocks[b].sof {
-			k := int(s >> 1)
-			if k >= limit {
-				return true
-			}
-			i := due[k]
-			// A panic out of route itself (e.g. a Message.Bits
-			// implementation panicking during routing) unwinds to run()'s
-			// recover, which attributes it via curNode.
-			e.curNode = int(i)
-			if !e.route(i) {
-				return false
-			}
-			if s&1 != 0 {
-				e.retire(i)
-			}
-		}
-	}
-	return true
-}
-
-// route delivers node i's outbox; messages become deliverable at the
-// next barrier. Called in due (node index) order for every stepped
-// node, which keeps every mailbox sorted by sender (at most one message
-// per ordered node pair per round). The adjacency and reverse-port rows
-// are loaded once per node, not once per message. It reports false on
-// a bit-bound violation.
-func (e *engine) route(i int32) bool {
-	ob := e.outbox[i]
-	if len(ob) == 0 {
-		return true
-	}
-	api := &e.apis[i]
-	nbrs := e.g.Neighbors(int(i))
-	rp := e.revPort[i]
-	for _, om := range ob {
-		bits := om.msg.Bits()
-		if bits > e.bitBound {
-			e.runErr = fmt.Errorf("congest: node %d sent %d-bit message, bound is %d",
-				i, bits, e.bitBound)
-			api.clearRound()
-			return false
-		}
-		to := nbrs[om.port]
-		// DroppedToDone counts sends to nodes already done at routing
-		// time. A recipient that terminates later in the same round
-		// keeps the message in its mailbox unread and it still counts
-		// as delivered — the deterministic version of the seed
-		// engine's same-round termination race.
-		if e.phase[to] == phaseDone {
-			e.m.DroppedToDone++
-			continue
-		}
-		th := &e.hot[to]
-		if len(th.mailbox) == 0 {
-			e.mailDue = append(e.mailDue, to)
-		}
-		th.mailbox = append(th.mailbox, Inbound{
-			Port: int(rp[om.port]),
-			From: int(i),
-			Msg:  om.msg,
-		})
-		e.m.Messages++
-		e.m.TotalBits += int64(bits)
-		if bits > e.m.MaxMessageBits {
-			e.m.MaxMessageBits = bits
-		}
-	}
-	api.clearRound()
-	return true
-}
-
 // minShardMsgs is the minimum number of queued messages per merge
-// worker: below it, shard workers would spend more time scanning
-// outboxes for other shards' traffic than routing their own. Both merge
-// paths produce identical Results, so — like minParallelDue — this is
-// purely a tuning knob.
+// shard: below it, shard workers would spend more time scanning
+// outboxes for other shards' traffic than routing their own, so a
+// barrier with fewer than 2·minShardMsgs queued messages merges as one
+// shard on the engine loop.
 const minShardMsgs = 1024
 
-// routeSharded is the parallel merge phase of one barrier: the receiver
-// id space [0, n) is cut into mw contiguous shards and each worker (the
-// engine loop taking shard 0) routes, in due order, exactly the
-// messages addressed into its shard. Shards are disjoint, so every
-// mailbox has a single writer, and each worker visits senders (and each
-// sender's outbox) in the same order the sequential merge does, so
-// per-mailbox append order — and with it the sorted-by-sender invariant
-// — is preserved by construction. Metric counters and the mailDue list
-// are accumulated per worker and folded after the join; mailDue order
+// merge is the merge phase of one barrier: it routes the sends of the
+// due positions below limit and applies their Dones. The receiver id
+// space [0, n) is cut into mw contiguous shards and each worker (the
+// engine loop taking shard 0, and with mw = 1 the only one) routes, in
+// due order, exactly the messages addressed into its shard and retires
+// the finished nodes of its shard. Shards are disjoint, so every
+// mailbox and every in-barrier phase write has a single writer, and
+// each worker visits senders (and each sender's outbox) in due order,
+// so per-mailbox append order — and with it the sorted-by-sender
+// invariant — and the drop rule are those of a sequential loop by
+// construction. Metric counters, retirements and the mailDue list are
+// accumulated per worker and folded after the join; mailDue order
 // across shards is irrelevant (its consumers filter by phase and dedup
 // through the queued bitset). See DESIGN.md §10 for the full
 // determinism argument. It reports false when the run must end.
-func (e *engine) routeSharded(due []int32, mw int) bool {
-	// The sequential merge interleaves routing with Done, so a message
-	// to a node that terminated earlier in due order is dropped. Shard
-	// workers route before any Done is applied; the doneDue/donePos
-	// tables let them apply the same rule: drop iff the receiver was
-	// done before the barrier, or returned statusDone at an earlier due
-	// position than the sender.
-	e.doneDue, e.donePos = e.doneDue[:0], e.donePos[:0]
-	for b := 0; b < e.nblk; b++ {
-		for _, s := range e.blocks[b].sof {
-			if s&1 != 0 {
-				e.doneDue = append(e.doneDue, due[s>>1])
-				e.donePos = append(e.donePos, s>>1)
-			}
-		}
-	}
+func (e *engine) merge(due []int32, limit, mw int) bool {
 	e.ensurePool(mw - 1)
 	shard := (e.n + mw - 1) / mw
 	item := func(wi int) workItem {
-		return workItem{wi: wi, merge: true, shardLo: int32(wi * shard), shardHi: int32(min((wi+1)*shard, e.n))}
+		return workItem{wi: wi, merge: true, limit: limit,
+			shardLo: int32(wi * shard), shardHi: int32(min((wi+1)*shard, e.n))}
 	}
 	for wi := 1; wi < mw; wi++ {
 		e.workCh <- item(wi)
@@ -1132,10 +997,11 @@ func (e *engine) routeSharded(due []int32, mw int) bool {
 	}
 	// Each worker stopped at its shard's first abort event in
 	// (due position, outbox index) order, so the minimum across shards
-	// is the event the sequential merge would have hit first.
+	// is the event a sequential loop would have hit first.
 	evtWi := -1
 	for wi := 0; wi < mw; wi++ {
 		st := &e.wMerge[wi]
+		e.alive -= st.retired
 		if st.evtKind == evtNone {
 			continue
 		}
@@ -1147,11 +1013,9 @@ func (e *engine) routeSharded(due []int32, mw int) bool {
 	if evtWi >= 0 {
 		st := &e.wMerge[evtWi]
 		i := int(due[st.evtPos])
-		e.curNode = i
 		if st.evtKind == evtBound {
 			e.runErr = fmt.Errorf("congest: node %d sent %d-bit message, bound is %d",
 				i, st.evtBits, e.bitBound)
-			e.apis[i].clearRound()
 		} else {
 			e.runErr = fmt.Errorf("congest: node %d (id %d) panicked at round %d: %v",
 				i, e.ids[i], e.round, st.evtVal)
@@ -1172,38 +1036,26 @@ func (e *engine) routeSharded(due []int32, mw int) bool {
 	return true
 }
 
-// shardedTail finishes a sharded merge on the engine loop: it clears
-// the senders' per-round send state and applies Done, visiting only the
-// sent-or-finished positions.
-func (e *engine) shardedTail(due []int32) {
-	for b := 0; b < e.nblk; b++ {
-		for _, s := range e.blocks[b].sof {
-			i := due[s>>1]
-			e.apis[i].clearRound()
-			if s&1 != 0 {
-				e.retire(i)
-			}
-		}
-	}
-}
-
-// mergeShard routes one receiver shard: it walks the sent positions of
-// the due list in order and delivers every queued message whose
-// receiver falls in [shardLo, shardHi), maintaining shard-local counters
-// and stopping at the shard's first abort event (bit-bound violation,
-// or a panicking Message.Bits implementation — the only foreign code on
-// this path).
+// mergeShard routes one receiver shard: it walks the sent-or-finished
+// positions below limit in due order, delivers every queued message
+// whose receiver falls in [shardLo, shardHi), and then, when the node
+// at the position returned Done and lies in the shard, retires it. A
+// message is dropped iff its receiver is done when the walk reaches its
+// sender: done before the barrier, or retired at an earlier due
+// position. The worker keeps shard-local counters and stops at the
+// shard's first abort event (bit-bound violation, or a panicking
+// Message.Bits implementation — the only foreign code on this path).
 func (e *engine) mergeShard(wc workItem) {
 	st := &e.wMerge[wc.wi]
 	due := e.pdue
 	var msgs, totalBits, dropped int64
-	maxBits := 0
+	maxBits, retired := 0, 0
 	mail := st.mail[:0]
 	curPos, curMsg := 0, 0
 	evtPos, evtMsg := -1, 0
 	evtKind, evtBits := evtNone, 0
 	defer func() {
-		st.msgs, st.bits, st.dropped, st.maxBits = msgs, totalBits, dropped, maxBits
+		st.msgs, st.bits, st.dropped, st.maxBits, st.retired = msgs, totalBits, dropped, maxBits, retired
 		st.mail = mail
 		st.evtPos, st.evtMsg, st.evtKind, st.evtBits = evtPos, evtMsg, evtKind, evtBits
 		if r := recover(); r != nil {
@@ -1213,55 +1065,51 @@ func (e *engine) mergeShard(wc workItem) {
 	for b := 0; b < e.nblk; b++ {
 		for _, s := range e.blocks[b].sof {
 			k := int(s >> 1)
-			i := due[k]
-			ob := e.outbox[i]
-			if len(ob) == 0 {
-				continue
+			if k >= wc.limit {
+				return
 			}
-			nbrs := e.g.Neighbors(int(i))
-			rp := e.revPort[i]
-			for mi := range ob {
-				om := &ob[mi]
-				to := nbrs[om.port]
-				if to < wc.shardLo || to >= wc.shardHi {
-					continue
+			i := due[k]
+			if ob := e.outbox[i]; len(ob) > 0 {
+				nbrs := e.g.Neighbors(int(i))
+				rp := e.revPort[i]
+				for mi := range ob {
+					om := &ob[mi]
+					to := nbrs[om.port]
+					if to < wc.shardLo || to >= wc.shardHi {
+						continue
+					}
+					curPos, curMsg = k, mi
+					bits := om.msg.Bits()
+					if bits > e.bitBound {
+						evtPos, evtMsg, evtKind, evtBits = k, mi, evtBound, bits
+						return
+					}
+					if e.phase[to] == phaseDone {
+						dropped++
+						continue
+					}
+					th := &e.hot[to]
+					if len(th.mailbox) == 0 {
+						mail = append(mail, to)
+					}
+					th.mailbox = append(th.mailbox, Inbound{
+						Port: int(rp[om.port]),
+						From: int(i),
+						Msg:  om.msg,
+					})
+					msgs++
+					totalBits += int64(bits)
+					if bits > maxBits {
+						maxBits = bits
+					}
 				}
-				curPos, curMsg = k, mi
-				bits := om.msg.Bits()
-				if bits > e.bitBound {
-					evtPos, evtMsg, evtKind, evtBits = k, mi, evtBound, bits
-					return
-				}
-				if e.phase[to] == phaseDone || e.doneBefore(to, k) {
-					dropped++
-					continue
-				}
-				th := &e.hot[to]
-				if len(th.mailbox) == 0 {
-					mail = append(mail, to)
-				}
-				th.mailbox = append(th.mailbox, Inbound{
-					Port: int(rp[om.port]),
-					From: int(i),
-					Msg:  om.msg,
-				})
-				msgs++
-				totalBits += int64(bits)
-				if bits > maxBits {
-					maxBits = bits
-				}
+			}
+			if s&1 != 0 && i >= wc.shardLo && i < wc.shardHi {
+				e.phase[i] = phaseDone
+				retired++
 			}
 		}
 	}
-}
-
-// doneBefore reports whether receiver to terminated at a due position
-// earlier than senderPos in the current barrier — the sharded merge's
-// stand-in for the sequential merge's "already phaseDone at routing
-// time" test.
-func (e *engine) doneBefore(to int32, senderPos int) bool {
-	j, found := slices.BinarySearch(e.doneDue, to)
-	return found && int(e.donePos[j]) < senderPos
 }
 
 // ensurePool lazily starts up to w worker goroutines (the engine loop

@@ -10,13 +10,14 @@ import (
 )
 
 // Parallel-engine equivalence: the worker-pool scheduler (Config.Workers
-// > 1) must produce byte-identical Results to the sequential engine for
-// any worker count (issue acceptance criterion). The graphs here have
-// ≥ minParallelDue nodes so the pool really engages, and the programs
-// mix dense barriers (every node due) with sparse ones (frontier-only
-// wakes, below the threshold) so both the pooled and the inline path of
-// a Workers>1 run are exercised. CI runs this file under -race, which
-// verifies the compute phase touches only per-node state.
+// > 1) must produce byte-identical Results to the single-worker engine
+// for any worker count. The graphs here have more than minParallelDue
+// nodes so the pool really engages, and the programs mix dense
+// barriers (every node due) with sparse ones (frontier-only wakes, one
+// block) so a Workers>1 run steps both multi-block barriers on the
+// pool and single-block barriers on the engine loop. CI runs this file
+// under -race, which verifies the compute phase touches only per-node
+// state.
 
 // workerCounts is the issue-mandated equivalence matrix {1, 4,
 // GOMAXPROCS} plus 2 (the smallest pool): every count must produce

@@ -63,7 +63,7 @@ type Event struct {
 	MergeNs int64 `json:"merge_ns,omitempty"`
 	// SerialNs is the engine loop's own wall since the previous pooled
 	// barrier ended: merge tails, parking flushes, wake collection, and
-	// inline barriers.
+	// single-worker barriers.
 	SerialNs int64 `json:"serial_ns,omitempty"`
 	// Err is the abort reason of an abort event.
 	Err string `json:"err,omitempty"`

@@ -510,12 +510,12 @@ func (m *Manager) execute(j *Job) {
 	defer m.metrics.JobsInFlight.Add(-1)
 	defer m.forget(j)
 	defer j.releaseGraph()
-	defer m.budget.release(j.charged)
 
 	lg := m.log.With("job_id", j.ID, "key", j.Key, "property", j.Request.Property)
 	if j.canceled() {
 		m.metrics.CountJob(j.Request.Property, "failed")
 		lg.Info("job canceled before start")
+		m.budget.release(j.charged)
 		j.finish(nil, context.Canceled)
 		return
 	}
@@ -549,11 +549,13 @@ func (m *Manager) execute(j *Job) {
 	// Any terminal state — done, failed, canceled, deadline — ends the
 	// job's durability window: a restart must not re-run it. The dir is
 	// removed before finish publishes, so a completed job is never
-	// observable alongside its durable state.
+	// observable alongside its durable state, and the admission bytes
+	// are released before it, so a woken client sees the meter drained.
 	finish := func(out *Outcome, err error) {
 		if durable {
 			m.store.remove(j.Key)
 		}
+		m.budget.release(j.charged)
 		j.finish(out, err)
 	}
 

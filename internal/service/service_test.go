@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -478,6 +479,82 @@ func TestMetricsRendering(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// awaitDone spins until j is terminal, then returns Wait's result. A
+// waiter spinning on its own CPU sees done the moment it closes, before
+// the worker that closed it can run anything after finish, so a release
+// that follows finish shows up as bytes still held. On a single CPU it
+// yields instead, so the worker can run.
+func awaitDone(j *Submission) error {
+	yield := runtime.GOMAXPROCS(0) == 1
+	for {
+		select {
+		case <-j.done:
+			_, err := j.Wait(context.Background())
+			return err
+		default:
+			if yield {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// TestAdmissionMeterDrainsBeforeWake: a job gives its admission bytes
+// back before it wakes its waiters, on the run path and on the
+// canceled-before-start path, so a client returning from Wait never
+// sees its own job still charged.
+func TestAdmissionMeterDrainsBeforeWake(t *testing.T) {
+	m := testManager(t, Config{MaxConcurrent: 1})
+	ctx := context.Background()
+	for seed := int64(0); seed < 600; seed++ {
+		j, err := m.Submit(ctx, &Request{Property: PropCycleFree, Epsilon: 0.25, Seed: seed, Graph: graph.Grid(4, 4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := awaitDone(j); err != nil {
+			t.Fatal(err)
+		}
+		if used := m.budget.used.Load(); used != 0 {
+			t.Fatalf("job %d: %d admission bytes still held after Wait returned", seed, used)
+		}
+	}
+
+	// A blocker holds the only worker while victims (fresh seeds, so no
+	// cache hits) queue behind it and are canceled; then the blocker is
+	// canceled too, and the worker fails the victims one by one without
+	// running them. After victim k's Wait returns, only the victims
+	// behind it may still be charged.
+	big := graph.MaximalPlanar(3000, rand.New(rand.NewSource(5)))
+	g := graph.Grid(4, 4)
+	charge := GraphMemBytes(g)
+	const rounds, victims = 60, 40
+	subs := make([]*Submission, victims)
+	for r := int64(0); r < rounds; r++ {
+		blocker, err := m.Submit(ctx, &Request{Property: PropPlanarity, Epsilon: 0.1, Seed: r, Graph: big})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range subs {
+			seed := 1000 + r*victims + int64(k)
+			if subs[k], err = m.Submit(ctx, &Request{Property: PropCycleFree, Epsilon: 0.25, Seed: seed, Graph: g}); err != nil {
+				t.Fatal(err)
+			}
+			subs[k].Cancel()
+		}
+		blocker.Cancel()
+		awaitDone(blocker) // canceled mid-run, or done if it won the race
+		for k, s := range subs {
+			if err := awaitDone(s); !errors.Is(err, context.Canceled) {
+				t.Fatalf("round %d: victim %d returned %v", r, k, err)
+			}
+			if used, limit := m.budget.used.Load(), int64(victims-1-k)*charge; used > limit {
+				t.Fatalf("round %d: victim %d: %d admission bytes held after Wait returned, want at most %d",
+					r, k, used, limit)
+			}
 		}
 	}
 }

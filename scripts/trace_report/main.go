@@ -217,7 +217,7 @@ func main() {
 
 // printPools prints the pooled barriers' wall split per phase. serial is
 // the engine loop's own time between the parallel phases (merge tails,
-// parking flushes, wake collection, inline barriers), so its total over
+// parking flushes, wake collection, single-worker barriers), so its total over
 // the run wall is the engine's serial share.
 func printPools(pools map[string]*poolAgg, runWallNs int64) {
 	ordered := make([]*poolAgg, 0, len(pools))
