@@ -19,7 +19,8 @@ type Options struct {
 	// Stage I with edge-cut parameter Epsilon).
 	Partition partition.Options
 	// UseEN replaces Stage I with the Elkin–Neiman-style random-shift
-	// clustering (the O(log^2 n)-round variant of §1.1; experiment E11).
+	// clustering (the O(log^2 n)-round variant of §1.1; claims row E11 in
+	// docs/claims.txt).
 	UseEN bool
 	// StageII overrides the Stage II options (zero value: derived from
 	// Epsilon).

@@ -53,8 +53,9 @@ const (
 	PaperSchedule Schedule = iota + 1
 	// PracticalSchedule uses ceil(log2(2/eps))+2 phases, matching the
 	// empirically observed per-phase contraction (about 1/2); it voids
-	// the worst-case cut guarantee but keeps round counts small. Used as
-	// an ablation (E5/E11).
+	// the worst-case cut guarantee but keeps round counts small. The
+	// claims rows E1 and E5 (docs/claims.txt) run it next to the paper
+	// schedule.
 	PracticalSchedule
 )
 
@@ -75,8 +76,8 @@ type Options struct {
 	// Zero means 1/8.
 	Delta float64
 	// MaxPhases, when positive, caps the number of phases below the
-	// schedule (used by the per-phase experiments E3/E4 to observe the
-	// partition after exactly k phases).
+	// schedule (the per-phase claims rows E3/E4 in docs/claims.txt use it
+	// to observe the partition after exactly k phases).
 	MaxPhases int
 	// NoSuperRoundBatching disables the forest-decomposition fixed-point
 	// fast-forward of the step interpreter (DESIGN.md §10) so every

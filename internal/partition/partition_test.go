@@ -321,3 +321,61 @@ func TestStageIStepValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// planRoundBound is the round count of the first phases of pl's schedule
+// as the interpreter runs it: every op lasts to its deadline, one round
+// for a boundary exchange or a cross round and the phase budget for a
+// broadcast, a convergecast or the flip window.
+func planRoundBound(pl *StageIPlan, phases int) int64 {
+	var total int64
+	for p := 1; p <= phases; p++ {
+		budget := int64(phaseBudget(p))
+		for _, op := range pl.ops {
+			if op.kind == sBoundary || op.kind == sCross {
+				total++
+			} else {
+				total += budget
+			}
+		}
+	}
+	return total
+}
+
+// TestStageIRoundBound asserts Theorem 1's Stage I round bound (Theorem 3
+// for the deterministic variant, Theorem 4 for the randomized one) on the
+// E1 grids. A run, with its fast-forward windows and early exit, runs at
+// most the schedule's phase count, and takes at most the rounds of the
+// compiled schedule's phases it ran.
+func TestStageIRoundBound(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		v     Variant
+		sched Schedule
+	}{
+		{"deterministic/paper", Deterministic, PaperSchedule},
+		{"deterministic/practical", Deterministic, PracticalSchedule},
+		{"randomized/paper", Randomized, PaperSchedule},
+		{"randomized/practical", Randomized, PracticalSchedule},
+	} {
+		for _, side := range []int{8, 12, 16} {
+			g := graph.Grid(side, side)
+			opts := Options{Epsilon: 0.25, Variant: c.v, Schedule: c.sched}
+			outs, _, res, err := CollectStageI(g, opts, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := NewStageIPlan(opts, g.N())
+			ran := 0
+			for _, o := range outs {
+				ran = max(ran, o.PhasesRun)
+			}
+			if ran > pl.phases {
+				t.Errorf("%s n=%d: %d phases run > the schedule's %d", c.name, g.N(), ran, pl.phases)
+			}
+			if bound := planRoundBound(pl, ran); int64(res.Metrics.Rounds) > bound {
+				t.Errorf("%s n=%d: %d rounds > %d, the bound of the %d phases run",
+					c.name, g.N(), res.Metrics.Rounds, bound, ran)
+			}
+		}
+	}
+}

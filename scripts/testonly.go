@@ -49,6 +49,11 @@ import (
 var allowed = map[string]string{
 	"repro/internal/congest.Result.Accepted": "validator: the all-accept check of one-sided tests",
 	"repro/internal/congest.StepFunc":        "shared test fixture: one-closure step programs for engine tests",
+	"repro/internal/core.AttachmentLabel":    "reference implementation: central endpoint labels with the attachment-position fix",
+	"repro/internal/core.ComputeLabels":      "reference implementation: central §2.2.2 node labels",
+	"repro/internal/core.CountViolations":    "validator: counts Definition 7 violating edges (Claim 10, Corollary 9)",
+	"repro/internal/core.EdgePositions":      "reference implementation: central attachment positions of every edge",
+	"repro/internal/core.NonTreeEdges":       "reference implementation: central non-tree edge list",
 	"repro/internal/corpus.ByName":           "shared test fixture: looks up a corpus family by name",
 	"repro/internal/faultpoint.Arm":          "fault-injection hook",
 	"repro/internal/faultpoint.Disarm":       "fault-injection hook",
@@ -62,16 +67,26 @@ var allowed = map[string]string{
 	"repro/internal/forest.HPartition":              "reference implementation: sequential Barenboim-Elkin H-partition",
 	"repro/internal/forest.HPartitionResult":        "reference implementation: result of HPartition",
 
-	"repro/internal/graph.ConnectParts":          "shared test fixture: joins components into a connected input",
-	"repro/internal/graph.Graph.DegeneracyOrder": "validator: brackets arboricity",
-	"repro/internal/graph.Graph.IsBipartite":     "validator: reference for the bipartiteness tester",
-	"repro/internal/graph.Graph.IsConnected":     "validator: checks generators and parts",
-	"repro/internal/graph.Graph.IsTree":          "validator: reference for the cycle-freeness tester",
-	"repro/internal/graph.Graph.OddCycleEdge":    "validator: witnesses non-bipartiteness",
-	"repro/internal/graph.Graph.RemoveEdges":     "shared test fixture: builds subgraphs for invariant tests",
-	"repro/internal/graphio.HashString":          "shared test fixture: hex form of the graph hash",
+	"repro/internal/graph.ConnectParts":               "shared test fixture: joins components into a connected input",
+	"repro/internal/graph.Graph.DegeneracyOrder":      "validator: brackets arboricity",
+	"repro/internal/graph.Graph.Diameter":             "validator: exact part diameter for the Claim 4 bound",
+	"repro/internal/graph.Graph.Eccentricity":         "validator: BFS eccentricity behind Diameter",
+	"repro/internal/graph.Graph.Girth":                "validator: certifies the girth of lower-bound instances",
+	"repro/internal/graph.Graph.IsBipartite":          "validator: reference for the bipartiteness tester",
+	"repro/internal/graph.Graph.IsConnected":          "validator: checks generators and parts",
+	"repro/internal/graph.Graph.IsTree":               "validator: reference for the cycle-freeness tester",
+	"repro/internal/graph.Graph.OddCycleEdge":         "validator: witnesses non-bipartiteness",
+	"repro/internal/graph.Graph.RemoveEdges":          "shared test fixture: builds subgraphs for invariant tests",
+	"repro/internal/graph.Graph.ShortestCycleThrough": "validator: shortest cycle through an edge, behind Girth",
+	"repro/internal/graph.TreePlusRandomEdges":        "shared test fixture: inputs far from cycle-free",
+	"repro/internal/graphio.HashString":               "shared test fixture: hex form of the graph hash",
+
+	"repro/internal/lowerbound.Instance.GirthAtLeast": "validator: checks the Theorem 2 girth surgery",
 
 	"repro/internal/partition.AnyRejected":      "validator: Stage I reject evidence over all outcomes",
+	"repro/internal/partition.CollectEN":        "shared test fixture: runs the Elkin-Neiman baseline alone",
+	"repro/internal/partition.MaxPartDiameter":  "validator: Claim 4 part-diameter measure",
+	"repro/internal/partition.NumParts":         "validator: counts parts for merge-progress checks",
 	"repro/internal/partition.ValidateOutcomes": "validator: Lemma 6 partition guarantees",
 
 	"repro/internal/planar.BruteForcePlanar":              "reference implementation: exhaustive planarity check",
@@ -87,6 +102,8 @@ var allowed = map[string]string{
 	"repro/internal/service.Manager.CacheLen":  "shared test fixture: memory-tier size for cache tests",
 	"repro/internal/service.Manager.Run":       "shared test fixture: synchronous Submit then Wait",
 	"repro/internal/service.Submission.Cancel": "shared test fixture: detaches one coalesced submitter",
+
+	"repro/internal/spanner.VerifySymmetric": "validator: checks that the per-node spanner views agree",
 }
 
 // modulePath is the import path of the repository root.
