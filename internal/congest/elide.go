@@ -1,7 +1,7 @@
 package congest
 
 import (
-	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -307,87 +307,66 @@ func (e *engine) foldOpenWindows() {
 	}
 }
 
-// encodeElideSection appends the windows open at the snapshot barrier:
-// each node's record and, at a root, its published content. Depth and
-// root memos are not carried: they are resolved again from the parent
-// records.
-func (e *engine) encodeElideSection(enc *SnapEncoder) {
-	el := e.el
-	open := 0
-	if el != nil {
-		for _, st := range el.state {
+// walkElideSection walks the windows open at the snapshot barrier: each
+// node's record and, at a root, its published content. Decoding restores
+// them into record slot 0 of each node. Depth and root memos are not
+// carried: they are resolved again from the parent records.
+func (e *engine) walkElideSection(c *Snap) {
+	var open []int
+	if e.el != nil && !c.dec {
+		for i, st := range e.el.state {
 			if st&winOpen != 0 {
-				open++
+				open = append(open, i)
 			}
 		}
 	}
-	enc.Uvarint(uint64(open))
-	if open == 0 {
+	count := len(open)
+	SnapUint(c, &count, e.n)
+	if count == 0 || c.err != nil {
 		return
 	}
-	for i, st := range el.state {
-		if st&winOpen == 0 {
+	el := e.elide()
+	for j := 0; j < count && c.err == nil; j++ {
+		var i int
+		var slot uint8
+		if !c.dec {
+			i = open[j]
+			slot = el.state[i] & winSlot
+		}
+		SnapUint(c, &i, e.n-1)
+		r := &el.win[2*i+int(slot)]
+		start, dl, parent, fanout := r.tag.Load()-1, r.dl, r.parent, r.fanout
+		SnapUint(c, &start, math.MaxInt64)
+		SnapUint(c, &dl, int64(e.maxRounds))
+		SnapInt(c, &parent, -1, int32(e.n-1))
+		SnapUint(c, &fanout, int32(e.n))
+		if start >= dl {
+			c.fail("window record %d starts at %d, after its deadline %d", j, start, dl)
+		}
+		if c.dec && c.err == nil {
+			r.dl, r.parent, r.fanout = dl, parent, fanout
+			r.memo.Store(0)
+			r.tag.Store(start + 1)
+			el.state[i] = winOpen
+		}
+		if parent >= 0 {
 			continue
 		}
-		r := &el.win[2*i+int(st&winSlot)]
-		enc.Uvarint(uint64(i))
-		enc.Uvarint(uint64(r.tag.Load() - 1))
-		enc.Uvarint(uint64(r.dl))
-		enc.Varint(int64(r.parent))
-		enc.Uvarint(uint64(r.fanout))
-		if r.parent < 0 {
-			p := &el.pub[i][st&winSlot]
-			enc.Bool(p.shared != nil) // a stream
-			enc.Msg(p.msg)
-			enc.Msgs(p.items)
+		var p pubSlot
+		if !c.dec {
+			p = el.pub[i][slot]
 		}
-	}
-}
-
-// decodeElideSection restores the records and published slots written
-// by encodeElideSection (into record slot 0 of each node).
-func (e *engine) decodeElideSection(d *SnapDecoder) error {
-	open := d.Uvarint()
-	if d.err != nil || open == 0 {
-		return d.err
-	}
-	if open > uint64(e.n) {
-		return fmt.Errorf("%w: %d open windows for %d nodes", ErrBadSnapshot, open, e.n)
-	}
-	el := e.elide()
-	n := uint64(e.n)
-	for j := uint64(0); j < open; j++ {
-		i := d.Uvarint()
-		start := d.Uvarint()
-		dl := d.Uvarint()
-		parent := d.Varint()
-		fanout := d.Uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		if i >= n || parent < -1 || parent >= int64(n) || fanout > n ||
-			start >= dl || dl > uint64(e.maxRounds) {
-			return fmt.Errorf("%w: window record %d out of range", ErrBadSnapshot, j)
-		}
-		r := &el.win[2*i]
-		r.dl = int64(dl)
-		r.parent, r.fanout = int32(parent), int32(fanout)
-		r.memo.Store(0)
-		r.tag.Store(int64(start) + 1)
-		el.state[i] = winOpen
-		if parent < 0 {
-			stream := d.Bool()
-			msg := d.Msg()
-			items := d.Msgs()
-			if d.err != nil {
-				return d.err
-			}
-			if !stream && msg == nil {
-				return fmt.Errorf("%w: window %d has no payload", ErrBadSnapshot, j)
+		stream := p.shared != nil // a stream
+		c.Bool(&stream)
+		c.Msg(&p.msg)
+		c.Msgs(&p.items)
+		if c.dec && c.err == nil {
+			if !stream && p.msg == nil {
+				c.fail("window %d has no payload", j)
+				return
 			}
 			r.memo.Store(1<<32 | int64(i))
-			el.publish(int32(i), 0, msg, items, stream, e.bitBound)
+			el.publish(int32(i), 0, p.msg, p.items, stream, e.bitBound)
 		}
 	}
-	return nil
 }

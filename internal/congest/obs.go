@@ -16,6 +16,7 @@ package congest
 // under kill-and-resume (the snapshot carries the folded accumulators).
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/obs"
@@ -224,87 +225,59 @@ func (e *engine) finishObs() obs.PhaseBreakdown {
 	return bd
 }
 
-// encodeObsSection appends the attribution state to a snapshot: the
+// walkObsSection walks the attribution state of a snapshot: the
 // interned phase names (in PhaseID order), the per-phase accumulators,
-// and the current phase. Always writes the presence flag, so the layout
-// is identical with and without a probe. WallNs is carried so a resumed
-// run's breakdown approximates the continuous run's wall column; every
-// other column is exact (and pinned byte-identical by the
-// instrumentation-soundness test).
-func (e *engine) encodeObsSection(enc *SnapEncoder) {
-	if e.probe == nil {
-		enc.Bool(false)
+// the current phase and the phase history. The presence flag is always
+// walked, so the layout is identical with and without a probe. WallNs is
+// carried so a resumed run's breakdown approximates the continuous run's
+// wall column; every other column is exact (and pinned byte-identical by
+// the instrumentation-soundness test). Decoding re-interns the phase
+// names through the resumed run's probe (so IDs stay correct even if the
+// resumed run interned phases in a different order); when the resumed
+// run has no probe the section is decoded and discarded.
+func (e *engine) walkObsSection(c *Snap) {
+	on := e.probe != nil
+	c.Bool(&on)
+	if !on {
 		return
 	}
-	enc.Bool(true)
-	names := e.probe.Names()
-	e.pStat(int32(len(names) - 1))
-	enc.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		enc.Bytes([]byte(name))
+	var names []string
+	var stats []obs.PhaseStat
+	var cur uint64
+	var marks []phaseMark
+	if !c.dec {
+		names = e.probe.Names()
+		e.pStat(int32(len(names) - 1))
+		stats, cur, marks = e.pStats[:len(names)], uint64(e.pPhase), e.pMarks
 	}
-	for id := range names {
-		st := e.pStats[id]
-		enc.Varint(st.WallNs)
-		enc.Varint(st.Wakes)
-		enc.Varint(st.Barriers)
-		enc.Varint(st.Messages)
-		enc.Varint(st.Bits)
-		enc.Varint(st.Windows)
+	count := len(names)
+	c.count(&count)
+	if c.dec && c.err == nil {
+		names, stats = make([]string, count), make([]obs.PhaseStat, count)
 	}
-	enc.Uvarint(uint64(e.pPhase))
-	enc.Uvarint(uint64(len(e.pMarks)))
-	for _, m := range e.pMarks {
-		enc.Uvarint(uint64(m.round))
-		enc.Uvarint(uint64(m.phase))
+	for i := range names {
+		b := []byte(names[i])
+		if c.Bytes(&b); c.dec {
+			names[i] = string(b)
+		}
 	}
-}
-
-// decodeObsSection restores the attribution state written by
-// encodeObsSection. Phase names are re-interned through the resumed
-// run's probe (so IDs stay correct even if the resumed run interned
-// phases in a different order); when the resumed run has no probe the
-// section is decoded and discarded.
-func (e *engine) decodeObsSection(d *SnapDecoder) {
-	if !d.Bool() {
-		return
-	}
-	count := d.Uvarint()
-	if d.Err() != nil || count > uint64(d.Remaining()) {
-		d.Uvarint() // force a sticky error on a hostile count
-		return
-	}
-	names := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		names = append(names, string(d.Bytes()))
-	}
-	stats := make([]obs.PhaseStat, count)
 	for i := range stats {
-		stats[i] = obs.PhaseStat{
-			WallNs:   d.Varint(),
-			Wakes:    d.Varint(),
-			Barriers: d.Varint(),
-			Messages: d.Varint(),
-			Bits:     d.Varint(),
-			Windows:  d.Varint(),
+		st := &stats[i]
+		for _, f := range []*int64{&st.WallNs, &st.Wakes, &st.Barriers, &st.Messages, &st.Bits, &st.Windows} {
+			c.Varint(f)
 		}
 	}
-	cur := d.Uvarint()
-	nMarks := d.Uvarint()
-	if d.Err() != nil || nMarks > uint64(d.Remaining()) {
-		d.Uvarint() // force a sticky error on a hostile count
-		return
+	c.Uvarint(&cur)
+	nMarks := len(marks)
+	c.count(&nMarks)
+	if c.dec && c.err == nil {
+		marks = make([]phaseMark, nMarks)
 	}
-	marks := make([]phaseMark, 0, nMarks)
-	for i := uint64(0); i < nMarks; i++ {
-		round, ph := d.Uvarint(), d.Uvarint()
-		if ph >= count {
-			d.Uvarint()
-			return
-		}
-		marks = append(marks, phaseMark{round: int64(round), phase: int32(ph)})
+	for i := range marks {
+		SnapUint(c, &marks[i].round, math.MaxInt64)
+		SnapUint(c, &marks[i].phase, int32(count-1))
 	}
-	if d.Err() != nil || e.probe == nil {
+	if !c.dec || c.err != nil || e.probe == nil {
 		return
 	}
 	ids := make([]int32, count)
@@ -312,11 +285,10 @@ func (e *engine) decodeObsSection(d *SnapDecoder) {
 		ids[i] = int32(e.probe.Phase(name))
 		*e.pStat(ids[i]) = stats[i]
 	}
-	if cur < count {
+	if cur < uint64(count) {
 		e.pPhase = ids[cur]
 	}
 	for _, m := range marks {
 		e.pMarks = append(e.pMarks, phaseMark{round: m.round, phase: ids[m.phase]})
 	}
-	e.pLastMsgs, e.pLastBits = e.m.Messages, e.m.TotalBits
 }

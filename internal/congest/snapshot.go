@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 
@@ -52,25 +53,26 @@ var ErrBadSnapshot = errors.New("congest: invalid snapshot")
 var ErrDeadlineExceeded = errors.New("congest: deadline exceeded")
 
 // Snapshottable is implemented by step programs that can serialize their
-// state into a checkpoint. EncodeState writes every field Step can have
-// mutated; SnapshotKind tags the encoding so the restore callback can
-// dispatch to the right decoder. Function-valued fields cannot be
-// serialized: owners must reinstall them on the first Step after a
-// restore (the tree-machine state setters keep such fields out of the
-// encoded state on purpose).
+// state into a checkpoint. WalkState walks every field Step can have
+// mutated (see Snap); SnapshotKind tags the record so the restore
+// callback can dispatch to the right program type. Function-valued
+// fields cannot be serialized: owners must reinstall them on the first
+// Step after a restore (the tree-machine state setters keep such fields
+// out of the walked state on purpose).
 type Snapshottable interface {
 	StepProgram
-	// SnapshotKind identifies the program's encoding to RestoreFunc.
+	// SnapshotKind identifies the program's record to RestoreFunc.
 	SnapshotKind() uint16
-	// EncodeState appends the program's mutable state to e.
-	EncodeState(e *SnapEncoder)
+	// WalkState walks the program's mutable state through c.
+	WalkState(c *Snap)
 }
 
 // RestoreFunc reconstructs one node's program from its snapshot record.
-// It receives the node index, the program's SnapshotKind, and a decoder
-// positioned at the state EncodeState wrote (and must consume all of
-// it). It is called once per live node, in node order.
-type RestoreFunc func(node int, kind uint16, dec *SnapDecoder) (StepProgram, error)
+// It receives the node index, the program's SnapshotKind, and a decoding
+// Snap positioned at the state WalkState wrote (the program's walk must
+// consume all of it). It is called once per live node, in node order.
+// A malformed record should fail with an error wrapping ErrBadSnapshot.
+type RestoreFunc func(node int, kind uint16, c *Snap) (StepProgram, error)
 
 // CheckpointConfig asks the engine to emit periodic snapshots of its own
 // state. Checkpointing is best-effort by design: a failing Sink (or a
@@ -105,377 +107,442 @@ type SnapshotInfo struct {
 	Barriers int64
 }
 
-// SnapEncoder accumulates the binary encoding of snapshot records. All
-// integers use the canonical varint layout shared with graphio; the
-// zero value is ready to use. Errors are sticky (see Msg).
-type SnapEncoder struct {
+// Snap is the PCK1 record codec. Every record is written once, as a walk
+// over its fields: each primitive takes a pointer to a field, appends the
+// field's value when the Snap encodes, and overwrites the field when it
+// decodes, so one walk both writes a record and reads it back. Integers
+// use the canonical varint layout shared with graphio. The zero value
+// encodes; NewSnapReader returns a decoding Snap.
+//
+// Errors are sticky: after the first failure a decoding walk reads
+// nothing more and Err reports it — walks check once at the end. Decoding fails closed
+// with ErrBadSnapshot: on truncated or non-canonical bytes, and on any
+// value outside the range its field can hold (SnapInt, SnapUint). An
+// encoding walk fails the same way on a value its decoder would reject,
+// and with ErrNotSnapshottable on a message type with no declaration.
+type Snap struct {
 	buf []byte
+	off int // decoding: read position
+	dec bool
 	err error
 }
 
-// Uvarint appends an unsigned varint.
-func (e *SnapEncoder) Uvarint(v uint64) { e.buf = graphio.AppendUvarint(e.buf, v) }
+// NewSnapReader returns a Snap that decodes the record b.
+func NewSnapReader(b []byte) *Snap { return &Snap{buf: b, dec: true} }
 
-// Varint appends a signed value, zigzag-mapped onto the unsigned layout.
-func (e *SnapEncoder) Varint(v int64) { e.Uvarint(uint64(v)<<1 ^ uint64(v>>63)) }
+// Decoding reports whether the walk reads fields (true) or writes them.
+func (c *Snap) Decoding() bool { return c.dec }
 
-// Int appends a signed int.
-func (e *SnapEncoder) Int(v int) { e.Varint(int64(v)) }
+// Err returns the first failure, or nil.
+func (c *Snap) Err() error { return c.err }
 
-// Bool appends a boolean as one byte.
-func (e *SnapEncoder) Bool(v bool) {
-	if v {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+// Data returns the bytes an encoding Snap has written.
+func (c *Snap) Data() []byte { return c.buf }
+
+// Remaining returns the number of unread bytes of a decoding Snap.
+func (c *Snap) Remaining() int { return len(c.buf) - c.off }
+
+// fail records a sticky ErrBadSnapshot failure with the given detail.
+func (c *Snap) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s at offset %d", ErrBadSnapshot, fmt.Sprintf(format, args...), c.off)
 	}
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (e *SnapEncoder) Bytes(b []byte) {
-	e.Uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
-}
-
-// Msg appends a message through the codec registry (nil encodes as kind
-// 0). A message type with no registered codec makes the encoder fail
-// sticky with ErrNotSnapshottable.
-func (e *SnapEncoder) Msg(m Message) {
-	if m == nil {
-		e.Uvarint(0)
+// Uvarint walks an unsigned varint.
+func (c *Snap) Uvarint(v *uint64) {
+	if c.dec {
+		c.readUvarint(v)
 		return
 	}
-	kind, ok := msgKindByType[reflect.TypeOf(m)]
-	if !ok {
-		if e.err == nil {
-			e.err = fmt.Errorf("%w: no codec for message type %T", ErrNotSnapshottable, m)
+	c.buf = graphio.AppendUvarint(c.buf, *v)
+}
+
+func (c *Snap) readUvarint(v *uint64) {
+	if c.err != nil {
+		return
+	}
+	u, n, err := graphio.ConsumeUvarint(c.buf[c.off:])
+	if err != nil {
+		c.fail("varint")
+		return
+	}
+	c.off += n
+	*v = u
+}
+
+// Varint walks a signed value, zigzag-mapped onto the unsigned layout.
+func (c *Snap) Varint(v *int64) {
+	if !c.dec {
+		c.buf = graphio.AppendUvarint(c.buf, uint64(*v)<<1^uint64(*v>>63))
+		return
+	}
+	var u uint64
+	c.readUvarint(&u)
+	if c.err == nil {
+		*v = int64(u>>1) ^ -int64(u&1)
+	}
+}
+
+// Int walks a signed int.
+func (c *Snap) Int(v *int) {
+	x := int64(*v)
+	c.Varint(&x)
+	if c.dec {
+		*v = int(x)
+	}
+}
+
+// Int32 walks an int32 as a signed varint.
+func (c *Snap) Int32(v *int32) { SnapInt(c, v, math.MinInt32, math.MaxInt32) }
+
+// Float64 walks a float64 as the unsigned varint of its IEEE 754 bits.
+func (c *Snap) Float64(v *float64) {
+	u := math.Float64bits(*v)
+	c.Uvarint(&u)
+	if c.dec {
+		*v = math.Float64frombits(u)
+	}
+}
+
+// Bool walks a boolean as one byte (decoding rejects any byte but 0, 1).
+func (c *Snap) Bool(v *bool) {
+	if c.dec {
+		c.readBool(v)
+		return
+	}
+	b := byte(0)
+	if *v {
+		b = 1
+	}
+	c.buf = append(c.buf, b)
+}
+
+func (c *Snap) readBool(v *bool) {
+	if c.err != nil {
+		return
+	}
+	if c.off >= len(c.buf) {
+		c.fail("truncated bool")
+		return
+	}
+	b := c.buf[c.off]
+	if b > 1 {
+		c.fail("bool out of range")
+		return
+	}
+	c.off++
+	*v = b == 1
+}
+
+// Bytes walks a length-prefixed byte slice (decoding aliases the input).
+func (c *Snap) Bytes(v *[]byte) {
+	n := len(*v)
+	c.count(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *v...)
+		return
+	}
+	if c.err == nil {
+		*v = c.buf[c.off : c.off+n]
+		c.off += n
+	}
+}
+
+// count walks a count of the items that follow. Every item costs at least
+// one byte, so decoding rejects a count above the bytes left.
+func (c *Snap) count(n *int) {
+	SnapUint(c, n, math.MaxInt)
+	if c.dec && c.err == nil && *n > c.Remaining() {
+		c.fail("count %d exceeds the %d bytes left", *n, c.Remaining())
+	}
+}
+
+// Tree walks a Tree value.
+func (c *Snap) Tree(t *Tree) {
+	c.Int(&t.ParentPort)
+	c.Ints(&t.ChildPorts)
+}
+
+// Ints walks an int slice (nil-preserving).
+func (c *Snap) Ints(v *[]int) { SnapSlice(c, v, (*Snap).Int) }
+
+// Int64s walks an int64 slice (nil-preserving).
+func (c *Snap) Int64s(v *[]int64) { SnapSlice(c, v, (*Snap).Varint) }
+
+// Int32s walks an int32 slice (nil-preserving).
+func (c *Snap) Int32s(v *[]int32) { SnapSlice(c, v, (*Snap).Int32) }
+
+// Bools walks a bool slice (nil-preserving).
+func (c *Snap) Bools(v *[]bool) { SnapSlice(c, v, (*Snap).Bool) }
+
+// Msgs walks a message slice, preserving nil-ness and nil entries.
+func (c *Snap) Msgs(v *[]Message) { SnapSlice(c, v, (*Snap).Msg) }
+
+// Msg walks one message through its kind's declaration (RegisterMessage);
+// nil is kind 0.
+func (c *Snap) Msg(m *Message) {
+	var d msgDecl
+	if !c.dec && *m != nil {
+		var ok bool
+		if d, ok = msgByType[reflect.TypeOf(*m)]; !ok {
+			if c.err == nil {
+				c.err = fmt.Errorf("%w: no codec for message type %T", ErrNotSnapshottable, *m)
+			}
+			return
+		}
+	}
+	SnapUint(c, &d.kind, math.MaxUint16)
+	if c.err != nil {
+		return
+	}
+	if d.kind == 0 {
+		if c.dec {
+			*m = nil
 		}
 		return
 	}
-	e.Uvarint(uint64(kind))
-	msgCodecs[kind].enc(e, m)
+	if c.dec {
+		var ok bool
+		if d, ok = msgByKind[d.kind]; !ok {
+			c.fail("unknown message kind %d", d.kind)
+			return
+		}
+	}
+	d.walk(c, m)
 }
 
-// Msgs appends a message slice, preserving nil-ness and nil entries.
-func (e *SnapEncoder) Msgs(ms []Message) {
-	if ms == nil {
-		e.Uvarint(0)
+// integer is the set of types SnapInt and SnapUint narrow into.
+type integer interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64 | ~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// SnapInt walks *v as a signed varint (the layout of Int) and fails the
+// walk with ErrBadSnapshot unless the value lies in [lo, hi]; a decoded
+// value that does not fit T never wraps into range.
+func SnapInt[T integer](c *Snap, v *T, lo, hi T) {
+	x := int64(*v)
+	c.Varint(&x)
+	if t := T(x); int64(t) != x || t < lo || t > hi {
+		c.fail("value %d outside [%d, %d]", x, lo, hi)
 		return
 	}
-	e.Uvarint(uint64(len(ms)) + 1)
-	for _, m := range ms {
-		e.Msg(m)
+	if c.dec {
+		*v = T(x)
 	}
 }
 
-// Ints appends an int slice (nil-preserving).
-func (e *SnapEncoder) Ints(vs []int) {
-	if vs == nil {
-		e.Uvarint(0)
+// SnapUint walks *v as an unsigned varint (the layout of Uvarint) and
+// fails the walk with ErrBadSnapshot unless the value lies in [0, hi].
+func SnapUint[T integer](c *Snap, v *T, hi T) {
+	x := uint64(*v)
+	c.Uvarint(&x)
+	if t := T(x); uint64(t) != x || t < 0 || t > hi {
+		c.fail("value %d outside [0, %d]", x, hi)
 		return
 	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Int(v)
+	if c.dec {
+		*v = T(x)
 	}
 }
 
-// Int64s appends an int64 slice (nil-preserving).
-func (e *SnapEncoder) Int64s(vs []int64) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
+// SnapSlice walks a nil-preserving slice: 0 for nil, else the length
+// plus one, then each element through elem. Every element must cost at
+// least one byte, so decoding rejects a length above the bytes left.
+func SnapSlice[S ~[]T, T any](c *Snap, s *S, elem func(*Snap, *T)) {
+	n := 0
+	if *s != nil {
+		n = len(*s) + 1
 	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v)
+	SnapUint(c, &n, math.MaxInt)
+	if c.dec {
+		if n == 0 || c.err != nil {
+			*s = nil
+			return
+		}
+		if n-1 > c.Remaining() {
+			c.fail("slice length %d exceeds the %d bytes left", n-1, c.Remaining())
+			return
+		}
+		*s = make(S, n-1)
 	}
-}
-
-// Int32s appends an int32 slice (nil-preserving).
-func (e *SnapEncoder) Int32s(vs []int32) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(int64(v))
-	}
-}
-
-// Bools appends a bool slice (nil-preserving).
-func (e *SnapEncoder) Bools(vs []bool) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Bool(v)
+	for i := range *s {
+		elem(c, &(*s)[i])
 	}
 }
 
-// Tree appends a Tree value.
-func (e *SnapEncoder) Tree(t Tree) {
-	e.Int(t.ParentPort)
-	e.Ints(t.ChildPorts)
-}
-
-// SnapDecoder reads records written by SnapEncoder. Errors are sticky:
-// after the first malformed read every getter returns a zero value, and
-// Err reports the failure — callers check once at the end.
-type SnapDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewSnapDecoder returns a decoder over an encoded record.
-func NewSnapDecoder(b []byte) *SnapDecoder { return &SnapDecoder{buf: b} }
-
-func (d *SnapDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrBadSnapshot, what, d.off)
-	}
-}
-
-// Err returns the first decode failure, or nil.
-func (d *SnapDecoder) Err() error { return d.err }
-
-// Remaining returns the number of unread bytes.
-func (d *SnapDecoder) Remaining() int { return len(d.buf) - d.off }
-
-// Uvarint reads an unsigned varint.
-func (d *SnapDecoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n, err := graphio.ConsumeUvarint(d.buf[d.off:])
-	if err != nil {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// Varint reads a zigzag-encoded signed value.
-func (d *SnapDecoder) Varint() int64 {
-	u := d.Uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-// Int reads a signed int.
-func (d *SnapDecoder) Int() int { return int(d.Varint()) }
-
-// Bool reads one boolean byte (any value other than 0 or 1 is an error).
-func (d *SnapDecoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.buf) {
-		d.fail("truncated bool")
-		return false
-	}
-	b := d.buf[d.off]
-	d.off++
-	if b > 1 {
-		d.fail("bool out of range")
-		return false
-	}
-	return b == 1
-}
-
-// Bytes reads a length-prefixed byte slice (aliasing the input buffer).
-func (d *SnapDecoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.fail("truncated bytes")
-		return nil
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b
-}
-
-// Msg reads one message (kind 0 decodes as nil).
-func (d *SnapDecoder) Msg() Message {
-	kind := d.Uvarint()
-	if d.err != nil || kind == 0 {
-		return nil
-	}
-	c, ok := msgCodecs[uint16(kind)]
-	if !ok || kind > 0xFFFF {
-		d.fail(fmt.Sprintf("unknown message kind %d", kind))
-		return nil
-	}
-	return c.dec(d)
-}
-
-// Msgs reads a message slice written by SnapEncoder.Msgs.
-func (d *SnapDecoder) Msgs() []Message {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) { // every entry costs >= 1 byte
-		d.fail("truncated message slice")
-		return nil
-	}
-	ms := make([]Message, n)
-	for i := range ms {
-		ms[i] = d.Msg()
-	}
-	return ms
-}
-
-// Ints reads an int slice written by SnapEncoder.Ints.
-func (d *SnapDecoder) Ints() []int {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int slice")
-		return nil
-	}
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = d.Int()
-	}
-	return vs
-}
-
-// Int64s reads an int64 slice written by SnapEncoder.Int64s.
-func (d *SnapDecoder) Int64s() []int64 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int64 slice")
-		return nil
-	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = d.Varint()
-	}
-	return vs
-}
-
-// Int32s reads an int32 slice written by SnapEncoder.Int32s.
-func (d *SnapDecoder) Int32s() []int32 {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated int32 slice")
-		return nil
-	}
-	vs := make([]int32, n)
-	for i := range vs {
-		vs[i] = int32(d.Varint())
-	}
-	return vs
-}
-
-// Bools reads a bool slice written by SnapEncoder.Bools.
-func (d *SnapDecoder) Bools() []bool {
-	n := d.Uvarint()
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.fail("truncated bool slice")
-		return nil
-	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = d.Bool()
-	}
-	return vs
-}
-
-// Tree reads a Tree value.
-func (d *SnapDecoder) Tree() Tree {
-	var t Tree
-	t.ParentPort = d.Int()
-	t.ChildPorts = d.Ints()
-	return t
-}
-
-// Message codec registry. Codecs are registered from init functions
-// (congest, partition, core each own a disjoint kind range) and the maps
-// are read-only afterwards, so lock-free concurrent reads are safe.
-type msgCodec struct {
-	enc func(e *SnapEncoder, m Message)
-	dec func(d *SnapDecoder) Message
+// Message declarations. Each message kind is declared once, from an init
+// function (congest, partition, core each own a disjoint kind range), and
+// the maps are read-only afterwards, so lock-free concurrent reads are
+// safe.
+type msgDecl struct {
+	kind uint16
+	walk func(c *Snap, m *Message)
 }
 
 var (
-	msgKindByType = map[reflect.Type]uint16{}
-	msgCodecs     = map[uint16]msgCodec{}
+	msgByType = map[reflect.Type]msgDecl{}
+	msgByKind = map[uint16]msgDecl{}
 )
 
-// RegisterMessageCodec registers the snapshot codec for one message
-// type, identified by a non-zero kind (kind 0 is reserved for nil).
-// sample carries the concrete type; enc receives values of exactly that
-// type. Call from init; duplicate kinds or types panic.
-func RegisterMessageCodec(kind uint16, sample Message, enc func(e *SnapEncoder, m Message), dec func(d *SnapDecoder) Message) {
+// RegisterMessage declares the snapshot record of message type M under a
+// non-zero kind (kind 0 is reserved for nil): walk walks M's fields. A
+// pointer type's walk allocates the value when decoding. Call from init;
+// duplicate kinds or types panic.
+func RegisterMessage[M Message](kind uint16, walk func(c *Snap, m *M)) {
 	if kind == 0 {
 		panic("congest: message kind 0 is reserved")
 	}
-	if _, dup := msgCodecs[kind]; dup {
+	if _, dup := msgByKind[kind]; dup {
 		panic(fmt.Sprintf("congest: duplicate message kind %d", kind))
 	}
-	t := reflect.TypeOf(sample)
-	if _, dup := msgKindByType[t]; dup {
+	t := reflect.TypeFor[M]()
+	if _, dup := msgByType[t]; dup {
 		panic(fmt.Sprintf("congest: duplicate message codec for %v", t))
 	}
-	msgKindByType[t] = kind
-	msgCodecs[kind] = msgCodec{enc: enc, dec: dec}
+	d := msgDecl{kind: kind, walk: func(c *Snap, p *Message) {
+		var m M
+		if !c.dec {
+			m = (*p).(M)
+		}
+		walk(c, &m)
+		if c.dec {
+			*p = m
+		}
+	}}
+	msgByType[t], msgByKind[kind] = d, d
 }
 
 // Engine-internal pipeline framing messages (tree.go). Bits are
-// encoded rather than recomputed so a restored message is field-exact.
+// walked rather than recomputed so a restored message is field-exact.
 func init() {
-	RegisterMessageCodec(1, pipeItem{},
-		func(e *SnapEncoder, m Message) {
-			p := m.(pipeItem)
-			e.Msg(p.payload)
-			e.Int(p.bits)
-		},
-		func(d *SnapDecoder) Message {
-			var p pipeItem
-			p.payload = d.Msg()
-			p.bits = d.Int()
-			return p
-		})
-	RegisterMessageCodec(2, pipeBatch{},
-		func(e *SnapEncoder, m Message) {
-			p := m.(pipeBatch)
-			e.Msgs(p.payloads)
-			e.Int(p.bits)
-		},
-		func(d *SnapDecoder) Message {
-			var p pipeBatch
-			p.payloads = d.Msgs()
-			p.bits = d.Int()
-			return p
-		})
-	RegisterMessageCodec(3, pipeEnd{},
-		func(e *SnapEncoder, m Message) {},
-		func(d *SnapDecoder) Message { return pipeEnd{} })
+	RegisterMessage(1, func(c *Snap, p *pipeItem) {
+		c.Msg(&p.payload)
+		c.Int(&p.bits)
+	})
+	RegisterMessage(2, func(c *Snap, p *pipeBatch) {
+		c.Msgs(&p.payloads)
+		c.Int(&p.bits)
+	})
+	RegisterMessage(3, func(*Snap, *pipeEnd) {})
+}
+
+// snapHeader is the run header of a snapshot, after the magic and the
+// version.
+type snapHeader struct {
+	n, m                int
+	seed                int64
+	bitBound, maxRounds int
+	stopOnRej           bool
+	round               int
+	barriers            int64
+	alive               int
+	rejected            bool
+	messages, totalBits int64
+	maxMsgBits          int
+	droppedToDone       int64
+}
+
+func (h *snapHeader) walk(c *Snap) {
+	SnapUint(c, &h.n, math.MaxInt32)
+	SnapUint(c, &h.m, math.MaxInt)
+	c.Varint(&h.seed)
+	SnapUint(c, &h.bitBound, math.MaxInt)
+	SnapUint(c, &h.maxRounds, math.MaxInt)
+	c.Bool(&h.stopOnRej)
+	SnapUint(c, &h.round, math.MaxInt)
+	SnapUint(c, &h.barriers, math.MaxInt64)
+	SnapUint(c, &h.alive, h.n)
+	c.Bool(&h.rejected)
+	// Charged traffic is already in the totals: the barrier merge folds
+	// every node's charges before a snapshot can be taken.
+	SnapUint(c, &h.messages, math.MaxInt64)
+	SnapUint(c, &h.totalBits, math.MaxInt64)
+	SnapUint(c, &h.maxMsgBits, math.MaxInt)
+	SnapUint(c, &h.droppedToDone, math.MaxInt64)
+}
+
+// walkBody walks everything after the header: the node ids, each node's
+// record, the open elided windows and the obs section. Decoding rebuilds
+// each live node's program through restore.
+func (e *engine) walkBody(c *Snap, restore RestoreFunc) {
+	for i := range e.ids {
+		c.Varint(&e.ids[i])
+	}
+	var sub Snap
+	for i := 0; i < e.n && c.err == nil; i++ {
+		e.walkNode(c, &sub, i, restore)
+	}
+	e.walkElideSection(c)
+	e.walkObsSection(c)
+}
+
+// walkNode walks node i's record: its slab entries and, while it waits,
+// its deadline, lazy RNG draw count, mailbox and program state (encoded
+// through sub, a reused buffer).
+func (e *engine) walkNode(c *Snap, sub *Snap, i int, restore RestoreFunc) {
+	SnapUint(c, &e.phase[i], phaseDone)
+	SnapUint(c, &e.verdicts[i], VerdictReject)
+	c.Bool(&e.rejFlag[i])
+	SnapUint(c, &e.modeled[i], math.MaxInt64)
+	if e.phase[i] != phaseWaiting {
+		return // deadline, RNG, mailbox, program: dead state
+	}
+	SnapUint(c, &e.deadline[i], math.MaxInt64)
+	if e.deadline[i] <= int64(e.round) {
+		c.fail("node %d deadline %d not after round %d", i, e.deadline[i], e.round)
+	}
+	rng := e.rngs[i] != nil
+	c.Bool(&rng)
+	if rng {
+		var draws uint64
+		if !c.dec {
+			draws = e.rngs[i].src.k
+		}
+		c.Uvarint(&draws)
+		if c.dec && c.err == nil {
+			e.newNodeRand(i, draws)
+		}
+	}
+	mb := &e.hot[i].mailbox
+	nmail := len(*mb)
+	c.count(&nmail)
+	if c.dec && nmail > 0 && c.err == nil {
+		*mb = make([]Inbound, nmail)
+	}
+	for k := range *mb {
+		in := &(*mb)[k]
+		SnapUint(c, &in.Port, e.g.Degree(i)-1)
+		SnapUint(c, &in.From, e.n-1)
+		c.Msg(&in.Msg)
+	}
+	var kind uint16
+	var state []byte
+	if !c.dec {
+		sp := e.hot[i].prog.(Snapshottable)
+		*sub = Snap{buf: sub.buf[:0]}
+		sp.WalkState(sub)
+		if sub.err != nil && c.err == nil {
+			c.err = fmt.Errorf("node %d (%T): %w", i, sp, sub.err)
+		}
+		kind, state = sp.SnapshotKind(), sub.Data()
+	}
+	SnapUint(c, &kind, math.MaxUint16)
+	c.Bytes(&state)
+	if !c.dec || c.err != nil {
+		return
+	}
+	r := NewSnapReader(state)
+	prog, err := restore(i, kind, r)
+	switch {
+	case err != nil:
+		c.err = fmt.Errorf("congest: restore node %d (kind %d): %w", i, kind, err)
+	case r.err != nil:
+		c.err = fmt.Errorf("node %d: %w", i, r.err)
+	case r.Remaining() != 0:
+		c.fail("node %d program state has %d trailing bytes", i, r.Remaining())
+	}
+	e.hot[i].prog = prog
 }
 
 // encodeSnapshot serializes the full engine state at the current
@@ -491,114 +558,59 @@ func (e *engine) encodeSnapshot() ([]byte, error) {
 			return nil, fmt.Errorf("%w: node %d runs %T", ErrNotSnapshottable, i, e.hot[i].prog)
 		}
 	}
-	enc := &SnapEncoder{buf: make([]byte, 0, 256+32*e.n)}
-	enc.buf = append(enc.buf, snapshotMagic...)
-	enc.Uvarint(snapshotVersion)
-	enc.Uvarint(uint64(e.n))
-	enc.Uvarint(uint64(e.g.M()))
-	enc.Varint(e.seed)
-	enc.Uvarint(uint64(e.bitBound))
-	enc.Uvarint(uint64(e.maxRounds))
-	enc.Bool(e.stopOnRej)
-	enc.Uvarint(uint64(e.round))
-	enc.Uvarint(uint64(e.barriers))
-	enc.Uvarint(uint64(e.alive))
-	enc.Bool(e.rejected)
-	// Charged traffic is already in the totals: the barrier merge folds
-	// every node's charges before a snapshot can be taken.
-	enc.Uvarint(uint64(e.m.Messages))
-	enc.Uvarint(uint64(e.m.TotalBits))
-	enc.Uvarint(uint64(e.m.MaxMessageBits))
-	enc.Uvarint(uint64(e.m.DroppedToDone))
-	for _, id := range e.ids {
-		enc.Varint(id)
+	c := &Snap{buf: make([]byte, 0, 256+32*e.n)}
+	c.buf = append(c.buf, snapshotMagic...)
+	version := uint64(snapshotVersion)
+	c.Uvarint(&version)
+	h := snapHeader{
+		n: e.n, m: e.g.M(), seed: e.seed, bitBound: e.bitBound, maxRounds: e.maxRounds,
+		stopOnRej: e.stopOnRej, round: e.round, barriers: e.barriers, alive: e.alive,
+		rejected: e.rejected, messages: e.m.Messages, totalBits: e.m.TotalBits,
+		maxMsgBits: e.m.MaxMessageBits, droppedToDone: e.m.DroppedToDone,
 	}
-	var sub SnapEncoder
-	for i := 0; i < e.n; i++ {
-		enc.Uvarint(uint64(e.phase[i]))
-		enc.Uvarint(uint64(e.verdicts[i]))
-		enc.Bool(e.rejFlag[i])
-		enc.Uvarint(uint64(e.modeled[i]))
-		if e.phase[i] != phaseWaiting {
-			continue // deadline, RNG, mailbox, program: dead state
-		}
-		enc.Uvarint(uint64(e.deadline[i]))
-		if r := e.rngs[i]; r != nil {
-			enc.Bool(true)
-			enc.Uvarint(r.src.k)
-		} else {
-			enc.Bool(false)
-		}
-		mb := e.hot[i].mailbox
-		enc.Uvarint(uint64(len(mb)))
-		for _, in := range mb {
-			enc.Uvarint(uint64(in.Port))
-			enc.Uvarint(uint64(in.From))
-			enc.Msg(in.Msg)
-		}
-		sp := e.hot[i].prog.(Snapshottable)
-		sub.buf = sub.buf[:0]
-		sub.err = nil
-		sp.EncodeState(&sub)
-		if sub.err != nil {
-			return nil, fmt.Errorf("node %d (%T): %w", i, sp, sub.err)
-		}
-		enc.Uvarint(uint64(sp.SnapshotKind()))
-		enc.Bytes(sub.buf)
+	h.walk(c)
+	e.walkBody(c, nil)
+	if c.err != nil {
+		return nil, c.err
 	}
-	e.encodeElideSection(enc)
-	e.encodeObsSection(enc)
-	if enc.err != nil {
-		return nil, enc.err
-	}
-	sum := sha256.Sum256(enc.buf)
-	return append(enc.buf, sum[:]...), nil
+	sum := sha256.Sum256(c.Data())
+	return append(c.Data(), sum[:]...), nil
 }
 
 // openSnapshot validates magic, version, and the SHA-256 footer, and
-// returns a decoder positioned at the header (after the version).
-func openSnapshot(data []byte) (*SnapDecoder, error) {
+// walks the run header.
+func openSnapshot(data []byte) (*Snap, snapHeader, error) {
+	var h snapHeader
 	if len(data) < len(snapshotMagic)+1+snapshotFooterLen {
-		return nil, fmt.Errorf("%w: %d bytes is too short", ErrBadSnapshot, len(data))
+		return nil, h, fmt.Errorf("%w: %d bytes is too short", ErrBadSnapshot, len(data))
 	}
 	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, data[:len(snapshotMagic)])
+		return nil, h, fmt.Errorf("%w: bad magic %q", ErrBadSnapshot, data[:len(snapshotMagic)])
 	}
 	body := data[:len(data)-snapshotFooterLen]
 	sum := sha256.Sum256(body)
 	if string(sum[:]) != string(data[len(body):]) {
-		return nil, fmt.Errorf("%w: integrity footer mismatch", ErrBadSnapshot)
+		return nil, h, fmt.Errorf("%w: integrity footer mismatch", ErrBadSnapshot)
 	}
-	d := &SnapDecoder{buf: body, off: len(snapshotMagic)}
-	if v := d.Uvarint(); v != snapshotVersion || d.err != nil {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
+	c := &Snap{buf: body, off: len(snapshotMagic), dec: true}
+	var v uint64
+	if c.Uvarint(&v); v != snapshotVersion || c.err != nil {
+		return nil, h, fmt.Errorf("%w: unsupported version %d", ErrBadSnapshot, v)
 	}
-	return d, nil
+	h.walk(c)
+	return c, h, c.err
 }
 
 // InspectSnapshot validates a snapshot's framing (magic, version,
 // SHA-256 footer) and returns its header without restoring anything.
 // Corrupt or truncated data fails with ErrBadSnapshot.
 func InspectSnapshot(data []byte) (SnapshotInfo, error) {
-	d, err := openSnapshot(data)
+	_, h, err := openSnapshot(data)
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	info := SnapshotInfo{
-		Version: snapshotVersion,
-		N:       int(d.Uvarint()),
-		M:       int(d.Uvarint()),
-		Seed:    d.Varint(),
-	}
-	d.Uvarint() // bitBound
-	d.Uvarint() // maxRounds
-	d.Bool()    // stopOnReject
-	info.Round = int(d.Uvarint())
-	info.Barriers = int64(d.Uvarint())
-	if d.err != nil {
-		return SnapshotInfo{}, d.err
-	}
-	return info, nil
+	return SnapshotInfo{Version: snapshotVersion, N: h.n, M: h.m, Seed: h.seed,
+		Round: h.round, Barriers: h.barriers}, nil
 }
 
 // ResumeStep restores a run from a snapshot and drives it to
@@ -610,7 +622,7 @@ func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 // Cancel, Deadline, Checkpoint) comes from cfg. restore rebuilds each
 // live node's program from its serialized state.
 func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
-	d, err := openSnapshot(data)
+	c, h, err := openSnapshot(data)
 	if err != nil {
 		return nil, err
 	}
@@ -618,11 +630,10 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("congest: ResumeStep needs cfg.Graph")
 	}
-	n := int(d.Uvarint())
-	m := int(d.Uvarint())
-	if n != g.N() || m != g.M() {
+	n := h.n
+	if n != g.N() || h.m != g.M() {
 		return nil, fmt.Errorf("%w: snapshot is for an n=%d m=%d graph, got n=%d m=%d",
-			ErrBadSnapshot, n, m, g.N(), g.M())
+			ErrBadSnapshot, n, h.m, g.N(), g.M())
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -632,7 +643,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		g:            g,
 		revPort:      g.RevPorts(),
 		n:            n,
-		seed:         d.Varint(),
+		seed:         h.seed,
 		phase:        make([]nodePhase, n),
 		deadline:     make([]int64, n),
 		heapDl:       make([]int64, n),
@@ -646,28 +657,30 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
 		ids:          make([]int64, n),
-		bitBound:     int(d.Uvarint()),
-		maxRounds:    int(d.Uvarint()),
-		stopOnRej:    d.Bool(),
+		bitBound:     h.bitBound,
+		maxRounds:    h.maxRounds,
+		stopOnRej:    h.stopOnRej,
+		round:        h.round,
+		barriers:     h.barriers,
+		alive:        h.alive,
+		rejected:     h.rejected,
 		workers:      workers,
 		cancel:       cfg.Cancel,
 		ckpt:         cfg.Checkpoint,
 		wallDeadline: cfg.Deadline,
 	}
-	eng.round = int(d.Uvarint())
-	eng.barriers = int64(d.Uvarint())
-	eng.alive = int(d.Uvarint())
-	eng.rejected = d.Bool()
 	eng.m.BitBound = eng.bitBound
-	eng.m.Messages = int64(d.Uvarint())
-	eng.m.TotalBits = int64(d.Uvarint())
-	eng.m.MaxMessageBits = int(d.Uvarint())
-	eng.m.DroppedToDone = int64(d.Uvarint())
-	for i := range eng.ids {
-		eng.ids[i] = d.Varint()
+	eng.m.Messages = h.messages
+	eng.m.TotalBits = h.totalBits
+	eng.m.MaxMessageBits = h.maxMsgBits
+	eng.m.DroppedToDone = h.droppedToDone
+	eng.initObs(cfg)
+	eng.walkBody(c, restore)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if d.err != nil {
-		return nil, d.err
+	if c.Remaining() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, c.Remaining())
 	}
 	sentWords := 0
 	for i := 0; i < n; i++ {
@@ -675,84 +688,14 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 	}
 	eng.sentBits = make([]uint64, sentWords)
 	off := int32(0)
+	alive := 0
 	for i := 0; i < n; i++ {
 		deg := g.Degree(i)
 		eng.apis[i] = StepAPI{eng: eng, node: int32(i), degree: int32(deg), sentOff: off, id: eng.ids[i]}
 		off += int32((deg + 63) / 64)
-	}
-
-	alive := 0
-	for i := 0; i < n; i++ {
-		ph := nodePhase(d.Uvarint())
-		if ph != phaseWaiting && ph != phaseDone {
-			return nil, fmt.Errorf("%w: node %d has phase %d", ErrBadSnapshot, i, ph)
+		if eng.phase[i] == phaseWaiting {
+			alive++
 		}
-		eng.phase[i] = ph
-		eng.verdicts[i] = Verdict(d.Uvarint())
-		eng.rejFlag[i] = d.Bool()
-		eng.modeled[i] = int64(d.Uvarint())
-		if ph != phaseWaiting {
-			continue
-		}
-		alive++
-		eng.deadline[i] = int64(d.Uvarint())
-		if eng.deadline[i] <= int64(eng.round) {
-			return nil, fmt.Errorf("%w: node %d deadline %d not after round %d",
-				ErrBadSnapshot, i, eng.deadline[i], eng.round)
-		}
-		if d.Bool() {
-			draws := d.Uvarint()
-			if d.err != nil {
-				return nil, d.err
-			}
-			eng.newNodeRand(i, draws)
-		}
-		nmail := d.Uvarint()
-		if nmail > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("%w: node %d mailbox length %d", ErrBadSnapshot, i, nmail)
-		}
-		deg := uint64(g.Degree(i))
-		for k := uint64(0); k < nmail; k++ {
-			port := d.Uvarint()
-			from := d.Uvarint()
-			msg := d.Msg()
-			if d.err != nil {
-				return nil, d.err
-			}
-			if port >= deg || from >= uint64(n) {
-				return nil, fmt.Errorf("%w: node %d mailbox entry %d out of range", ErrBadSnapshot, i, k)
-			}
-			eng.hot[i].mailbox = append(eng.hot[i].mailbox, Inbound{Port: int(port), From: int(from), Msg: msg})
-		}
-		kind := d.Uvarint()
-		state := d.Bytes()
-		if d.err != nil {
-			return nil, d.err
-		}
-		sub := NewSnapDecoder(state)
-		prog, rerr := restore(i, uint16(kind), sub)
-		if rerr != nil {
-			return nil, fmt.Errorf("congest: restore node %d (kind %d): %w", i, kind, rerr)
-		}
-		if sub.err != nil {
-			return nil, fmt.Errorf("node %d: %w", i, sub.err)
-		}
-		if sub.Remaining() != 0 {
-			return nil, fmt.Errorf("%w: node %d program state has %d trailing bytes",
-				ErrBadSnapshot, i, sub.Remaining())
-		}
-		eng.hot[i].prog = prog
-	}
-	if err := eng.decodeElideSection(d); err != nil {
-		return nil, err
-	}
-	eng.initObs(cfg)
-	eng.decodeObsSection(d)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.Remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, d.Remaining())
 	}
 	if alive != eng.alive {
 		return nil, fmt.Errorf("%w: header says %d live nodes, records have %d",

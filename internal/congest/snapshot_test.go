@@ -21,9 +21,7 @@ func (snapMsg) Bits() int { return 8 }
 const snapTestMsgKind = 200
 
 func init() {
-	RegisterMessageCodec(snapTestMsgKind, snapMsg{},
-		func(e *SnapEncoder, m Message) { e.Varint(m.(snapMsg).V) },
-		func(d *SnapDecoder) Message { return snapMsg{V: d.Varint()} })
+	RegisterMessage(snapTestMsgKind, func(c *Snap, m *snapMsg) { c.Varint(&m.V) })
 }
 
 // snapProg is a minimal Snapshottable program: every round it forwards a
@@ -40,18 +38,10 @@ const snapTestProgKind = 201
 
 func (p *snapProg) SnapshotKind() uint16 { return snapTestProgKind }
 
-func (p *snapProg) EncodeState(e *SnapEncoder) {
-	e.Bool(p.started)
-	e.Int(p.deadline)
-	e.Varint(p.sum)
-}
-
-func decodeSnapProg(d *SnapDecoder) (StepProgram, error) {
-	p := &snapProg{}
-	p.started = d.Bool()
-	p.deadline = d.Int()
-	p.sum = d.Varint()
-	return p, d.Err()
+func (p *snapProg) WalkState(c *Snap) {
+	c.Bool(&p.started)
+	c.Int(&p.deadline)
+	c.Varint(&p.sum)
 }
 
 func (p *snapProg) Step(api *StepAPI, inbox []Inbound) Status {
@@ -87,11 +77,13 @@ func snapTestConfig(g *graph.Graph, seed int64) Config {
 
 func snapProgs(int) StepProgram { return &snapProg{} }
 
-func snapRestore(node int, kind uint16, d *SnapDecoder) (StepProgram, error) {
+func snapRestore(node int, kind uint16, c *Snap) (StepProgram, error) {
 	if kind != snapTestProgKind {
 		return nil, fmt.Errorf("unexpected kind %d", kind)
 	}
-	return decodeSnapProg(d)
+	p := &snapProg{}
+	p.WalkState(c)
+	return p, c.Err()
 }
 
 // TestSnapshotResumeEquivalence kills a run at a barrier and resumes from

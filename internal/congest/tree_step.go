@@ -107,29 +107,19 @@ func (b *BroadcastDownStep) Wake() Status { return Sleep(b.deadline) }
 // passed before the message arrived (budget too small).
 func (b *BroadcastDownStep) Result() (Message, bool) { return b.got, b.ok }
 
-// EncodeState serializes the machine for a checkpoint. The transform
-// function is not serialized: the owning program must reinstall it after
-// DecodeState (before the next Feed) when it uses one. An open elided
-// window is carried by the engine's snapshot section.
-func (b *BroadcastDownStep) EncodeState(e *SnapEncoder) {
-	e.Tree(b.t)
-	e.Int(b.deadline)
-	e.Msg(b.got)
-	e.Bool(b.ok)
-	e.Bool(b.fixed)
+// WalkState walks the machine for a checkpoint (see Snap). The transform
+// function is not walked: the owning program must reinstall it after a
+// restore (before the next Feed) when it uses one. An open elided window
+// is carried by the engine's snapshot section.
+func (b *BroadcastDownStep) WalkState(c *Snap) {
+	c.Tree(&b.t)
+	c.Int(&b.deadline)
+	c.Msg(&b.got)
+	c.Bool(&b.ok)
+	c.Bool(&b.fixed)
 }
 
-// DecodeState restores the machine from a checkpoint record.
-func (b *BroadcastDownStep) DecodeState(d *SnapDecoder) {
-	b.t = d.Tree()
-	b.deadline = d.Int()
-	b.got = d.Msg()
-	b.ok = d.Bool()
-	b.fixed = d.Bool()
-	b.transform = nil
-}
-
-// SetTransform reinstalls the per-hop transform after DecodeState; the
+// SetTransform reinstalls the per-hop transform after a restore; the
 // function itself cannot be serialized.
 func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
 
@@ -207,32 +197,20 @@ func (c *ConvergecastStep) Wake() Status { return Sleep(c.deadline) }
 // before all children reported.
 func (c *ConvergecastStep) Result() (Message, bool) { return c.agg, c.ok }
 
-// EncodeState serializes the machine for a checkpoint. The combine
-// function is not serialized: the owning program must reinstall it after
-// DecodeState when the operation is still in flight.
-func (c *ConvergecastStep) EncodeState(e *SnapEncoder) {
-	e.Tree(c.t)
-	e.Int(c.deadline)
-	e.Msg(c.own)
-	e.Msgs(c.children)
-	e.Int(c.missing)
-	e.Msg(c.agg)
-	e.Bool(c.ok)
+// WalkState walks the machine for a checkpoint (see Snap). The combine
+// function is not walked: the owning program must reinstall it after a
+// restore when the operation is still in flight.
+func (c *ConvergecastStep) WalkState(s *Snap) {
+	s.Tree(&c.t)
+	s.Int(&c.deadline)
+	s.Msg(&c.own)
+	s.Msgs(&c.children)
+	s.Int(&c.missing)
+	s.Msg(&c.agg)
+	s.Bool(&c.ok)
 }
 
-// DecodeState restores the machine from a checkpoint record.
-func (c *ConvergecastStep) DecodeState(d *SnapDecoder) {
-	c.t = d.Tree()
-	c.deadline = d.Int()
-	c.own = d.Msg()
-	c.children = d.Msgs()
-	c.missing = d.Int()
-	c.agg = d.Msg()
-	c.ok = d.Bool()
-	c.combine = nil
-}
-
-// SetCombine reinstalls the aggregation function after DecodeState; the
+// SetCombine reinstalls the aggregation function after a restore; the
 // function itself cannot be serialized.
 func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
@@ -347,30 +325,18 @@ func (p *PipelineUpStep) Result() ([]Message, bool) {
 	return nil, p.sentEnd && len(p.queue) == 0
 }
 
-// EncodeState serializes the machine for a checkpoint.
-func (p *PipelineUpStep) EncodeState(e *SnapEncoder) {
-	e.Tree(p.t)
-	e.Int(p.deadline)
-	e.Int(p.bitBound)
-	e.Msgs(p.collected)
-	e.Msgs(p.queue)
-	e.Int(p.doneChildren)
-	e.Bool(p.sentEnd)
-	e.Bool(p.wantNext)
-}
-
-// DecodeState restores the machine from a checkpoint record. The queue
-// backing decoded here is necessarily fresh, which preserves Begin's
+// WalkState walks the machine for a checkpoint (see Snap). The queue
+// backing a restore decodes is necessarily fresh, which preserves Begin's
 // no-aliasing invariant for batches still in flight.
-func (p *PipelineUpStep) DecodeState(d *SnapDecoder) {
-	p.t = d.Tree()
-	p.deadline = d.Int()
-	p.bitBound = d.Int()
-	p.collected = d.Msgs()
-	p.queue = d.Msgs()
-	p.doneChildren = d.Int()
-	p.sentEnd = d.Bool()
-	p.wantNext = d.Bool()
+func (p *PipelineUpStep) WalkState(c *Snap) {
+	c.Tree(&p.t)
+	c.Int(&p.deadline)
+	c.Int(&p.bitBound)
+	c.Msgs(&p.collected)
+	c.Msgs(&p.queue)
+	c.Int(&p.doneChildren)
+	c.Bool(&p.sentEnd)
+	c.Bool(&p.wantNext)
 }
 
 // BroadcastItemsDownStep streams a sequence of items, fixed at the root,
@@ -479,28 +445,20 @@ func (b *BroadcastItemsDownStep) Shared(build func(items []Message) any) any {
 	return sv.v
 }
 
-// EncodeState serializes the machine for a checkpoint. Only the root
+// WalkState walks the machine for a checkpoint (see Snap). Only the root
 // holds items (the others read the published stream when it completes).
-func (b *BroadcastItemsDownStep) EncodeState(e *SnapEncoder) {
-	e.Tree(b.t)
-	e.Int(b.deadline)
+func (b *BroadcastItemsDownStep) WalkState(c *Snap) {
+	c.Tree(&b.t)
+	c.Int(&b.deadline)
 	if b.t.IsRoot() {
-		e.Msgs(b.items)
+		c.Msgs(&b.items)
 	} else {
-		e.Msgs(nil)
+		var none []Message
+		if c.Msgs(&none); none != nil {
+			c.fail("stream items at a non-root")
+		}
 	}
-	e.Bool(b.ok)
-	e.Int(b.fail)
-	e.Int(b.failAt)
-}
-
-// DecodeState restores the machine from a checkpoint record.
-func (b *BroadcastItemsDownStep) DecodeState(d *SnapDecoder) {
-	b.t = d.Tree()
-	b.deadline = d.Int()
-	b.items = d.Msgs()
-	b.ok = d.Bool()
-	b.fail = d.Int()
-	b.failAt = d.Int()
-	b.slot = nil
+	c.Bool(&b.ok)
+	c.Int(&b.fail)
+	c.Int(&b.failAt)
 }

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -131,6 +134,28 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 	}
 }
 
+// crashEveryBarrierDigests pins the PCK1 bytes of TestCrashEveryBarrier's
+// runs: the SHA-256 of each run's ordered snapshot sequence (snapshotDigest).
+// A layout change must bump the snapshot version and re-record these.
+var crashEveryBarrierDigests = map[string]string{
+	"grid/deterministic": "ad96cbeaf91da612c74779d7a921fea90d20a1a272675bb661c65e4442d2dc7a",
+	"grid/randomized":    "f8f8bf294ba57ab1d7c0c52cf8f3c05b668741c55b9bf4df5bedea25f3e060d7",
+	"far/deterministic":  "381c1a25054cb8d66015f88f138646e5a1407607058b496b6a6214bd44894f4f",
+}
+
+// snapshotDigest hashes an ordered snapshot sequence: each snapshot's
+// length, then its bytes.
+func snapshotDigest(snaps [][]byte) string {
+	h := sha256.New()
+	for _, s := range snaps {
+		var n [8]byte
+		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
+		h.Write(n[:])
+		h.Write(s)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestCrashEveryBarrier kills a small tester run at every barrier and
 // resumes each crash. A crash at barrier b resumes from the checkpoint
 // barrier b wrote, so the run checkpoints every barrier once and every
@@ -142,6 +167,9 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 // stream — is cut at least once, at every offset into it. The grid runs
 // both Stage I variants; the far input, which StopOnReject also cuts
 // inside open windows, runs the deterministic one.
+//
+// The snapshot bytes are pinned: each run's sequence hashes to its
+// crashEveryBarrierDigests entry.
 func TestCrashEveryBarrier(t *testing.T) {
 	far, _ := graph.PlanarPlusRandomEdges(40, 30, rand.New(rand.NewSource(4)))
 	both := []partition.Variant{partition.Deterministic, partition.Randomized}
@@ -151,6 +179,8 @@ func TestCrashEveryBarrier(t *testing.T) {
 		variants []partition.Variant
 	}{{"grid", graph.Grid(6, 6), both}, {"far", far, both[:1]}} {
 		for _, v := range fam.variants {
+			name := fam.name + "/" + map[partition.Variant]string{
+				partition.Deterministic: "deterministic", partition.Randomized: "randomized"}[v]
 			opts := Options{Epsilon: 0.25, Partition: partition.Options{
 				Epsilon: 0.25, Variant: v, Schedule: partition.PracticalSchedule}}
 			var snaps [][]byte
@@ -162,21 +192,64 @@ func TestCrashEveryBarrier(t *testing.T) {
 			}
 			base, err := RunTester(fam.g, run, 1)
 			if err != nil {
-				t.Fatalf("%s/%v: %v", fam.name, v, err)
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, want := snapshotDigest(snaps), crashEveryBarrierDigests[name]; got != want {
+				t.Errorf("%s: snapshot sequence digest %s, want %s", name, got, want)
 			}
 			for b, snap := range snaps {
 				res := opts
 				res.Workers = 1 + b%2
 				got, err := ResumeTester(fam.g, res, 1, snap)
 				if err != nil {
-					t.Fatalf("%s/%v: resume at barrier %d: %v", fam.name, v, b+1, err)
+					t.Fatalf("%s: resume at barrier %d: %v", name, b+1, err)
 				}
 				if !reflect.DeepEqual(base, got) {
-					t.Fatalf("%s/%v: resumed at barrier %d of %d:\nbase:    %+v\nresumed: %+v",
-						fam.name, v, b+1, len(snaps), base, got)
+					t.Fatalf("%s: resumed at barrier %d of %d:\nbase:    %+v\nresumed: %+v",
+						name, b+1, len(snaps), base, got)
 				}
 			}
-			t.Logf("%s/%v: %d barriers, rejected=%v", fam.name, v, len(snaps), base.Rejected)
+			t.Logf("%s: %d barriers, rejected=%v", name, len(snaps), base.Rejected)
 		}
 	}
+}
+
+// TestNarrowFieldsFailClosed rewrites node 0's phase, and separately its
+// verdict, in a real checkpoint as 256+v, a value that wraps back to v in
+// the field's 8-bit type, re-seals the SHA-256 footer, and expects the
+// resume to fail with ErrBadSnapshot instead of restoring the wrapped
+// value.
+func TestNarrowFieldsFailClosed(t *testing.T) {
+	defer faultpoint.Reset()
+	g := graph.Grid(6, 6)
+	opts := Options{Epsilon: 0.25, Partition: partition.Options{Epsilon: 0.25, Schedule: partition.PracticalSchedule}}
+	snap := crashRun(t, g, opts, 0, 1, 20, "narrow")
+	body := snap[:len(snap)-sha256.Size]
+	// Node 0's record follows the magic, the version, the 14 header
+	// fields and the n ids; its phase and verdict are its first two
+	// varints, each one byte.
+	off := len("PCK1")
+	for k := 0; k < 1+14+g.N(); k++ {
+		off = skipVarint(body, off)
+	}
+	for _, field := range []struct {
+		name string
+		at   int
+	}{{"phase", off}, {"verdict", skipVarint(body, off)}} {
+		v := body[field.at]
+		crafted := append(append(append([]byte(nil), body[:field.at]...), 0x80|v, 0x02), body[field.at+1:]...)
+		sum := sha256.Sum256(crafted)
+		crafted = append(crafted, sum[:]...)
+		if _, err := ResumeTester(g, opts, 0, crafted); !errors.Is(err, congest.ErrBadSnapshot) {
+			t.Errorf("%s %d rewritten as %d: got %v, want ErrBadSnapshot", field.name, v, 256+int(v), err)
+		}
+	}
+}
+
+// skipVarint returns the offset just past the varint at b[off:].
+func skipVarint(b []byte, off int) int {
+	for b[off] >= 0x80 {
+		off++
+	}
+	return off + 1
 }

@@ -55,11 +55,11 @@ func resumeStageI(g *graph.Graph, opts Options, seed int64, workers int,
 		StopOnReject: true,
 		MaxRounds:    1 << 40,
 		Workers:      workers,
-	}, snap, func(node int, kind uint16, d *congest.SnapDecoder) (congest.StepProgram, error) {
+	}, snap, func(node int, kind uint16, c *congest.Snap) (congest.StepProgram, error) {
 		if kind != SnapKindStageI {
 			return nil, fmt.Errorf("unexpected snapshot kind %d", kind)
 		}
-		return plan.ResumeNode(d, func(api *congest.StepAPI, out *Outcome) congest.Status {
+		return plan.ResumeNode(c, func(api *congest.StepAPI, out *Outcome) congest.Status {
 			outs[api.Index()] = out
 			return congest.Done()
 		})

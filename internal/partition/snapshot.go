@@ -1,15 +1,16 @@
 package partition
 
-// Checkpoint support for the Stage I step interpreter: message codecs for
-// the Stage I vocabulary, the Snapshottable implementation of stageINode,
-// and the restore entry point on StageIPlan. The encoding policy is
-// "every mutable field except derivable scratch": per-op scratch buffers
-// (ownEntries, aggEntries, fdLists, crossScratch, ...) are rebuilt from
-// scratch by the next operation that uses them, and the boxed activity
-// cache (actMsgRoot/actMsgT/actMsgF) is invalidated by construction —
-// rootIDs are always >= 1, so the zero-valued cache key after a restore
-// forces a rebuild. Function-typed fields cannot be serialized; Step
-// reinstalls them on the first wake after a restore (reattach).
+// Checkpoint support for the Stage I step interpreter: the message
+// declarations of the Stage I vocabulary, the Snapshottable walk of
+// stageINode, and the restore entry point on StageIPlan. The encoding
+// policy is "every mutable field except derivable scratch": per-op
+// scratch buffers (ownEntries, aggEntries, fdLists, crossScratch, ...)
+// are rebuilt from scratch by the next operation that uses them, and the
+// boxed activity cache (actMsgRoot/actMsgT/actMsgF) is invalidated by
+// construction — rootIDs are always >= 1, so the zero-valued cache key
+// after a restore forces a rebuild. Function-typed fields cannot be
+// serialized; Step reinstalls them on the first wake after a restore
+// (reattach).
 
 import (
 	"fmt"
@@ -21,7 +22,7 @@ import (
 // checkpoint (congest.Snapshottable.SnapshotKind).
 const SnapKindStageI uint16 = 1
 
-// Message codec kinds 32..63 are reserved for package partition
+// Message kinds 32..63 are reserved for package partition
 // (internal/congest uses 1..31, internal/core 64..95).
 const (
 	msgKindNone uint16 = 32 + iota
@@ -44,370 +45,171 @@ const (
 )
 
 func init() {
-	congest.RegisterMessageCodec(msgKindNone, noneMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return noneMsg{} })
-	congest.RegisterMessageCodec(msgKindVal, valMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(valMsg).V) },
-		func(d *congest.SnapDecoder) congest.Message { return vmsg(d.Varint()) })
-	congest.RegisterMessageCodec(msgKindPair, pairMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			p := m.(pairMsg)
-			e.Varint(p.A)
-			e.Varint(p.B)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			p := pairMsg{A: d.Varint(), B: d.Varint()}
-			if p == (pairMsg{}) {
-				return zeroPair
-			}
-			return p
+	congest.RegisterMessage(msgKindNone, func(*congest.Snap, *noneMsg) {})
+	congest.RegisterMessage(msgKindVal, func(c *congest.Snap, m *valMsg) { c.Varint(&m.V) })
+	congest.RegisterMessage(msgKindPair, walkPair)
+	congest.RegisterMessage(msgKindRootAnnounce, func(c *congest.Snap, m *rootAnnounce) { c.Varint(&m.Root) })
+	congest.RegisterMessage(msgKindStatus, walkStatus)
+	congest.RegisterMessage(msgKindActivity, func(c *congest.Snap, m *activityMsg) {
+		c.Varint(&m.Root)
+		c.Bool(&m.Active)
+	})
+	congest.RegisterMessage(msgKindDecompAgg, func(c *congest.Snap, m *decompAgg) {
+		c.Bool(&m.TooMany)
+		congest.SnapSlice(c, &m.Entries, walkRootWeight)
+		congest.SnapSlice(c, &m.Watch, func(c *congest.Snap, f *rootFlag) {
+			c.Varint(&f.Root)
+			c.Bool(&f.Active)
 		})
-	congest.RegisterMessageCodec(msgKindRootAnnounce, rootAnnounce{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(rootAnnounce).Root) },
-		func(d *congest.SnapDecoder) congest.Message { return rootAnnounce{Root: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindStatus, statusMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			s := m.(statusMsg)
-			e.Bool(s.Active)
-			e.Int64s(s.Watch)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			active := d.Bool()
-			return smsg(active, d.Int64s())
-		})
-	congest.RegisterMessageCodec(msgKindActivity, activityMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			a := m.(activityMsg)
-			e.Varint(a.Root)
-			e.Bool(a.Active)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return activityMsg{Root: d.Varint(), Active: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindDecompAgg, decompAgg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			a := m.(decompAgg)
-			e.Bool(a.TooMany)
-			encRootWeights(e, a.Entries)
-			encRootFlags(e, a.Watch)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			a := decompAgg{TooMany: d.Bool()}
-			a.Entries = decRootWeights(d)
-			a.Watch = decRootFlags(d)
-			if !a.TooMany && a.Entries == nil && a.Watch == nil {
-				return emptyDecomp
-			}
-			return a
-		})
-	congest.RegisterMessageCodec(msgKindSel, selMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			s := m.(selMsg)
-			e.Varint(s.Target)
-			e.Varint(s.Weight)
-			e.Bool(s.HasOut)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return selMsg{Target: d.Varint(), Weight: d.Varint(), HasOut: d.Bool()}
-		})
-	congest.RegisterMessageCodec(msgKindFSelect, fSelect{},
-		func(e *congest.SnapEncoder, m congest.Message) { e.Varint(m.(fSelect).ChildRoot) },
-		func(d *congest.SnapDecoder) congest.Message { return fSelect{ChildRoot: d.Varint()} })
-	congest.RegisterMessageCodec(msgKindReport, reportMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			r := m.(reportMsg)
-			e.Varint(r.Color)
-			e.Varint(r.Weight)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return reportMsg{Color: d.Varint(), Weight: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindChildReport, childReport{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			r := m.(childReport)
-			e.Varint(r.Color)
-			e.Varint(r.Weight)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return childReport{Color: d.Varint(), Weight: d.Varint()}
-		})
-	congest.RegisterMessageCodec(msgKindColorSums, colorSums{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			c := m.(colorSums)
-			for _, w := range c.W {
-				e.Varint(w)
-			}
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			var c colorSums
-			for i := range c.W {
-				c.W[i] = d.Varint()
-			}
-			if c == (colorSums{}) {
-				return zeroColorSums
-			}
-			return c
-		})
-	congest.RegisterMessageCodec(msgKindMark, markMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			mk := m.(markMsg)
-			e.Bool(mk.MarkOut)
-			e.Int(int(mk.InClass))
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return markMsg{MarkOut: d.Bool(), InClass: int8(d.Int())}
-		})
-	congest.RegisterMessageCodec(msgKindEdgeMarked, edgeMarked{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return edgeMarked{} })
-	congest.RegisterMessageCodec(msgKindAttach, attachMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return attachMsg{} })
-	congest.RegisterMessageCodec(msgKindFlip, flipMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {},
-		func(d *congest.SnapDecoder) congest.Message { return flipMsg{} })
-	congest.RegisterMessageCodec(msgKindTrial, trialMsg{},
-		func(e *congest.SnapEncoder, m congest.Message) {
-			t := m.(trialMsg)
-			e.Varint(t.NodeID)
-			e.Varint(t.Target)
-			e.Varint(t.Degree)
-		},
-		func(d *congest.SnapDecoder) congest.Message {
-			return trialMsg{NodeID: d.Varint(), Target: d.Varint(), Degree: d.Varint()}
-		})
+	})
+	congest.RegisterMessage(msgKindSel, walkSel)
+	congest.RegisterMessage(msgKindFSelect, func(c *congest.Snap, m *fSelect) { c.Varint(&m.ChildRoot) })
+	congest.RegisterMessage(msgKindReport, func(c *congest.Snap, m *reportMsg) {
+		c.Varint(&m.Color)
+		c.Varint(&m.Weight)
+	})
+	congest.RegisterMessage(msgKindChildReport, func(c *congest.Snap, m *childReport) {
+		c.Varint(&m.Color)
+		c.Varint(&m.Weight)
+	})
+	congest.RegisterMessage(msgKindColorSums, walkColorSums)
+	congest.RegisterMessage(msgKindMark, walkMark)
+	congest.RegisterMessage(msgKindEdgeMarked, func(*congest.Snap, *edgeMarked) {})
+	congest.RegisterMessage(msgKindAttach, func(*congest.Snap, *attachMsg) {})
+	congest.RegisterMessage(msgKindFlip, func(*congest.Snap, *flipMsg) {})
+	congest.RegisterMessage(msgKindTrial, func(c *congest.Snap, m *trialMsg) {
+		c.Varint(&m.NodeID)
+		c.Varint(&m.Target)
+		c.Varint(&m.Degree)
+	})
 }
 
-// encRootWeights appends a nil-preserving []rootWeight encoding.
-func encRootWeights(e *congest.SnapEncoder, vs []rootWeight) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v.Root)
-		e.Varint(v.Weight)
+// The message walks stageINode's registers reuse.
+
+func walkPair(c *congest.Snap, m *pairMsg) {
+	c.Varint(&m.A)
+	c.Varint(&m.B)
+}
+
+func walkStatus(c *congest.Snap, m *statusMsg) {
+	c.Bool(&m.Active)
+	c.Int64s(&m.Watch)
+}
+
+func walkRootWeight(c *congest.Snap, w *rootWeight) {
+	c.Varint(&w.Root)
+	c.Varint(&w.Weight)
+}
+
+func walkSel(c *congest.Snap, m *selMsg) {
+	c.Varint(&m.Target)
+	c.Varint(&m.Weight)
+	c.Bool(&m.HasOut)
+}
+
+func walkColorSums(c *congest.Snap, m *colorSums) {
+	for i := range m.W {
+		c.Varint(&m.W[i])
 	}
 }
 
-func decRootWeights(d *congest.SnapDecoder) []rootWeight {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int() // force a sticky truncation error via a failed read
-		return nil
-	}
-	vs := make([]rootWeight, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vs = append(vs, rootWeight{Root: d.Varint(), Weight: d.Varint()})
-	}
-	return vs
-}
-
-// encRootFlags appends a nil-preserving []rootFlag encoding.
-func encRootFlags(e *congest.SnapEncoder, vs []rootFlag) {
-	if vs == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(vs)) + 1)
-	for _, v := range vs {
-		e.Varint(v.Root)
-		e.Bool(v.Active)
-	}
-}
-
-func decRootFlags(d *congest.SnapDecoder) []rootFlag {
-	n := d.Uvarint()
-	if n == 0 || d.Err() != nil {
-		return nil
-	}
-	n--
-	if n > uint64(d.Remaining()) {
-		d.Int()
-		return nil
-	}
-	vs := make([]rootFlag, 0, n)
-	for i := uint64(0); i < n; i++ {
-		vs = append(vs, rootFlag{Root: d.Varint(), Active: d.Bool()})
-	}
-	return vs
+func walkMark(c *congest.Snap, m *markMsg) {
+	c.Bool(&m.MarkOut)
+	congest.SnapInt(c, &m.InClass, 0, markAllIn)
 }
 
 // SnapshotKind implements congest.Snapshottable.
 func (s *stageINode) SnapshotKind() uint16 { return SnapKindStageI }
 
-// EncodeState implements congest.Snapshottable. Field order is the
-// declaration order of stageINode; ResumeNode mirrors it exactly.
-func (s *stageINode) EncodeState(e *congest.SnapEncoder) {
-	e.Bool(s.started)
-	e.Bool(s.finished)
-	e.Int(s.phase)
-	e.Int(s.pc)
-	e.Bool(s.inOp)
-	e.Int(s.D)
-	e.Int(s.phasesRun)
-	e.Bool(s.earlyExit)
-	s.bd.EncodeState(e)
-	s.cv.EncodeState(e)
-	e.Varint(s.rootID)
-	e.Tree(s.tree)
-	e.Bool(s.rejected)
-	e.Int64s(s.nbrRoot)
-	e.Bools(s.cross)
-	e.Bool(s.isU)
-	e.Int(s.uPort)
-	e.Bools(s.fChild)
-	e.Int64s(s.fChildColor)
-	e.Int64s(s.fChildWt)
-	e.Bools(s.fChildMark)
-	e.Bool(s.partHasOut)
-	e.Varint(s.partTarget)
-	e.Varint(s.partWeight)
-	e.Bool(s.partMutual)
-	e.Varint(s.partColor)
-	e.Varint(s.partPreShift)
-	e.Bool(s.partHasKids)
-	e.Bool(s.partOutMkd)
-	e.Bool(s.partInT)
-	e.Int(s.partLevel)
-	e.Bool(s.partContract)
-	e.Bool(s.fdActive)
-	e.Bool(s.fdResolved)
-	e.Int64s(s.watch)
-	encRootWeights(e, s.pending)
-	encRootWeights(e, s.outs)
-	e.Bools(s.actPort)
-	e.Bools(s.actSeen)
-	e.Bool(s.stStatus.Active)
-	e.Int64s(s.stStatus.Watch)
-	e.Bool(s.fdJoined)
-	e.Bool(s.fdDirty)
-	e.Uvarint(s.fdCleanMask)
-	e.Bool(s.fdFF)
-	e.Bool(s.cascFF)
-	e.Int(s.fdFFUntil)
-	e.Varint(s.bestW)
-	e.Varint(s.bestTarget)
-	e.Msg(s.opMsg)
-	e.Msg(s.crossGot)
-	e.Varint(s.crossPair.A)
-	e.Varint(s.crossPair.B)
-	e.Varint(s.gotSel.Target)
-	e.Varint(s.gotSel.Weight)
-	e.Bool(s.gotSel.HasOut)
-	e.Msg(s.cvRes)
-	e.Varint(s.dropDec)
-	e.Varint(s.mbParent)
-	e.Bool(s.mkDec.MarkOut)
-	e.Int(int(s.mkDec.InClass))
-	e.Varint(s.mkPC)
-	e.Bool(s.mkPCOK)
-	for _, w := range s.sums.W {
-		e.Varint(w)
-	}
-	e.Varint(s.acc.A)
-	e.Varint(s.acc.B)
-	e.Varint(s.parity)
-	e.Varint(s.newRoot)
-	e.Bool(s.merging)
-	e.Bool(s.flipped)
-	e.Int(s.deadline)
+// WalkState implements congest.Snapshottable. Field order is the
+// declaration order of stageINode.
+func (s *stageINode) WalkState(c *congest.Snap) {
+	c.Bool(&s.started)
+	c.Bool(&s.finished)
+	congest.SnapInt(c, &s.phase, 0, s.plan.phases)
+	c.Int(&s.pc)
+	c.Bool(&s.inOp)
+	c.Int(&s.D)
+	c.Int(&s.phasesRun)
+	c.Bool(&s.earlyExit)
+	s.bd.WalkState(c)
+	s.cv.WalkState(c)
+	c.Varint(&s.rootID)
+	c.Tree(&s.tree)
+	c.Bool(&s.rejected)
+	c.Int64s(&s.nbrRoot)
+	c.Bools(&s.cross)
+	c.Bool(&s.isU)
+	c.Int(&s.uPort)
+	c.Bools(&s.fChild)
+	c.Int64s(&s.fChildColor)
+	c.Int64s(&s.fChildWt)
+	c.Bools(&s.fChildMark)
+	c.Bool(&s.partHasOut)
+	c.Varint(&s.partTarget)
+	c.Varint(&s.partWeight)
+	c.Bool(&s.partMutual)
+	c.Varint(&s.partColor)
+	c.Varint(&s.partPreShift)
+	c.Bool(&s.partHasKids)
+	c.Bool(&s.partOutMkd)
+	c.Bool(&s.partInT)
+	c.Int(&s.partLevel)
+	c.Bool(&s.partContract)
+	c.Bool(&s.fdActive)
+	c.Bool(&s.fdResolved)
+	c.Int64s(&s.watch)
+	congest.SnapSlice(c, &s.pending, walkRootWeight)
+	congest.SnapSlice(c, &s.outs, walkRootWeight)
+	c.Bools(&s.actPort)
+	c.Bools(&s.actSeen)
+	walkStatus(c, &s.stStatus)
+	c.Bool(&s.fdJoined)
+	c.Bool(&s.fdDirty)
+	c.Uvarint(&s.fdCleanMask)
+	c.Bool(&s.fdFF)
+	c.Bool(&s.cascFF)
+	c.Int(&s.fdFFUntil)
+	c.Varint(&s.bestW)
+	c.Varint(&s.bestTarget)
+	c.Msg(&s.opMsg)
+	c.Msg(&s.crossGot)
+	walkPair(c, &s.crossPair)
+	walkSel(c, &s.gotSel)
+	c.Msg(&s.cvRes)
+	c.Varint(&s.dropDec)
+	c.Varint(&s.mbParent)
+	walkMark(c, &s.mkDec)
+	c.Varint(&s.mkPC)
+	c.Bool(&s.mkPCOK)
+	walkColorSums(c, &s.sums)
+	walkPair(c, &s.acc)
+	c.Varint(&s.parity)
+	c.Varint(&s.newRoot)
+	c.Bool(&s.merging)
+	c.Bool(&s.flipped)
+	c.Int(&s.deadline)
 }
 
 // ResumeNode reconstructs one node's Stage I program from a checkpoint
-// record written by EncodeState. The plan must be compiled from the same
+// record written by WalkState. The plan must be compiled from the same
 // Options and n as the checkpointed run; onDone plays the role it has in
 // NewNode. The returned program reinstalls its function-typed state
 // (convergecast combiners) on its first Step.
-func (pl *StageIPlan) ResumeNode(d *congest.SnapDecoder, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
+func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
 	s := pl.allocNode()
 	s.plan = pl
 	s.onDone = onDone
 	s.restored = true
-	s.started = d.Bool()
-	s.finished = d.Bool()
-	s.phase = d.Int()
-	s.pc = d.Int()
-	s.inOp = d.Bool()
-	s.D = d.Int()
-	s.phasesRun = d.Int()
-	s.earlyExit = d.Bool()
-	s.bd.DecodeState(d)
-	s.cv.DecodeState(d)
-	s.rootID = d.Varint()
-	s.tree = d.Tree()
-	s.rejected = d.Bool()
-	s.nbrRoot = d.Int64s()
-	s.cross = d.Bools()
-	s.isU = d.Bool()
-	s.uPort = d.Int()
-	s.fChild = d.Bools()
-	s.fChildColor = d.Int64s()
-	s.fChildWt = d.Int64s()
-	s.fChildMark = d.Bools()
-	s.partHasOut = d.Bool()
-	s.partTarget = d.Varint()
-	s.partWeight = d.Varint()
-	s.partMutual = d.Bool()
-	s.partColor = d.Varint()
-	s.partPreShift = d.Varint()
-	s.partHasKids = d.Bool()
-	s.partOutMkd = d.Bool()
-	s.partInT = d.Bool()
-	s.partLevel = d.Int()
-	s.partContract = d.Bool()
-	s.fdActive = d.Bool()
-	s.fdResolved = d.Bool()
-	s.watch = d.Int64s()
-	s.pending = decRootWeights(d)
-	s.outs = decRootWeights(d)
-	s.actPort = d.Bools()
-	s.actSeen = d.Bools()
-	s.stStatus.Active = d.Bool()
-	s.stStatus.Watch = d.Int64s()
-	s.fdJoined = d.Bool()
-	s.fdDirty = d.Bool()
-	s.fdCleanMask = d.Uvarint()
-	s.fdFF = d.Bool()
-	s.cascFF = d.Bool()
-	s.fdFFUntil = d.Int()
-	s.bestW = d.Varint()
-	s.bestTarget = d.Varint()
-	s.opMsg = d.Msg()
-	s.crossGot = d.Msg()
-	s.crossPair.A = d.Varint()
-	s.crossPair.B = d.Varint()
-	s.gotSel.Target = d.Varint()
-	s.gotSel.Weight = d.Varint()
-	s.gotSel.HasOut = d.Bool()
-	s.cvRes = d.Msg()
-	s.dropDec = d.Varint()
-	s.mbParent = d.Varint()
-	s.mkDec.MarkOut = d.Bool()
-	s.mkDec.InClass = int8(d.Int())
-	s.mkPC = d.Varint()
-	s.mkPCOK = d.Bool()
-	for i := range s.sums.W {
-		s.sums.W[i] = d.Varint()
-	}
-	s.acc.A = d.Varint()
-	s.acc.B = d.Varint()
-	s.parity = d.Varint()
-	s.newRoot = d.Varint()
-	s.merging = d.Bool()
-	s.flipped = d.Bool()
-	s.deadline = d.Int()
-	if err := d.Err(); err != nil {
+	s.WalkState(c)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	if !s.finished && (s.pc < 0 || s.pc >= len(pl.ops)) {
-		return nil, fmt.Errorf("partition: stage I snapshot: pc %d out of range [0,%d)", s.pc, len(pl.ops))
+		return nil, fmt.Errorf("%w: stage I pc %d out of range [0,%d)", congest.ErrBadSnapshot, s.pc, len(pl.ops))
+	}
+	if s.fdJoined && s.phase == 0 {
+		return nil, fmt.Errorf("%w: stage I decomposition joined before phase 1", congest.ErrBadSnapshot)
 	}
 	// The plan's batching counters (fdParticipants/fdStable) are single-run
 	// state, so the resumed run's fresh plan rebuilds them here from the
