@@ -346,15 +346,20 @@ func claimE7(t *testing.T, tb *claimTable) {
 
 // claimE8: the randomized partition's cut is at most eps*n with
 // probability at least 1-delta, and the selection trials per phase grow
-// as delta shrinks.
+// as delta shrinks. The runs stop after the practical schedule's phases
+// (4 at eps 0.5, 5 at eps 0.25): run to the paper's schedule, early exit
+// merges the grid whole and the cut is 0 whatever the selection does,
+// while after these phases the cuts (26-43 of 50, 4-24 of 25) leave the
+// bound a margin that a weaker merge step does not keep.
 func claimE8(t *testing.T, tb *claimTable) {
 	const seeds = 4
 	g := graph.Grid(10, 10)
-	tb.row("eps", "delta", "trials/phase", "mean rounds", "cut<=eps*n")
+	tb.row("eps", "delta", "phases", "trials/phase", "mean rounds", "cut<=eps*n")
 	for _, eps := range []float64{0.5, 0.25} {
 		prevTrials := 0
+		phases := partition.Options{Epsilon: eps, Schedule: partition.PracticalSchedule}.Phases()
 		for _, delta := range []float64{0.25, 0.06, 0.015} {
-			opts := partition.Options{Epsilon: eps, Variant: partition.Randomized, Delta: delta}
+			opts := partition.Options{Epsilon: eps, Variant: partition.Randomized, Delta: delta, MaxPhases: phases}
 			good, rounds := 0, 0
 			for s := 0; s < seeds; s++ {
 				outs, _, res, err := partition.CollectStageI(g, opts, int64(100+s))
@@ -374,7 +379,7 @@ func claimE8(t *testing.T, tb *claimTable) {
 				t.Errorf("E8 eps=%.2f delta=%.3f: %d selection trials, not above %d at the larger delta", eps, delta, trials, prevTrials)
 			}
 			prevTrials = trials
-			tb.row(eps, delta, trials, rounds/seeds, fmt.Sprintf("%d/%d", good, seeds))
+			tb.row(eps, delta, phases, trials, rounds/seeds, fmt.Sprintf("%d/%d", good, seeds))
 		}
 	}
 }

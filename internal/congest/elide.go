@@ -23,29 +23,33 @@ import (
 //   - two window records per node, tagged with the window's start round.
 //     The next op begins in the same barrier in which the previous op's
 //     readers read, so a node writes its new record into the slot its
-//     last window did not use; tags are atomic so a reader may probe the
-//     slot being rewritten.
+//     latest window does not use, and the engine makes it the latest
+//     after the barrier's steps (commitOpened): readers only read a
+//     node's latest record, which no write touches within a barrier.
 //   - two published slots per root, paired with the root's record slots.
 //
 // A node's depth and root are not given by the caller: they are resolved
 // from the parent records, walking up to the root (or to an ancestor
-// already resolved) and memoizing both on every record of the walk.
+// already resolved) and memoizing both on every record of the walk. A
+// node keeps them for its next windows while no node opens a window
+// under a parent other than its last (depthOf).
 //
 // Writes happen at a window's start barrier and reads at its deadline
 // barrier or later, so the engine barrier orders them (DESIGN.md §6);
-// the only same-barrier accesses are atomic (tags and memos).
+// the only same-barrier accesses are the resolvers' atomic memos.
 
 // winRec is one node's record of an elided window.
 type winRec struct {
-	tag    atomic.Int64 // start round + 1; 0: never used
-	dl     int64        // the op deadline
-	parent int32        // node index of the tree parent; -1 at the root
-	fanout int32        // tree children (receivers of this node's relays)
-	memo   atomic.Int64 // (depth+1)<<32 | root index; 0: not resolved yet
+	tag    int64 // start round + 1; 0: never used
+	dl     int64 // the op deadline
+	parent int32 // node index of the tree parent; -1 at the root
+	fanout int32 // tree children (receivers of this node's relays)
+	memo   int64 // (depth+1)<<32 | root index; 0: not resolved yet (atomic but at the open)
 }
 
 // pubSlot is a root's published window content and its literal size.
 type pubSlot struct {
+	tag    int64      // the window's start round + 1
 	msg    Message    // single-message broadcast payload (stream: nil)
 	items  []Message  // stream items
 	cum    []int64    // cum[k]: bits of stream messages 0..k-1 (a broadcast is one message)
@@ -70,9 +74,28 @@ const (
 )
 
 type elideState struct {
-	win   []winRec      // 2 per node: [2i], [2i+1]
-	state []uint8       // per node: winSlot | winOpen
-	pub   []*[2]pubSlot // per root, allocated by the root's first window
+	win    []winRec      // 2 per node: [2i], [2i+1]
+	state  []uint8       // per node: winSlot | winOpen, as the node last wrote them
+	latest []uint8       // per node: its latest window's slot, as committed
+	pub    []*[2]pubSlot // per root, allocated by the root's first window
+
+	// shape counts the windows opened under a parent other than the
+	// opening node's last one, and shapeAt is its value when the current
+	// barrier began; known keeps each node's last depth and root with
+	// the shapeAt they were resolved at (depthOf).
+	shape   atomic.Int64
+	shapeAt int64
+	known   []depthMemo
+}
+
+// depthMemo is a node's last resolved depth and root, and the parent it
+// last opened a window under.
+type depthMemo struct {
+	parent int32 // node index + 1; 0: no window yet
+	depth  int32
+	root   int32
+	shape  int64       // shapeAt + 1 at the resolution; 0: none
+	pub    *[2]pubSlot // the root's published slots
 }
 
 // elide returns the run's window state, allocating it on first use (safe
@@ -80,35 +103,27 @@ type elideState struct {
 func (e *engine) elide() *elideState {
 	e.elOnce.Do(func() {
 		e.el = &elideState{
-			win:   make([]winRec, 2*e.n),
-			state: make([]uint8, e.n),
-			pub:   make([]*[2]pubSlot, e.n),
+			win:    make([]winRec, 2*e.n),
+			state:  make([]uint8, e.n),
+			latest: make([]uint8, e.n),
+			pub:    make([]*[2]pubSlot, e.n),
+			known:  make([]depthMemo, e.n),
 		}
 	})
 	return e.el
 }
 
 // rec returns node v's record of the window that started at round s, or
-// nil when v has none.
+// nil when v's latest window is another.
 func (el *elideState) rec(v int32, s int64) *winRec {
-	if r := &el.win[2*v]; r.tag.Load() == s+1 {
-		return r
-	}
-	if r := &el.win[2*v+1]; r.tag.Load() == s+1 {
+	if r := &el.win[2*v+int32(el.latest[v])]; r.tag == s+1 {
 		return r
 	}
 	return nil
 }
 
-// slot returns the content root r published for the window that started
-// at round s.
-func (el *elideState) slot(r int32, s int64) *pubSlot {
-	k := 0
-	if el.win[2*r].tag.Load() != s+1 {
-		k = 1
-	}
-	return &el.pub[r][k]
-}
+// slot returns the content root r published for its latest window.
+func (el *elideState) slot(r int32) *pubSlot { return &el.pub[r][el.latest[r]] }
 
 // resolve returns node v's depth in the tree of the window that started
 // at round s and the node index of its root: it walks parent records up
@@ -125,7 +140,7 @@ func (el *elideState) resolve(v int32, s int64) (depth, root int32) {
 		if r == nil || int(steps) > len(el.state) {
 			return -1, -1
 		}
-		if memo = r.memo.Load(); memo != 0 {
+		if memo = atomic.LoadInt64(&r.memo); memo != 0 {
 			break
 		}
 		u = r.parent
@@ -133,10 +148,32 @@ func (el *elideState) resolve(v int32, s int64) (depth, root int32) {
 	known, root := int32(memo>>32)-1, int32(memo)
 	for u, k := v, steps; k > 0; k-- {
 		r := el.rec(u, s)
-		r.memo.Store(int64(known+k+1)<<32 | int64(root))
+		atomic.StoreInt64(&r.memo, int64(known+k+1)<<32|int64(root))
 		u = r.parent
 	}
 	return known + steps, root
+}
+
+// depthOf returns node v's depth in the window that started at round s,
+// as resolve does, and its root's published content (nil when the depth
+// is -1). Parent records only change when a node opens a window, so
+// while no node has opened one under a new parent since v last resolved
+// (shape is where it was), every depth and root is where it was, and v
+// reuses its last ones once its root has published for the window. As
+// for the relay, every node of a window's tree opens the window.
+func (el *elideState) depthOf(v int32, s int64) (int32, *pubSlot) {
+	m := &el.known[v]
+	if m.shape == el.shapeAt+1 {
+		if p := &m.pub[el.latest[m.root]]; p.tag == s+1 {
+			return m.depth, p
+		}
+	}
+	depth, root := el.resolve(v, s)
+	if depth < 0 {
+		return -1, nil
+	}
+	m.depth, m.root, m.shape, m.pub = depth, root, el.shapeAt+1, el.pub[root]
+	return depth, el.slot(root)
 }
 
 // chargeRelays charges node i's relays in a depth-d window whose literal
@@ -183,12 +220,12 @@ func (e *engine) chargeRelays(i int32, r *winRec, p *pubSlot, s int64, d int32, 
 
 // publish fills root r's slot k and returns the index of the first stream
 // message above the bit bound (-1: none).
-func (el *elideState) publish(r int32, k uint8, msg Message, items []Message, stream bool, bound int) int {
+func (el *elideState) publish(r int32, k uint8, tag int64, msg Message, items []Message, stream bool, bound int) int {
 	if el.pub[r] == nil {
 		el.pub[r] = new([2]pubSlot)
 	}
 	p := &el.pub[r][k]
-	p.msg, p.items, p.shared, p.max = msg, items, nil, 0
+	p.tag, p.msg, p.items, p.shared, p.max = tag, msg, items, nil, 0
 	p.cum = append(p.cum[:0], 0)
 	over := -1
 	add := func(b int) {
@@ -229,18 +266,23 @@ func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message,
 	k := el.state[i]&winSlot ^ winSlot
 	el.state[i] = k | winOpen
 	r := &el.win[2*i+int32(k)]
+	r.tag = int64(e.round) + 1
 	r.dl = int64(deadline)
 	r.fanout = int32(len(t.ChildPorts))
 	over := -1
 	if isRoot {
 		r.parent = -1
-		r.memo.Store(1<<32 | int64(i))
-		over = el.publish(i, k, msg, items, stream, e.bitBound)
+		r.memo = 1<<32 | int64(i)
+		over = el.publish(i, k, r.tag, msg, items, stream, e.bitBound)
 	} else {
 		r.parent = e.g.Neighbors(int(i))[t.ParentPort]
-		r.memo.Store(0)
+		r.memo = 0
 	}
-	r.tag.Store(int64(e.round) + 1)
+	if m := &el.known[i]; m.parent != r.parent+1 {
+		m.parent = r.parent + 1
+		el.shape.Add(1)
+	}
+	e.opened[i] |= openedElide
 	return over
 }
 
@@ -255,12 +297,11 @@ func (a *StepAPI) closeWindow() *pubSlot {
 	st := el.state[i]
 	el.state[i] = st &^ winOpen
 	r := &el.win[2*i+int32(st&winSlot)]
-	s := r.tag.Load() - 1
-	d, root := el.resolve(i, s)
+	s := r.tag - 1
+	d, p := el.depthOf(i, s)
 	if d < 0 {
 		return nil
 	}
-	p := el.slot(root, s)
 	if r.fanout > 0 {
 		// Relays of this round are folded by this barrier; earlier ones
 		// are attributed to the phases of their rounds.
@@ -289,9 +330,9 @@ func (e *engine) foldOpenWindows() {
 		if r.fanout == 0 {
 			continue
 		}
-		s := r.tag.Load() - 1
+		s := r.tag - 1
 		if d, root := el.resolve(int32(i), s); d >= 0 {
-			e.chargeRelays(int32(i), r, el.slot(root, s), s, d, min(int64(e.round), r.dl), int64(e.round))
+			e.chargeRelays(int32(i), r, el.slot(root), s, d, min(int64(e.round), r.dl), int64(e.round))
 		}
 		if c := &e.charged[i]; c.msgs != 0 {
 			e.foldCharge(c)
@@ -335,7 +376,7 @@ func (e *engine) walkElideSection(c *Snap) {
 		}
 		SnapUint(c, &i, e.n-1)
 		r := &el.win[2*i+int(slot)]
-		start, dl, parent, fanout := r.tag.Load()-1, r.dl, r.parent, r.fanout
+		start, dl, parent, fanout := r.tag-1, r.dl, r.parent, r.fanout
 		SnapUint(c, &start, math.MaxInt64)
 		SnapUint(c, &dl, int64(e.maxRounds))
 		SnapInt(c, &parent, -1, int32(e.n-1))
@@ -344,9 +385,7 @@ func (e *engine) walkElideSection(c *Snap) {
 			c.fail("window record %d starts at %d, after its deadline %d", j, start, dl)
 		}
 		if c.dec && c.err == nil {
-			r.dl, r.parent, r.fanout = dl, parent, fanout
-			r.memo.Store(0)
-			r.tag.Store(start + 1)
+			r.tag, r.dl, r.parent, r.fanout, r.memo = start+1, dl, parent, fanout, 0
 			el.state[i] = winOpen
 		}
 		if parent >= 0 {
@@ -365,8 +404,8 @@ func (e *engine) walkElideSection(c *Snap) {
 				c.fail("window %d has no payload", j)
 				return
 			}
-			r.memo.Store(1<<32 | int64(i))
-			el.publish(int32(i), 0, p.msg, p.items, stream, e.bitBound)
+			r.memo = 1<<32 | int64(i)
+			el.publish(int32(i), 0, start+1, p.msg, p.items, stream, e.bitBound)
 		}
 	}
 }

@@ -396,3 +396,226 @@ func TestElidedWindowRejectsInbound(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// mixFold folds a node's contribution with its children's aggregates as a
+// polynomial hash in child order, so a fold in any other order gives
+// another value.
+func mixFold(own Message, ch []Message) Message {
+	x := own.(intMsg).v
+	for i, c := range ch {
+		x = (x*131 + c.(intMsg).v*int64(i+7)) % 1_000_003
+	}
+	return intMsg{v: x}
+}
+
+// sizeFold aggregates the subtree's node count as a message of 10 bits
+// plus that count.
+func sizeFold(own Message, ch []Message) Message {
+	n := own.(sizedMsg).bits
+	for _, c := range ch {
+		n += c.(sizedMsg).bits - 10
+	}
+	return sizedMsg{bits: n}
+}
+
+var (
+	mixCombine  = RegisterCombiner(3, func(_ int64, own Message, ch []Message) Message { return mixFold(own, ch) })
+	sizeCombine = RegisterCombiner(4, func(_ int64, own Message, ch []Message) Message { return sizeFold(own, ch) })
+	// boomCombine panics where two or more children report.
+	boomCombine = RegisterCombiner(5, func(_ int64, own Message, ch []Message) Message {
+		if len(ch) >= 2 {
+			panic("boom")
+		}
+		return mixFold(own, ch)
+	})
+)
+
+// cvgResult is what a node's convergecast returned.
+type cvgResult struct {
+	agg Message
+	ok  bool
+}
+
+// cvgRun configures runConvergecasts: the literal relay or by reference,
+// the fold, each node's contribution, the two budgets, the bystander's
+// cut and phase switch, and whether the odd nodes begin the second op a
+// round early (BeginFrom), as a node that skips a cross round does.
+type cvgRun struct {
+	literal bool
+	fold    func(own Message, ch []Message) Message
+	comb    Combiner
+	own     func(v, op int) Message
+	budgets [2]int
+	cut, sw int
+	early   bool
+	bound   int
+}
+
+// runConvergecasts runs two convergecasts on the fixture's tree after a
+// 3-round offset, the second starting one round after the first's
+// deadline. The literal run's combiner draws from the node's randomness
+// first, which keeps it off the by-reference path. A node that does not
+// complete an op panics, as every caller of ConvergecastStep does.
+func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error) {
+	got := make([][2]cvgResult, f.g.N())
+	cfg := Config{Graph: f.g, Seed: 5, IDs: f.ids, StopOnReject: true, Workers: f.workers, Probe: elideProbe(), BitBound: c.bound}
+	res, err := RunStep(cfg, func(v int) StepProgram {
+		if v == f.by {
+			return bystander(c.cut, c.sw)
+		}
+		tr := f.views[v]
+		var cv ConvergecastStep
+		op, inOp, next := 0, false, 3
+		begin := func(api *StepAPI, start int) bool {
+			dl := start + c.budgets[op]
+			if c.literal {
+				return cv.BeginLiteral(api, tr, dl, c.own(v, op), func(own Message, ch []Message) Message {
+					api.Rand().Int63()
+					return c.fold(own, ch)
+				})
+			}
+			return cv.BeginFrom(api, tr, start, dl, c.own(v, op), c.comb)
+		}
+		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
+			for op < 2 {
+				switch {
+				case inOp && !cv.Feed(api, inbox):
+					return cv.Wake()
+				case inOp:
+					inOp = false
+					agg, ok := cv.Result()
+					if !ok {
+						panic(fmt.Sprintf("convergecast %d did not complete", op))
+					}
+					got[v][op] = cvgResult{agg, ok}
+					op, next = op+1, api.Round()+1
+				case api.Round() < next && !(c.early && v%2 == 1 && api.Round() == next-1):
+					return Sleep(next)
+				default:
+					if inOp = !begin(api, next); !inOp {
+						panic("convergecast with rounds completed at its start")
+					}
+				}
+			}
+			return Done()
+		})
+	})
+	return res, got, err
+}
+
+// TestByRefConvergecastMatchesLiteral checks that a by-reference
+// convergecast is indistinguishable from the literal relay: the same
+// aggregate at every node, verdicts, rounds, messages, bits and largest
+// message, and the same traffic in each phase when the phase switches
+// inside, at the end of, or after a window, whole or cut by StopOnReject
+// at every round of both windows, and whether or not half the nodes
+// begin the second window a round early. The second window's budget is
+// the tree's height, so the root's subtree completes in its last round.
+// The 12x12 grid runs on four workers, so parallel workers claim and fold
+// subtrees concurrently (run it under -race).
+func TestByRefConvergecastMatchesLiteral(t *testing.T) {
+	for _, f := range []elideFixture{newElideFixture(5, 1), newElideFixture(12, 4)} {
+		h := f.depth[f.by-1]
+		c := cvgRun{fold: mixFold, comb: mixCombine, budgets: [2]int{h + 2, h},
+			own: func(v, op int) Message { return intMsg{v: int64(v*(op+3)) % 97} }}
+		end := 3 + c.budgets[0] + 1 + c.budgets[1]
+		for _, c.sw = range []int{6, 3 + c.budgets[0], end - 1} {
+			for c.cut = -1; c.cut <= end+1; c.cut++ {
+				c.literal, c.early = true, false
+				want, wantGot, err := f.runConvergecasts(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.literal = false
+				for _, c.early = range []bool{false, true} {
+					res, got, err := f.runConvergecasts(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(res.Metrics, want.Metrics) || !reflect.DeepEqual(res.Verdicts, want.Verdicts) ||
+						!reflect.DeepEqual(phaseTraffic(res), phaseTraffic(want)) || !reflect.DeepEqual(got, wantGot) {
+						t.Fatalf("n=%d switch %d cut %d early %v:\nby reference %+v %v\nliteral      %+v %v", f.g.N(), c.sw, c.cut, c.early,
+							res.Metrics, phaseTraffic(res), want.Metrics, phaseTraffic(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestByRefConvergecastErrors checks that a by-reference convergecast
+// fails as the literal relay does, with the same error text: an
+// aggregate above the bit bound (at a leaf's first round and deeper in
+// the tree), a budget below the tree's height, and a message reaching a
+// node inside the window.
+func TestByRefConvergecastErrors(t *testing.T) {
+	f := newElideFixture(5, 1)
+	h := f.depth[f.by-1]
+	parity := func(name string, c cvgRun) {
+		t.Helper()
+		c.literal = true
+		_, _, want := f.runConvergecasts(c)
+		c.literal = false
+		_, _, err := f.runConvergecasts(c)
+		if want == nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("%s: by reference %v, literal %v", name, err, want)
+		}
+	}
+	sized := cvgRun{fold: sizeFold, comb: sizeCombine, budgets: [2]int{h + 2, h}, cut: -1, sw: 0,
+		own: func(int, int) Message { return sizedMsg{bits: 11} }}
+	for _, bound := range []int{10, 16, 25} {
+		sized.bound = bound
+		parity(fmt.Sprintf("bound %d", bound), sized)
+	}
+	mix := cvgRun{fold: mixFold, comb: mixCombine, budgets: [2]int{h - 2, h}, cut: -1, sw: 0,
+		own: func(v, _ int) Message { return intMsg{v: int64(v)} }}
+	parity("under budget", mix)
+
+	// A combiner that panics fails the run, on four workers too, without
+	// leaving a claimed record that another resolver waits for forever.
+	for _, pf := range []elideFixture{f, newElideFixture(12, 4)} {
+		boom := cvgRun{fold: mixFold, comb: boomCombine, budgets: [2]int{h + 2, h}, cut: -1,
+			own: func(v, _ int) Message { return intMsg{v: int64(v)} }}
+		boom.budgets = [2]int{pf.depth[pf.by-1] + 2, pf.depth[pf.by-1]}
+		if _, _, err := pf.runConvergecasts(boom); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("n=%d: panicking combiner: err = %v", pf.g.N(), err)
+		}
+	}
+
+	// A star's center waits for its one tree child, which delays, while
+	// another leaf sends it a message.
+	var want error
+	for _, literal := range []bool{true, false} {
+		_, err := RunStep(Config{Graph: graph.Star(4), Seed: 2}, func(i int) StepProgram {
+			var cv ConvergecastStep
+			op := func(tr Tree, budget int) treeOp {
+				return treeOp{&cv, func(api *StepAPI) bool {
+					if literal {
+						return cv.BeginLiteral(api, tr, api.Round()+budget, intMsg{v: 1}, func(own Message, ch []Message) Message {
+							api.Rand().Int63()
+							return mixFold(own, ch)
+						})
+					}
+					return cv.Begin(api, tr, api.Round()+budget, intMsg{v: 1}, mixCombine)
+				}, nil}
+			}
+			switch i {
+			case 0:
+				return treeOps(op(Tree{ParentPort: -1, ChildPorts: []int{0}}, 6))
+			case 1:
+				return treeOps(idle(3), op(Tree{ParentPort: 0}, 3))
+			case 2:
+				return rounds(1, func(api *StepAPI, _ int, _ []Inbound) { api.Send(0, intMsg{v: 99}) })
+			}
+			return treeOps(idle(8))
+		})
+		if err == nil || !strings.Contains(err.Error(), "Convergecast: unexpected message on port 1 (node 0)") {
+			t.Fatalf("literal %v: err = %v", literal, err)
+		}
+		if want == nil {
+			want = err
+		} else if err.Error() != want.Error() {
+			t.Fatalf("stray message: by reference %v, literal %v", err, want)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,6 +245,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		rejFlag:      make([]bool, n),
 		modeled:      make([]int64, n),
 		charged:      make([]charge, n),
+		opened:       make([]uint8, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
@@ -286,11 +288,13 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 }
 
 // finish ends a run after the scheduler loop returned: it stops the
-// worker pool, charges the traffic of elided windows still open at the
-// final round (elide.go), and assembles the Result.
+// worker pool, charges the traffic of elided and by-reference windows
+// still open at the final round (elide.go, converge.go), and assembles
+// the Result.
 func (e *engine) finish() (*Result, error) {
 	e.shutdown()
 	e.foldOpenWindows()
+	e.foldOpenCvg()
 	e.m.Rounds = e.round
 	for i := range e.modeled {
 		e.m.ModeledRounds += e.modeled[i]
@@ -384,9 +388,13 @@ type engine struct {
 	charged []charge
 
 	// el is the run's elided-window state (elide.go), allocated by the
-	// first window through elOnce.
+	// first window through elOnce; cv, the by-reference convergecast
+	// state (converge.go), likewise through cvOnce.
 	el     *elideState
 	elOnce sync.Once
+	cv     *cvgState
+	cvOnce sync.Once
+	opened []uint8 // per node: the window kinds it opened in its current step
 
 	// Observability (internal/obs). All slabs below are nil unless
 	// Config.Probe is set; the disabled fast path is a nil check per
@@ -434,8 +442,9 @@ type workItem struct {
 // engine loop, every list in due (ascending node) order: the nodes
 // parked for round+1, the nodes parked for later rounds grouped into
 // runs of equal wake round, the due positions of the nodes that sent or
-// finished (position<<1 | 1 when the node returned Done), and, when the
-// run has a probe, the nodes that left attribution state for foldProbe.
+// finished (position<<1 | 1 when the node returned Done), when the run
+// has a probe, the nodes that left attribution state for foldProbe, and
+// the nodes that opened an elided or a by-reference window.
 // The merge tails and the probe fold visit only those entries.
 type blockPark struct {
 	nr     []int32
@@ -443,6 +452,7 @@ type blockPark struct {
 	runs   []calRun
 	sof    []int32
 	probed []int32
+	opened []int32 // nodes that opened an elided or by-reference window
 }
 
 // workerAcc is one worker's compute-phase fold: its nodes' queued
@@ -734,7 +744,7 @@ func (e *engine) ensureBlocks(nb int) {
 // resetBlock empties block b's lists, keeping their buffers.
 func (e *engine) resetBlock(b int) *blockPark {
 	p := &e.blocks[b]
-	*p = blockPark{nr: p.nr[:0], later: p.later[:0], runs: p.runs[:0], sof: p.sof[:0], probed: p.probed[:0]}
+	*p = blockPark{nr: p.nr[:0], later: p.later[:0], runs: p.runs[:0], sof: p.sof[:0], probed: p.probed[:0], opened: p.opened[:0]}
 	return p
 }
 
@@ -806,6 +816,9 @@ func (e *engine) step(due []int32) bool {
 	}
 	nb := (len(due) + bs - 1) / bs
 	w := min(e.workers, nb)
+	if e.el != nil {
+		e.el.shapeAt = e.el.shape.Load()
+	}
 	e.ensurePool(w - 1)
 	e.ensureBlocks(nb)
 	e.pdue, e.blockSize = due, bs
@@ -817,6 +830,7 @@ func (e *engine) step(due []int32) bool {
 	for wi := 1; wi < w; wi++ {
 		<-e.doneCh
 	}
+	e.commitOpened()
 	// Blocks are claimed in ascending order and a worker stops claiming
 	// at its own panic, so every position below the earliest panic was
 	// stepped and parked.
@@ -840,17 +854,45 @@ func (e *engine) step(due []int32) bool {
 	}
 	// Message-heavy barriers merge by receiver shard on the pool; the
 	// rest merge on the engine loop as one shard (DESIGN.md §10). A
-	// compute-phase panic limits the merge to the positions before it.
+	// compute-phase panic limits the merge to the positions before it,
+	// and so does a by-reference up-message above the bit bound that the
+	// relay sends at this round (converge.go); one it sends earlier has
+	// already ended the relay's run.
 	mw := max(1, min(e.workers, totalMsgs/minShardMsgs))
 	limit := len(due)
 	if panPos >= 0 {
 		limit = panPos
+	}
+	var viol error
+	if e.cv != nil && (panPos >= 0 || e.cv.viol) {
+		var v int32
+		var stamp int64
+		if viol, v, stamp = e.cvViolation(); viol != nil {
+			if stamp < int64(e.round) {
+				e.runErr = viol
+				return false
+			}
+			if pos := sort.Search(len(due), func(k int) bool { return due[k] >= v }); pos < limit {
+				limit, panPos = pos, -1
+			} else {
+				viol = nil
+			}
+		}
 	}
 	ok := e.merge(due, limit, mw)
 	if timed {
 		t2 = time.Now()
 	}
 	if !ok {
+		if e.cv != nil {
+			if err, _, stamp := e.cvViolation(); err != nil && stamp < int64(e.round) {
+				e.runErr = err
+			}
+		}
+		return false
+	}
+	if viol != nil {
+		e.runErr = viol
 		return false
 	}
 	if panPos >= 0 {
@@ -931,11 +973,15 @@ func (e *engine) stepBlocks(wi int) {
 		p = *bp
 		for k = lo; k < hi; k++ {
 			i := due[k]
-			h := &e.hot[i]
-			h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
+			if h := &e.hot[i]; len(h.mailbox) > 0 || len(h.inbox) > 0 {
+				h.inbox, h.mailbox = h.mailbox, h.inbox[:0]
+			}
 			st := e.computeNode(int(i))
 			if probed && e.probeTouched(i) {
 				p.probed = append(p.probed, i)
+			}
+			if e.opened[i] != 0 {
+				p.opened = append(p.opened, i)
 			}
 			sent := len(e.outbox[i])
 			msgs += sent
@@ -1137,6 +1183,30 @@ func (e *engine) workerLoop() {
 			e.stepBlocks(wc.wi)
 		}
 		e.doneCh <- struct{}{}
+	}
+}
+
+// Window kinds a node opens (engine.opened).
+const (
+	openedElide uint8 = 1 << iota // elide.go
+	openedCvg                     // converge.go
+)
+
+// commitOpened makes the windows opened in the barrier just stepped
+// their nodes' latest. It runs on the engine loop after the join, so
+// within a barrier a node's latest window never changes: every reader
+// reads a record that no write touches (elide.go, converge.go).
+func (e *engine) commitOpened() {
+	for b := 0; b < e.nblk; b++ {
+		for _, i := range e.blocks[b].opened {
+			if e.opened[i]&openedElide != 0 {
+				e.el.latest[i] ^= 1
+			}
+			if e.opened[i]&openedCvg != 0 {
+				e.cv.slot[i] ^= 1
+			}
+			e.opened[i] = 0
+		}
 	}
 }
 

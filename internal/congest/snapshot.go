@@ -22,7 +22,8 @@ import (
 // the phase/deadline/mailbox slabs and are rebuilt on restore, so the
 // format serializes only: the run header, the per-node slabs, each
 // node's mailbox, its lazy RNG draw count, its program state via the
-// Snapshottable interface, and the elided windows still open (elide.go). Restore re-enters the scheduler loop right
+// Snapshottable interface, and the elided and by-reference windows still
+// open (elide.go, converge.go). Restore re-enters the scheduler loop right
 // after the barrier, so a restored run executes the exact same barrier
 // sequence — and produces a byte-identical Result — as an uninterrupted
 // one.
@@ -31,7 +32,7 @@ import (
 // version 1"); snapshotVersion is bumped on any layout change.
 const (
 	snapshotMagic   = "PCK1"
-	snapshotVersion = 4
+	snapshotVersion = 5
 )
 
 // snapshotFooterLen is the length of the SHA-256 integrity footer.
@@ -371,6 +372,25 @@ func SnapSlice[S ~[]T, T any](c *Snap, s *S, elem func(*Snap, *T)) {
 	}
 }
 
+// SnapList walks a slice whose nil-ness carries no meaning: its length,
+// then each element through elem. An empty slice decodes as nil, so a
+// record does not depend on whether a list was cut from a reused buffer.
+// Every element must cost at least one byte, as for SnapSlice.
+func SnapList[S ~[]T, T any](c *Snap, s *S, elem func(*Snap, *T)) {
+	n := len(*s)
+	c.count(&n)
+	if c.dec {
+		if n == 0 || c.err != nil {
+			*s = nil
+			return
+		}
+		*s = make(S, n)
+	}
+	for i := range *s {
+		elem(c, &(*s)[i])
+	}
+}
+
 // Message declarations. Each message kind is declared once, from an init
 // function (congest, partition, core each own a disjoint kind range), and
 // the maps are read-only afterwards, so lock-free concurrent reads are
@@ -463,7 +483,7 @@ func (h *snapHeader) walk(c *Snap) {
 }
 
 // walkBody walks everything after the header: the node ids, each node's
-// record, the open elided windows and the obs section. Decoding rebuilds
+// record, the open elided and by-reference windows and the obs section. Decoding rebuilds
 // each live node's program through restore.
 func (e *engine) walkBody(c *Snap, restore RestoreFunc) {
 	for i := range e.ids {
@@ -474,6 +494,7 @@ func (e *engine) walkBody(c *Snap, restore RestoreFunc) {
 		e.walkNode(c, &sub, i, restore)
 	}
 	e.walkElideSection(c)
+	e.walkCvgSection(c)
 	e.walkObsSection(c)
 }
 
@@ -653,6 +674,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		rejFlag:      make([]bool, n),
 		modeled:      make([]int64, n),
 		charged:      make([]charge, n),
+		opened:       make([]uint8, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),

@@ -162,13 +162,14 @@ func TestTreeStepOpsEquivalence(t *testing.T) {
 	}
 }
 
-func sumCombine(own Message, children []Message) Message {
+// sumCombine adds intMsg contributions.
+var sumCombine = RegisterCombiner(1, func(_ int64, own Message, children []Message) Message {
 	s := own.(intMsg).v
 	for _, c := range children {
 		s += c.(intMsg).v
 	}
 	return intMsg{v: s}
-}
+})
 
 type treeOpsProg struct {
 	n         int

@@ -124,24 +124,59 @@ func (b *BroadcastDownStep) WalkState(c *Snap) {
 func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
 
 // ConvergecastStep aggregates one message from every tree node to the
-// root. Each node contributes its own message; combine merges it with the
-// messages of all children (ordered as ChildPorts; every child
-// contributes exactly one).
+// root. Each node contributes its own message; the combiner merges it
+// with the aggregates of all children (ordered as ChildPorts; every child
+// contributes exactly one), and a node sends its subtree aggregate to its
+// parent once every child has reported. With a registered combiner
+// (Begin) the convergecast runs by reference (converge.go): no message
+// moves, every node resolves its aggregate at the deadline, and every
+// node charges exactly the up-message it would have sent. A combiner
+// that is not a function of its inputs alone (one that draws from the
+// node's randomness) runs literally (BeginLiteral).
 type ConvergecastStep struct {
-	t        Tree
-	deadline int
-	own      Message
-	combine  func(own Message, children []Message) Message
-	children []Message // reused across operations
-	missing  int
-	agg      Message
+	byRef    bool // a by-reference window is open at this node
 	ok       bool
+	deadline int
+	agg      Message
+	t        Tree
+	own      Message // literal: the node's contribution
+	combine  func(own Message, children []Message) Message
+	children []Message // literal: reused across operations
+	missing  int
 }
 
-// Begin starts the convergecast at the current round. Leaves send to their
-// parent immediately.
-func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message, combine func(own Message, children []Message) Message) bool {
-	c.t, c.deadline, c.own, c.combine = t, deadline, own, combine
+// Begin starts the convergecast at the current round with a registered
+// combiner. Results, rounds and traffic are those of the literal relay;
+// a convergecast with no rounds runs literally, so it ends exactly as
+// the relay would.
+func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message, combine Combiner) bool {
+	return c.BeginFrom(api, t, api.Round(), deadline, own, combine)
+}
+
+// BeginFrom is Begin for an op whose start round is the current round or
+// the next one: a node that provably receives nothing in the current
+// round's exchange may begin the following convergecast a round early
+// and skip its wake at the start round. The node's leaves-first send
+// round is then start, as for the nodes that begin at start.
+func (c *ConvergecastStep) BeginFrom(api *StepAPI, t Tree, start, deadline int, own Message, combine Combiner) bool {
+	if start >= deadline {
+		if start != api.Round() {
+			panic(fmt.Sprintf("congest: Convergecast: no rounds after a deferred start (node %d)", api.Index()))
+		}
+		return c.BeginLiteral(api, t, deadline, own, func(own Message, ch []Message) Message {
+			return combine.f(combine.arg, own, ch)
+		})
+	}
+	c.t, c.deadline, c.byRef, c.agg, c.ok = t, deadline, true, nil, false
+	api.openCvg(t, start, deadline, own, combine)
+	return false
+}
+
+// BeginLiteral starts a literal convergecast at the current round: the
+// aggregates travel as messages, and leaves send to their parent
+// immediately.
+func (c *ConvergecastStep) BeginLiteral(api *StepAPI, t Tree, deadline int, own Message, combine func(own Message, children []Message) Message) bool {
+	c.t, c.deadline, c.own, c.combine, c.byRef = t, deadline, own, combine, false
 	c.children = c.children[:0]
 	for range t.ChildPorts {
 		c.children = append(c.children, nil)
@@ -156,6 +191,17 @@ func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message
 
 // Feed consumes one wake and reports whether the operation completed.
 func (c *ConvergecastStep) Feed(api *StepAPI, inbox []Inbound) bool {
+	if c.byRef {
+		if len(inbox) > 0 {
+			panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
+		}
+		if api.Round() < c.deadline {
+			return false
+		}
+		c.byRef = false
+		c.agg, c.ok = api.closeCvg()
+		return true
+	}
 	if c.missing > 0 {
 		for _, in := range inbox {
 			idx := -1
@@ -194,24 +240,29 @@ func (c *ConvergecastStep) Wake() Status { return Sleep(c.deadline) }
 
 // Result returns the aggregate (the full aggregate at the root, the
 // subtree aggregate elsewhere); ok is false when the deadline passed
-// before all children reported.
+// before all children reported. It is valid in the completing wake.
 func (c *ConvergecastStep) Result() (Message, bool) { return c.agg, c.ok }
 
-// WalkState walks the machine for a checkpoint (see Snap). The combine
-// function is not walked: the owning program must reinstall it after a
-// restore when the operation is still in flight.
+// WalkState walks an in-flight machine for a checkpoint (see Snap). An
+// open by-reference window is carried by the engine's snapshot section;
+// a literal op's combine function is not walked: the owning program
+// must reinstall it after a restore (SetCombine).
 func (c *ConvergecastStep) WalkState(s *Snap) {
 	s.Tree(&c.t)
 	s.Int(&c.deadline)
+	s.Bool(&c.byRef)
+	if c.byRef {
+		return
+	}
 	s.Msg(&c.own)
-	s.Msgs(&c.children)
+	SnapList(s, &c.children, (*Snap).Msg)
 	s.Int(&c.missing)
 	s.Msg(&c.agg)
 	s.Bool(&c.ok)
 }
 
-// SetCombine reinstalls the aggregation function after a restore; the
-// function itself cannot be serialized.
+// SetCombine reinstalls a literal op's aggregation function after a
+// restore; the function itself cannot be serialized.
 func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
 // PipelineUpStep streams every node's items to the root, one B-bit batch

@@ -138,6 +138,9 @@ func TestTreeOpsOnRandomTrees(t *testing.T) {
 	}
 }
 
+// keepOwn aggregates to the node's own contribution.
+var keepOwn = RegisterCombiner(2, func(_ int64, own Message, _ []Message) Message { return own })
+
 // TestTreeOpsRejectStrayTraffic: the strict tree primitives must flag
 // messages arriving outside the declared tree structure while a node is
 // actively waiting — the mechanism that catches schedule bugs in the
@@ -149,7 +152,6 @@ func TestTreeOpsRejectStrayTraffic(t *testing.T) {
 	g := graph.Star(4)
 	_, err := RunStep(Config{Graph: g, Seed: 2}, func(i int) StepProgram {
 		var cv ConvergecastStep
-		keepOwn := func(own Message, _ []Message) Message { return own }
 		switch i {
 		case 0:
 			tr := Tree{ParentPort: -1, ChildPorts: []int{0}}

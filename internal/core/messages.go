@@ -114,8 +114,16 @@ func depthTransform(m congest.Message) congest.Message {
 	return valMsg{V: m.(valMsg).V + 1}
 }
 
+// The combiners of the part-context and Stage II convergecasts, both
+// registered, so they run by reference. Combiner kinds 64..95 are
+// reserved for package core.
+var (
+	cmbMaxVal = congest.RegisterCombiner(64, combineMaxVal)
+	cmbCounts = congest.RegisterCombiner(65, combineCounts)
+)
+
 // combineMaxVal keeps the maximum valMsg (depth convergecast).
-func combineMaxVal(own congest.Message, ch []congest.Message) congest.Message {
+func combineMaxVal(_ int64, own congest.Message, ch []congest.Message) congest.Message {
 	best := own.(valMsg).V
 	for _, c := range ch {
 		if v := c.(valMsg).V; v > best {
@@ -126,7 +134,7 @@ func combineMaxVal(own congest.Message, ch []congest.Message) congest.Message {
 }
 
 // combineCounts sums (node, assigned-edge) counts up the BFS tree.
-func combineCounts(own congest.Message, ch []congest.Message) congest.Message {
+func combineCounts(_ int64, own congest.Message, ch []congest.Message) congest.Message {
 	c := own.(countsMsg)
 	for _, x := range ch {
 		xc := x.(countsMsg)

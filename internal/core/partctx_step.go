@@ -134,7 +134,7 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 
 		case pcDepthUp:
 			if !c.inOp {
-				if !c.cv.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg, combineMaxVal) {
+				if !c.cv.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg, cmbMaxVal) {
 					c.inOp = true
 					return c.cv.Wake()
 				}
@@ -331,7 +331,7 @@ func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) con
 		case geCountUp:
 			if !g.inOp {
 				own := countsMsg{N: 1, M: int64(len(c.assigned))}
-				if !g.cv.Begin(api, c.tree, api.Round()+c.budget+2, own, combineCounts) {
+				if !g.cv.Begin(api, c.tree, api.Round()+c.budget+2, own, cmbCounts) {
 					g.inOp = true
 					return g.cv.Wake()
 				}

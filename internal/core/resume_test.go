@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -138,9 +139,9 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 // runs: the SHA-256 of each run's ordered snapshot sequence (snapshotDigest).
 // A layout change must bump the snapshot version and re-record these.
 var crashEveryBarrierDigests = map[string]string{
-	"grid/deterministic": "ad96cbeaf91da612c74779d7a921fea90d20a1a272675bb661c65e4442d2dc7a",
-	"grid/randomized":    "f8f8bf294ba57ab1d7c0c52cf8f3c05b668741c55b9bf4df5bedea25f3e060d7",
-	"far/deterministic":  "381c1a25054cb8d66015f88f138646e5a1407607058b496b6a6214bd44894f4f",
+	"grid/deterministic": "c9b416b6379f834df88a322e03466d8fc9eec8b36de2eb12f44a51522175d3e0",
+	"grid/randomized":    "bffbefda30894251da40eba279bb766c49e012086222231b089d5dea92423fb4",
+	"far/deterministic":  "40950025c1894fb1c052797cce37d3cf98053f1754c7f5fd5984855c90680bc5",
 }
 
 // snapshotDigest hashes an ordered snapshot sequence: each snapshot's
@@ -169,7 +170,11 @@ func snapshotDigest(snaps [][]byte) string {
 // inside open windows, runs the deterministic one.
 //
 // The snapshot bytes are pinned: each run's sequence hashes to its
-// crashEveryBarrierDigests entry.
+// crashEveryBarrierDigests entry. Every 7th resumed run also checkpoints
+// every barrier, and its snapshots must be the uninterrupted run's
+// remaining ones byte for byte: a restore keeps no state that the
+// uninterrupted run's checkpoints do not (open convergecast windows
+// included), and loses none.
 func TestCrashEveryBarrier(t *testing.T) {
 	far, _ := graph.PlanarPlusRandomEdges(40, 30, rand.New(rand.NewSource(4)))
 	both := []partition.Variant{partition.Deterministic, partition.Randomized}
@@ -200,6 +205,13 @@ func TestCrashEveryBarrier(t *testing.T) {
 			for b, snap := range snaps {
 				res := opts
 				res.Workers = 1 + b%2
+				var again [][]byte
+				if b%7 == 0 {
+					res.Checkpoint = congest.CheckpointConfig{
+						EveryBarriers: 1,
+						Sink:          func(_ int, data []byte) error { again = append(again, data); return nil },
+					}
+				}
 				got, err := ResumeTester(fam.g, res, 1, snap)
 				if err != nil {
 					t.Fatalf("%s: resume at barrier %d: %v", name, b+1, err)
@@ -208,9 +220,63 @@ func TestCrashEveryBarrier(t *testing.T) {
 					t.Fatalf("%s: resumed at barrier %d of %d:\nbase:    %+v\nresumed: %+v",
 						name, b+1, len(snaps), base, got)
 				}
+				if b%7 != 0 {
+					continue
+				}
+				if len(again) != len(snaps)-b-1 {
+					t.Fatalf("%s: resumed at barrier %d checkpoints %d barriers, want %d", name, b+1, len(again), len(snaps)-b-1)
+				}
+				for k, data := range again {
+					if !bytes.Equal(data, snaps[b+1+k]) {
+						t.Fatalf("%s: resumed at barrier %d checkpoints barrier %d differently", name, b+1, b+2+k)
+					}
+				}
 			}
 			t.Logf("%s: %d barriers, rejected=%v", name, len(snaps), base.Rejected)
 		}
+	}
+}
+
+// TestStageIIRegisterDropped decodes every checkpoint of a small tester
+// run and checks that no Stage II node keeps a result register past its
+// use: each one is consumed when the next op begins, and an edge list
+// kept longer aliases the gather buffer that the sample gather refills.
+func TestStageIIRegisterDropped(t *testing.T) {
+	g := graph.Grid(6, 6)
+	opts := Options{Epsilon: 0.25, Partition: partition.Options{Epsilon: 0.25, Schedule: partition.PracticalSchedule}}
+	var snaps [][]byte
+	run := opts
+	run.Checkpoint = congest.CheckpointConfig{
+		EveryBarriers: 1,
+		Sink:          func(_ int, data []byte) error { snaps = append(snaps, data); return nil },
+	}
+	if _, err := RunTester(g, run, 1); err != nil {
+		t.Fatal(err)
+	}
+	o := opts.withDefaults()
+	stop := make(chan struct{})
+	close(stop) // decode the checkpoint, run no barrier
+	stage2 := 0
+	for b, snap := range snaps {
+		restore := restoreTester(partition.NewStageIPlan(o.Partition, g.N()), o)
+		cfg := testerConfig(g, 1, o)
+		cfg.Cancel = stop
+		_, err := congest.ResumeStep(cfg, snap, func(node int, kind uint16, c *congest.Snap) (congest.StepProgram, error) {
+			p, err := restore(node, kind, c)
+			if s, ok := p.(*stage2Node); ok {
+				stage2++
+				if s.reg != nil {
+					t.Errorf("barrier %d: node %d at op %d keeps register %T", b+1, node, s.pc, s.reg)
+				}
+			}
+			return p, err
+		})
+		if err != nil && !errors.Is(err, congest.ErrCanceled) {
+			t.Fatalf("barrier %d: %v", b+1, err)
+		}
+	}
+	if stage2 == 0 {
+		t.Fatal("no checkpoint holds a Stage II node")
 	}
 }
 

@@ -139,17 +139,11 @@ func (c *PartCtxStep) WalkState(s *congest.Snap) {
 }
 
 // reattach reinstalls the function-typed tree-machine state after a
-// restore (the depth probe's per-hop transform and the depth
-// convergecast's combiner; every other op runs without functions).
+// restore: the depth probe's per-hop transform (the depth convergecast
+// runs by reference, and every other op runs without functions).
 func (c *PartCtxStep) reattach() {
-	if !c.inOp {
-		return
-	}
-	switch c.pc {
-	case pcDepthDown:
+	if c.inOp && c.pc == pcDepthDown {
 		c.bd.SetTransform(depthTransform)
-	case pcDepthUp:
-		c.cv.SetCombine(combineMaxVal)
 	}
 }
 
@@ -207,15 +201,6 @@ func (s *stage2Node) WalkState(c *congest.Snap) {
 	congest.SnapUint(c, &s.verdict, congest.VerdictReject)
 }
 
-// reattach reinstalls the function-typed state a checkpoint cannot carry:
-// the counts combiner (the only op that parks with a function installed
-// — every Stage II broadcast and stream carries fixed content).
-func (s *stage2Node) reattach() {
-	if s.inOp && s.pc == o2CountUp {
-		s.cv.SetCombine(combineCounts)
-	}
-}
-
 // restoreTester returns the restore callback of a planarity-tester run:
 // each record is allocated by its kind, walked, and given the callbacks
 // and obs phase IDs the original run installed.
@@ -234,7 +219,7 @@ func restoreTester(plan *partition.StageIPlan, o Options) congest.RestoreFunc {
 			pc.done = stageIIHandoff(pc.part, so)
 			p = pc
 		case SnapKindStageII:
-			p = &stage2Node{restored: true, opts: StageIIOptions{
+			p = &stage2Node{opts: StageIIOptions{
 				partCtxPhase: o.StageII.partCtxPhase, opsPhase: o.StageII.opsPhase}}
 			p.WalkState(c)
 		default:

@@ -80,15 +80,14 @@ type stage2Node struct {
 	part *partition.Outcome
 	opts StageIIOptions
 
-	pc       s2op
-	inOp     bool
-	restored bool // decoded from a checkpoint; machines need reattaching
+	pc   s2op
+	inOp bool
 
 	bd  congest.BroadcastDownStep
 	cv  congest.ConvergecastStep
 	pu  congest.PipelineUpStep
 	bid congest.BroadcastItemsDownStep
-	reg congest.Message // result register between dependent ops
+	reg congest.Message // result register between dependent ops, nil once consumed
 
 	// Stage II state. edgePos and nbrLabels are port-indexed slices.
 	budget    int
@@ -142,16 +141,12 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 	if s.opts.opsPhase != 0 && s.pc == o2CountUp && !s.inOp {
 		api.PhaseEnter(s.opts.opsPhase)
 	}
-	if s.restored {
-		s.restored = false
-		s.reattach()
-	}
 	for {
 		switch s.pc {
 		case o2CountUp:
 			if !s.inOp {
 				own := countsMsg{N: 1, M: int64(len(s.assigned))}
-				if !s.cv.Begin(api, s.tree, api.Round()+s.budget+2, own, combineCounts) {
+				if !s.cv.Begin(api, s.tree, api.Round()+s.budget+2, own, cmbCounts) {
 					s.inOp = true
 					return s.cv.Wake()
 				}
@@ -170,6 +165,7 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 		case o2CountDown:
 			if !s.inOp {
 				c := s.reg.(countsMsg)
+				s.reg = nil
 				if s.tree.IsRoot() {
 					c.Reject = c.N >= 3 && c.M > 3*c.N-6
 				}
@@ -235,7 +231,10 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 				var out []congest.Message
 				strictFail := false
 				if s.tree.IsRoot() {
+					// The gathered list aliases the gather machine's buffer,
+					// which the sample gather reuses: drop it once consumed.
 					collected := s.reg.(edgeListMsg).items
+					s.reg = nil
 					out, strictFail = embedRotationItems(collected, api.ID(), s.partN, s.opts)
 					api.ChargeModeledRounds(modeledEmbedRounds(api.N(), s.maxDepth))
 				}
@@ -331,6 +330,7 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 				var up []congest.Message
 				if s.tree.IsRoot() {
 					up = s.reg.(edgeListMsg).items
+					s.reg = nil
 					if len(up) > s.capChunks {
 						// Oversampling tail event: truncate, and clear the
 						// dropped entries so the backing array does not

@@ -4,7 +4,7 @@ package partition
 // declarations of the Stage I vocabulary, the Snapshottable walk of
 // stageINode, and the restore entry point on StageIPlan. The encoding
 // policy is "every mutable field except derivable scratch": per-op
-// scratch buffers (ownEntries, aggEntries, fdLists, crossScratch, ...)
+// scratch buffers (ownEntries, ownWatch, crossScratch)
 // are rebuilt from scratch by the next operation that uses them, and the
 // boxed activity cache (actMsgRoot/actMsgT/actMsgF) is invalidated by
 // construction — rootIDs are always >= 1, so the zero-valued cache key
@@ -55,9 +55,10 @@ func init() {
 		c.Bool(&m.Active)
 	})
 	congest.RegisterMessage(msgKindDecompAgg, func(c *congest.Snap, m *decompAgg) {
+		// The lists are built in reused buffers: their nil-ness is history.
 		c.Bool(&m.TooMany)
-		congest.SnapSlice(c, &m.Entries, walkRootWeight)
-		congest.SnapSlice(c, &m.Watch, func(c *congest.Snap, f *rootFlag) {
+		congest.SnapList(c, &m.Entries, walkRootWeight)
+		congest.SnapList(c, &m.Watch, func(c *congest.Snap, f *rootFlag) {
 			c.Varint(&f.Root)
 			c.Bool(&f.Active)
 		})
@@ -132,8 +133,17 @@ func (s *stageINode) WalkState(c *congest.Snap) {
 	c.Int(&s.D)
 	c.Int(&s.phasesRun)
 	c.Bool(&s.earlyExit)
-	s.bd.WalkState(c)
-	s.cv.WalkState(c)
+	// Only the tree machine of the op in flight is walked: an idle one
+	// holds nothing the next op reads, and its tree may alias the node's,
+	// which later ops rewrite.
+	if s.inOp && s.pc >= 0 && s.pc < len(s.plan.ops) {
+		switch s.plan.ops[s.pc].kind {
+		case sBcast:
+			s.bd.WalkState(c)
+		case sCvg:
+			s.cv.WalkState(c)
+		}
+	}
 	c.Varint(&s.rootID)
 	c.Tree(&s.tree)
 	c.Bool(&s.rejected)
@@ -175,6 +185,7 @@ func (s *stageINode) WalkState(c *congest.Snap) {
 	c.Msg(&s.opMsg)
 	c.Msg(&s.crossGot)
 	walkPair(c, &s.crossPair)
+	c.Bool(&s.cascGot)
 	walkSel(c, &s.gotSel)
 	c.Msg(&s.cvRes)
 	c.Varint(&s.dropDec)
@@ -195,7 +206,7 @@ func (s *stageINode) WalkState(c *congest.Snap) {
 // record written by WalkState. The plan must be compiled from the same
 // Options and n as the checkpointed run; onDone plays the role it has in
 // NewNode. The returned program reinstalls its function-typed state
-// (convergecast combiners) on its first Step.
+// (the randomized variant's combiner) on its first Step.
 func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
 	s := pl.allocNode()
 	s.plan = pl
@@ -251,48 +262,19 @@ func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepA
 }
 
 // reattach reinstalls the function-typed fields that a checkpoint cannot
-// carry: the two closure combiners from initNode and, when a convergecast
-// op is in flight, the op's combiner on the tree machine. Broadcast ops
-// never carry a transform in Stage I (Begin is always called with nil),
-// so bd needs no repair.
+// carry: the randomized variant's closure combiner from initNode and,
+// when its literal convergecast is in flight, the op's combiner on the
+// tree machine. Every other convergecast runs by reference with a
+// registered combiner that the engine's record names, and Stage I
+// broadcasts never carry a transform (Begin is always called with nil),
+// so neither machine needs more repair.
 func (s *stageINode) reattach(api *congest.StepAPI) {
-	s.fdCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return s.mergeFD(own.(decompAgg), children)
-	}
 	s.trialCombine = func(own congest.Message, children []congest.Message) congest.Message {
 		return combineTrial(api.Rand(), own, children)
 	}
 	if s.inOp {
-		if op := &s.plan.ops[s.pc]; op.kind == sCvg {
-			s.cv.SetCombine(s.cvgCombine(op))
+		if op := &s.plan.ops[s.pc]; op.kind == sCvg && op.tag == tTrialPick {
+			s.cv.SetCombine(s.trialCombine)
 		}
 	}
-}
-
-// cvgCombine returns the combiner prepCvg would pick for op — the
-// reinstall table for restored in-flight convergecasts. Kept next to
-// reattach so a new sCvg tag that forgets to extend it fails loudly.
-func (s *stageINode) cvgCombine(op *sOp) func(congest.Message, []congest.Message) congest.Message {
-	if op.ff {
-		return combineFirst
-	}
-	switch op.tag {
-	case tHasCross, tMutual, tByParent, tAnyKid:
-		return combineOr
-	case tFDAgg:
-		return s.fdCombine
-	case tTrialPick:
-		return s.trialCombine
-	case tTrialWeight, tKids:
-		return combineSum
-	case tCand:
-		return combineMin
-	case tColorSums:
-		return combineColorSums
-	case tLvlUp, tDecUp:
-		return combineFirst
-	case tParUp:
-		return combinePairSum
-	}
-	panic("partition: unknown cvg tag")
 }

@@ -354,7 +354,6 @@ type stageINode struct {
 	actPort    []bool       // per port: latest activity flag
 	actSeen    []bool       // per port: activity flag received
 	stStatus   statusMsg    // this super-round's status broadcast
-	fdCombine  func(own congest.Message, children []congest.Message) congest.Message
 
 	// Randomized-variant selection state (root-only best tracking plus a
 	// reusable cross-port scratch buffer and the RNG-bearing combiner).
@@ -363,14 +362,9 @@ type stageINode struct {
 	crossScratch []int
 	trialCombine func(own congest.Message, children []congest.Message) congest.Message
 
-	// Scratch buffers for decompAgg payloads (see mergeFD).
+	// Scratch buffers for this node's decompAgg contribution.
 	ownEntries []rootWeight
 	ownWatch   []rootFlag
-	aggEntries []rootWeight
-	aggWatch   []rootFlag
-	fdLists    [][]rootWeight
-	fdWatches  [][]rootFlag
-	fdIdx      []int
 
 	// Cached boxed activity payloads (rebuilt when rootID changes).
 	actMsgRoot int64
@@ -381,6 +375,7 @@ type stageINode struct {
 	opMsg     congest.Message // last broadcast result (fFetch got, level/parity msg)
 	crossGot  congest.Message // cross-round pickup (fFetch fromParent, cascades)
 	crossPair pairMsg         // parity cascade sum of marked-child contributions
+	cascGot   bool            // u^j got its part's level (parity) in this cascade
 	gotSel    selMsg          // designate: broadcast selection
 	cvRes     congest.Message // last convergecast result (subtree aggregate)
 	dropDec   int64           // designate: mutual-selection drop decision
@@ -480,8 +475,7 @@ func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 
 		case sCvg:
 			if !s.inOp {
-				own, combine := s.prepCvg(api, op)
-				if !s.cv.Begin(api, s.tree, api.Round()+s.D, own, combine) {
+				if !s.beginCvg(api, op, api.Round()) {
 					s.inOp = true
 					return s.cv.Wake()
 				}
@@ -499,6 +493,18 @@ func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 		case sCross:
 			if !s.inOp {
 				s.prepCross(api, op)
+				if s.receivesNothing(op) {
+					// The round's absorb has nothing to wait for: run it
+					// now and begin the next op, a convergecast, at the
+					// next round without waking there.
+					s.absorbCross(api, op, nil)
+					s.pc++
+					if !s.beginCvg(api, &s.plan.ops[s.pc], api.Round()+1) {
+						s.inOp = true
+						return s.cv.Wake()
+					}
+					panic("partition: convergecast after a cross round completed at its start")
+				}
 				s.inOp = true
 				return congest.Running()
 			}
@@ -532,17 +538,12 @@ func (s *stageINode) initNode(api *congest.StepAPI) {
 	s.rootID = api.ID()
 	s.tree = congest.Tree{ParentPort: -1}
 	s.uPort = -1
-	s.nbrRoot = make([]int64, deg)
-	s.cross = make([]bool, deg)
-	s.fChild = make([]bool, deg)
-	s.fChildColor = make([]int64, deg)
-	s.fChildWt = make([]int64, deg)
-	s.fChildMark = make([]bool, deg)
-	s.actPort = make([]bool, deg)
-	s.actSeen = make([]bool, deg)
-	s.fdCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return s.mergeFD(own.(decompAgg), children)
-	}
+	// The per-port slices share two backing arrays, so a wake that scans
+	// several of them reads adjacent memory.
+	words, flags := make([]int64, 3*deg), make([]bool, 5*deg)
+	s.nbrRoot, s.fChildColor, s.fChildWt = words[:deg:deg], words[deg:2*deg:2*deg], words[2*deg:]
+	s.cross, s.fChild, s.fChildMark = flags[:deg:deg], flags[deg:2*deg:2*deg], flags[2*deg:3*deg:3*deg]
+	s.actPort, s.actSeen = flags[3*deg:4*deg:4*deg], flags[4*deg:]
 	s.trialCombine = func(own congest.Message, children []congest.Message) congest.Message {
 		return combineTrial(api.Rand(), own, children)
 	}
@@ -568,6 +569,7 @@ func (s *stageINode) beginPhase(api *congest.StepAPI) {
 	}
 	s.isU = false
 	s.uPort = -1
+	s.cascGot = false
 	s.partHasOut = false
 	s.partTarget = 0
 	s.partWeight = 0
@@ -789,6 +791,9 @@ func (s *stageINode) absorbBcast(api *congest.StepAPI, op *sOp, got congest.Mess
 	case tOutMkd:
 		s.partOutMkd = got.(valMsg).V == 1
 	case tLvlAnn, tParAnn, tDecAnn:
+		if op.arg == 0 && op.tag != tParAnn {
+			s.cascGot = false // a level or parity cascade starts
+		}
 		s.opMsg = got
 	case tContract:
 		if v, ok := got.(valMsg); ok {
@@ -799,11 +804,24 @@ func (s *stageINode) absorbBcast(api *congest.StepAPI, op *sOp, got congest.Mess
 	}
 }
 
+// beginCvg begins the convergecast op at round start, the current round
+// or, after a cross round the node skips, the next one. The randomized
+// variant's reservoir pick draws from the node's randomness, so it runs
+// literally (at the current round).
+func (s *stageINode) beginCvg(api *congest.StepAPI, op *sOp, start int) bool {
+	own, comb := s.prepCvg(api, op)
+	if op.tag == tTrialPick {
+		return s.cv.BeginLiteral(api, s.tree, start+s.D, own, s.trialCombine)
+	}
+	return s.cv.BeginFrom(api, s.tree, start, start+s.D, own, comb)
+}
+
 // prepCvg returns this node's contribution and the combiner for a
-// convergecast op.
-func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, func(congest.Message, []congest.Message) congest.Message) {
+// convergecast op (for tTrialPick, whose combiner is s.trialCombine, the
+// zero Combiner).
+func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, congest.Combiner) {
 	if op.ff {
-		return s.crossGot, combineFirst
+		return s.crossGot, cmbFirst
 	}
 	switch op.tag {
 	case tHasCross:
@@ -813,7 +831,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				has = 1
 			}
 		}
-		return vmsg(has), combineOr
+		return vmsg(has), cmbOr
 	case tFDAgg:
 		own := decompAgg{}
 		s.ownEntries = s.ownEntries[:0]
@@ -846,10 +864,11 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 			}
 		}
 		own.Watch = s.ownWatch
+		fd := cmbFD.With(int64(3*s.plan.opts.Alpha + 1))
 		if len(own.Entries) == 0 && len(own.Watch) == 0 {
-			return emptyDecomp, s.fdCombine // interior nodes: no boxing
+			return emptyDecomp, fd // interior nodes: no boxing
 		}
-		return own, s.fdCombine
+		return own, fd
 	case tTrialPick:
 		// Each node draws a uniform incident cut edge; the convergecast
 		// performs the weighted reservoir pick (combineTrial), so the part
@@ -866,9 +885,9 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				NodeID: api.ID(),
 				Target: s.nbrRoot[p],
 				Degree: int64(len(s.crossScratch)),
-			}, s.trialCombine
+			}, congest.Combiner{}
 		}
-		return noneMsg{}, s.trialCombine
+		return noneMsg{}, congest.Combiner{}
 	case tTrialWeight:
 		// Step (3): count this node's edges into the announced target.
 		cnt := int64(0)
@@ -879,16 +898,16 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				}
 			}
 		}
-		return vmsg(cnt), combineSum
+		return vmsg(cnt), cmbSum
 	case tCand:
 		if s.gotSel.HasOut {
 			for p, c := range s.cross {
 				if c && s.nbrRoot[p] == s.gotSel.Target {
-					return vmsg(api.ID()), combineMin
+					return vmsg(api.ID()), cmbMin
 				}
 			}
 		}
-		return noneMsg{}, combineMin
+		return noneMsg{}, cmbMin
 	case tMutual:
 		var mutual int64
 		for p, f := range s.fChild {
@@ -896,7 +915,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				mutual = 1
 			}
 		}
-		return vmsg(mutual), combineOr
+		return vmsg(mutual), cmbOr
 	case tKids:
 		var kids int64
 		for _, f := range s.fChild {
@@ -904,7 +923,7 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 				kids++
 			}
 		}
-		return vmsg(kids), combineSum
+		return vmsg(kids), cmbSum
 	case tColorSums:
 		own := colorSums{}
 		for p, f := range s.fChild {
@@ -917,22 +936,22 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, fu
 			}
 		}
 		if own == (colorSums{}) {
-			return zeroColorSums, combineColorSums
+			return zeroColorSums, cmbColorSums
 		}
-		return own, combineColorSums
+		return own, cmbColorSums
 	case tByParent:
-		return vmsg(s.mbParent), combineOr
+		return vmsg(s.mbParent), cmbOr
 	case tAnyKid:
 		var has int64
 		s.eachMarkedChild(func(int) { has = 1 })
-		return vmsg(has), combineOr
+		return vmsg(has), cmbOr
 	case tLvlUp, tDecUp:
-		return s.crossGot, combineFirst
+		return s.crossGot, cmbFirst
 	case tParUp:
 		if s.crossPair == (pairMsg{}) {
-			return zeroPair, combinePairSum
+			return zeroPair, cmbPairSum
 		}
-		return s.crossPair, combinePairSum
+		return s.crossPair, cmbPairSum
 	}
 	panic("partition: unknown cvg tag")
 }
@@ -1295,86 +1314,6 @@ func (s *stageINode) cascWindow(api *congest.StepAPI, op *sOp) bool {
 	return true
 }
 
-// mergeFD is the allocation-lean equivalent of mergeDecomp for sorted
-// inputs: every decompAgg entry/watch list is root-sorted by construction,
-// so a k-way merge produces the identical capped, sorted aggregate.
-func (s *stageINode) mergeFD(own decompAgg, children []congest.Message) congest.Message {
-	limit := 3*s.plan.opts.Alpha + 1
-	s.fdLists = append(s.fdLists[:0], own.Entries)
-	s.fdWatches = append(s.fdWatches[:0], own.Watch)
-	tooMany := own.TooMany
-	for _, c := range children {
-		a, ok := c.(decompAgg)
-		if !ok {
-			continue // noneMsg from non-contributing children
-		}
-		tooMany = tooMany || a.TooMany
-		s.fdLists = append(s.fdLists, a.Entries)
-		s.fdWatches = append(s.fdWatches, a.Watch)
-	}
-	out := decompAgg{TooMany: tooMany}
-	s.aggEntries = s.aggEntries[:0]
-	s.fdIdx = s.fdIdx[:0]
-	for range s.fdLists {
-		s.fdIdx = append(s.fdIdx, 0)
-	}
-	idx := s.fdIdx
-	for {
-		lo := int64(0)
-		found := false
-		for i, l := range s.fdLists {
-			if idx[i] < len(l) && (!found || l[idx[i]].Root < lo) {
-				lo, found = l[idx[i]].Root, true
-			}
-		}
-		if !found {
-			break
-		}
-		var w int64
-		for i, l := range s.fdLists {
-			if idx[i] < len(l) && l[idx[i]].Root == lo {
-				w += l[idx[i]].Weight
-				idx[i]++
-			}
-		}
-		s.aggEntries = append(s.aggEntries, rootWeight{Root: lo, Weight: w})
-	}
-	if len(s.aggEntries) > limit {
-		out.TooMany = true
-		s.aggEntries = s.aggEntries[:limit]
-	}
-	out.Entries = s.aggEntries
-	s.aggWatch = s.aggWatch[:0]
-	for i := range idx {
-		idx[i] = 0
-	}
-	for {
-		lo := int64(0)
-		found := false
-		for i, l := range s.fdWatches {
-			if idx[i] < len(l) && (!found || l[idx[i]].Root < lo) {
-				lo, found = l[idx[i]].Root, true
-			}
-		}
-		if !found {
-			break
-		}
-		var f bool
-		for i, l := range s.fdWatches {
-			if idx[i] < len(l) && l[idx[i]].Root == lo {
-				f = l[idx[i]].Active // duplicates agree (same broadcast flag)
-				idx[i]++
-			}
-		}
-		s.aggWatch = append(s.aggWatch, rootFlag{Root: lo, Active: f})
-	}
-	out.Watch = s.aggWatch
-	if !out.TooMany && len(out.Entries) == 0 && len(out.Watch) == 0 {
-		return emptyDecomp
-	}
-	return out
-}
-
 // prepCross performs this node's sends for a single cross-boundary round,
 // in ascending port order.
 func (s *stageINode) prepCross(api *congest.StepAPI, op *sOp) {
@@ -1448,6 +1387,51 @@ func (s *stageINode) prepCross(api *congest.StepAPI, op *sOp) {
 	}
 }
 
+// receivesNothing reports whether the node provably receives no message
+// in the cross round op, so that it may run the round's absorb on an
+// empty inbox at once and skip its wake at the next round (DESIGN.md
+// §10). Who sends on an edge is fixed by isU, fChild, fChildMark and
+// cross, which are symmetric across the edge: an F-parent's node sends
+// (fetched values, marks) only to the u^j of an F-child part, and levels
+// and parities only to one whose out-edge is marked (partOutMkd, the
+// mirror of fChildMark), once per cascade (cascGot); u^j sends (reports,
+// withdrawals, marks, parity weights) only to a node holding it as an
+// F-child (or, for parity weights, as a marked one), and withdraws only
+// on a mutual selection its part loses; the activity exchange runs on
+// cross edges. Every
+// such round is followed by a convergecast; the F-selection and attach
+// rounds, whose receivers are not known in advance, never skip.
+func (s *stageINode) receivesNothing(op *sOp) bool {
+	if s.pc+1 == len(s.plan.ops) || s.plan.ops[s.pc+1].kind != sCvg {
+		return false
+	}
+	if op.ff {
+		return !s.isU
+	}
+	switch op.tag {
+	case tFDActivity:
+		return !slices.Contains(s.cross, true)
+	case tReportX:
+		return !slices.Contains(s.fChild, true)
+	case tMarkX:
+		return !s.isU && !slices.Contains(s.fChild, true)
+	case tLvlX, tDecX:
+		return !s.isU || !s.partOutMkd || s.cascGot
+	case tWithdraw:
+		// u^j withdraws only when its part loses a mutual selection: this
+		// part selected the child's part, whose root id is the larger.
+		for p, f := range s.fChild {
+			if f && s.gotSel.HasOut && s.nbrRoot[p] == s.gotSel.Target && s.nbrRoot[p] > s.rootID {
+				return false
+			}
+		}
+		return true
+	case tParX:
+		return !slices.Contains(s.fChildMark, true)
+	}
+	return false
+}
+
 // absorbCross consumes the messages of a cross-boundary round.
 func (s *stageINode) absorbCross(api *congest.StepAPI, op *sOp, inbox []congest.Inbound) {
 	if op.ff {
@@ -1509,6 +1493,7 @@ func (s *stageINode) absorbCross(api *congest.StepAPI, op *sOp, inbox []congest.
 		for _, m := range inbox {
 			if s.isU && m.Port == s.uPort && s.partOutMkd {
 				s.crossGot = m.Msg
+				s.cascGot = true
 			}
 		}
 	case tParX:
@@ -1588,22 +1573,6 @@ var (
 	zeroColorSums congest.Message = colorSums{}
 	emptyDecomp   congest.Message = decompAgg{}
 )
-
-// combineColorSums merges colorSums contributions: the total incoming
-// aux-edge weight per child color.
-func combineColorSums(own congest.Message, children []congest.Message) congest.Message {
-	sum := own.(colorSums)
-	for _, c := range children {
-		cc := c.(colorSums)
-		for i := 1; i <= 3; i++ {
-			sum.W[i] += cc.W[i]
-		}
-	}
-	if sum == (colorSums{}) {
-		return zeroColorSums
-	}
-	return sum
-}
 
 // CollectStageI runs Stage I on g and returns the per-node outcomes, the
 // assigned ids, and the run result.

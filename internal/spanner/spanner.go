@@ -57,8 +57,13 @@ func depthHop(m congest.Message) congest.Message {
 	return depthMsg{D: m.(depthMsg).D + 1}
 }
 
+// cmbMaxDepth is the depth convergecast's combiner, registered so the
+// convergecast runs by reference. Combiner kinds 96..127 are reserved
+// for package spanner.
+var cmbMaxDepth = congest.RegisterCombiner(96, combineMaxDepth)
+
 // combineMaxDepth keeps the maximum depth contribution.
-func combineMaxDepth(own congest.Message, ch []congest.Message) congest.Message {
+func combineMaxDepth(_ int64, own congest.Message, ch []congest.Message) congest.Message {
 	best := own.(depthMsg).D
 	for _, c := range ch {
 		if v := c.(depthMsg).D; v > best {

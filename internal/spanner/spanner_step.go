@@ -67,7 +67,7 @@ func (s *spannerNode) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 
 		case spDepthUp:
 			if !s.inOp {
-				if !s.cv.Begin(api, s.part.Tree, api.Round()+probe, s.reg, combineMaxDepth) {
+				if !s.cv.Begin(api, s.part.Tree, api.Round()+probe, s.reg, cmbMaxDepth) {
 					s.inOp = true
 					return s.cv.Wake()
 				}
