@@ -84,7 +84,8 @@ func cutRecords(t testing.TB, snap []byte) (progs map[uint16][][]byte, msgs [][]
 }
 
 // snapRecordSeeds returns FuzzSnapRecord's seeds: program records and
-// mailbox messages of real checkpoints, each behind its selector byte.
+// mailbox messages of real checkpoints, each behind its selector byte,
+// then one empty record per selector, which every decoder must reject.
 func snapRecordSeeds(t testing.TB) [][]byte {
 	far, _ := graph.PlanarPlusRandomEdges(40, 30, rand.New(rand.NewSource(4)))
 	var seeds [][]byte
@@ -132,6 +133,9 @@ func snapRecordSeeds(t testing.TB) [][]byte {
 				add(fuzzMsg, m)
 			}
 		}
+	}
+	for sel := byte(fuzzMsg); sel <= fuzzRandStageI; sel++ {
+		seeds = append(seeds, []byte{sel})
 	}
 	return seeds
 }
