@@ -33,7 +33,7 @@ func BenchmarkEngineBroadcast(b *testing.B) {
 						if tr.IsRoot() {
 							root = intMsg{v: 42}
 						}
-						if !bd.Begin(api, tr, api.Round()+n+2, root, nil) {
+						if !bd.Begin(api, tr, api.Round()+n+2, root) {
 							return bd.Wake()
 						}
 					} else if !bd.Feed(api, inbox) {

@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -10,17 +11,27 @@ import (
 )
 
 // Convergecasts by reference (DESIGN.md §10). A part-tree convergecast
-// whose combiner is deterministic has a literal schedule that is a pure
-// function of the tree: a node whose subtree has height h sends its
-// subtree aggregate to its parent at round start+h, and the aggregate is
-// the combiner applied to the node's own contribution and its children's
-// aggregates in ChildPorts order. A by-reference window replaces the
-// relay: every node publishes its contribution into an engine-owned
-// record when the op begins and sleeps to the deadline; at the deadline
-// wake each node resolves its aggregate from the records, folding any
-// child subtree not resolved yet, and charges the one up-message it
-// would have sent, with its exact bits, at its literal send round. A
-// leaf's aggregate is known when it opens, so its record opens resolved.
+// has a literal schedule that is a pure function of the tree: a node
+// whose subtree has height h sends its subtree aggregate to its parent at
+// round start+h, and the aggregate is the combiner applied to the node's
+// own contribution and its children's aggregates in ChildPorts order. A
+// by-reference window replaces the relay: every node publishes its
+// contribution into an engine-owned record when the op begins and sleeps
+// to the deadline; at the deadline wake each node resolves its aggregate
+// from the records, folding any child subtree not resolved yet, and
+// charges the one up-message it would have sent, with its exact bits, at
+// its literal send round. A leaf's aggregate under a deterministic
+// combiner is known when it opens, so its record opens resolved.
+//
+// A combiner may draw from the randomness of the node whose aggregate it
+// folds (RegisterRandomCombiner). The fold runs under that node's
+// record's claim, and while its window is open the node sleeps, so the
+// resolver is the only one that touches its stream; since every node's
+// record is folded once, and only when the relay would have combined at
+// that node, each node makes the draws the relay makes, in the same
+// order. A leaf's record then opens unresolved: a checkpoint carries
+// the node's draw count but not the resolution, so a fold at the open
+// would be drawn again after a restore.
 //
 // State is per run and lives in the engine: two records per node, so a
 // node can open its next window in the barrier in which a parent still
@@ -36,32 +47,54 @@ import (
 // chain leading back to itself has met a cycle, whose nodes the literal
 // relay never completes.
 
-// Combiner is a registered deterministic convergecast combiner: a
-// function of its argument, the node's own contribution and its
-// children's aggregates (in ChildPorts order), and of nothing else. It
-// may run on any worker and at any node's wake of the window, so it must
-// not retain or modify its inputs, and its result must not alias memory
-// that anything rewrites later. The zero value is not a combiner.
+// Combiner is a registered convergecast combiner: a function of its
+// argument, the node's own contribution and its children's aggregates
+// (in ChildPorts order), and, for a random one, of the folded node's
+// randomness, and of nothing else. It may run on any worker and at any
+// node's wake of the window, so it must not retain or modify its inputs,
+// and its result must not alias memory that anything rewrites later.
+// The zero value is not a combiner.
 type Combiner struct {
 	kind uint16
 	arg  int64
 	f    func(arg int64, own Message, children []Message) Message
+	rf   func(rng *rand.Rand, arg int64, own Message, children []Message) Message
 }
 
-var combByKind = map[uint16]func(int64, Message, []Message) Message{}
+var combByKind = map[uint16]Combiner{}
 
 // RegisterCombiner declares f as the combiner of a non-zero kind, the
 // name a checkpoint records for it, and returns it with argument 0.
 // Call it from a package-level variable or init; duplicate kinds panic.
 func RegisterCombiner(kind uint16, f func(arg int64, own Message, children []Message) Message) Combiner {
-	if kind == 0 {
+	return registerCombiner(Combiner{kind: kind, f: f})
+}
+
+// RegisterRandomCombiner is RegisterCombiner for a combiner that draws
+// from rng, the randomness (StepAPI.Rand) of the node whose aggregate it
+// folds. A node must not draw from its own randomness while its window
+// is open, before Feed closes it.
+func RegisterRandomCombiner(kind uint16, f func(rng *rand.Rand, arg int64, own Message, children []Message) Message) Combiner {
+	return registerCombiner(Combiner{kind: kind, rf: f})
+}
+
+func registerCombiner(c Combiner) Combiner {
+	if c.kind == 0 {
 		panic("congest: combiner kind 0 is reserved")
 	}
-	if _, dup := combByKind[kind]; dup {
-		panic(fmt.Sprintf("congest: duplicate combiner kind %d", kind))
+	if _, dup := combByKind[c.kind]; dup {
+		panic(fmt.Sprintf("congest: duplicate combiner kind %d", c.kind))
 	}
-	combByKind[kind] = f
-	return Combiner{kind: kind, f: f}
+	combByKind[c.kind] = c
+	return c
+}
+
+// fold applies node v's combiner.
+func (e *engine) fold(v int32, c Combiner, own Message, children []Message) Message {
+	if c.rf != nil {
+		return c.rf(e.rand(v), c.arg, own, children)
+	}
+	return c.f(c.arg, own, children)
 }
 
 // With returns the combiner called with argument arg.
@@ -146,7 +179,7 @@ func (a *StepAPI) openCvg(t Tree, start, deadline int, own Message, comb Combine
 	nd := &cs.node[a.node]
 	r := &cs.rec[a.node][cs.slot[a.node]^1]
 	r.tag, r.st, r.agg = int64(start)+1, cvOpen, nil
-	if len(t.ChildPorts) == 0 {
+	if len(t.ChildPorts) == 0 && comb.rf == nil {
 		r.st, r.agg = -2, comb.f(comb.arg, own, nil)
 	}
 	nd.open, nd.root, nd.dl = true, t.IsRoot(), int64(deadline)
@@ -289,7 +322,7 @@ func (e *engine) cvFold(v int32, r *cvRec, s int64, me int32) int64 {
 		}
 		nd.ch = append(nd.ch, rc.agg)
 	}
-	r.agg = nd.comb.f(nd.comb.arg, nd.own, nd.ch)
+	r.agg = e.fold(v, nd.comb, nd.own, nd.ch)
 	clear(nd.ch)
 	return h
 }
@@ -421,7 +454,8 @@ func (e *engine) walkCvgSection(c *Snap) {
 		if !c.dec || c.err != nil {
 			continue
 		}
-		f, known := combByKind[kind]
+		comb, known := combByKind[kind]
+		comb.arg = arg
 		switch {
 		case !known:
 			c.fail("window record %d has unknown combiner kind %d", j, kind)
@@ -432,8 +466,7 @@ func (e *engine) walkCvgSection(c *Snap) {
 		case nd.open:
 			c.fail("window record %d repeats node %d", j, i)
 		default:
-			*nd = cvNode{open: true, root: root, dl: dl, ports: ports, own: own,
-				comb: Combiner{kind: kind, arg: arg, f: f}}
+			*nd = cvNode{open: true, root: root, dl: dl, ports: ports, own: own, comb: comb}
 			cs.rec[i][0].tag = start + 1
 		}
 	}

@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -17,6 +18,13 @@ import (
 // pure function of the tree: a node at depth d with c children sends
 // message k of the stream to its c children at round start+d+k, so its
 // traffic is known without running it.
+//
+// A depth probe is the same window with a payload that depends on the
+// depth: its relay forwards, at every node, the message for that node's
+// depth, built by a registered constructor (DepthMessage). The root
+// publishes the constructor's kind, every node resolves its own depth and
+// builds its message at the deadline, and it charges its children that
+// message, once each, at its literal send round start+d.
 //
 // State is per run and lives in the engine:
 //
@@ -49,12 +57,47 @@ type winRec struct {
 
 // pubSlot is a root's published window content and its literal size.
 type pubSlot struct {
-	tag    int64      // the window's start round + 1
-	msg    Message    // single-message broadcast payload (stream: nil)
-	items  []Message  // stream items
-	cum    []int64    // cum[k]: bits of stream messages 0..k-1 (a broadcast is one message)
-	max    int        // largest stream message
-	shared *sharedVal // per-stream value (Shared); nil for a broadcast
+	tag    int64        // the window's start round + 1
+	msg    Message      // single-message broadcast payload (stream: nil)
+	depth  DepthMessage // a depth probe's constructor (msg is its depth-0 message)
+	items  []Message    // stream items
+	cum    []int64      // cum[k]: bits of stream messages 0..k-1 (a broadcast is one message)
+	max    int          // largest stream message
+	shared *sharedVal   // per-stream value (Shared); nil for a broadcast
+}
+
+// at returns the broadcast payload that a node at depth d holds.
+func (p *pubSlot) at(d int32) Message {
+	if p.depth.f != nil {
+		return p.depth.f(int64(d))
+	}
+	return p.msg
+}
+
+// DepthMessage is a registered depth-probe message constructor: f(d) is
+// the message a node at depth d of the broadcast tree holds and relays
+// to its children (BroadcastDownStep.BeginDepth). Every message it
+// returns for a depth below n must fit the bit bound. The zero value is
+// not a constructor.
+type DepthMessage struct {
+	kind uint16
+	f    func(depth int64) Message
+}
+
+var depthByKind = map[uint16]func(int64) Message{}
+
+// RegisterDepthMessage declares f as the depth-probe constructor of a
+// non-zero kind, the name a checkpoint records for it. Call it from a
+// package-level variable or init; duplicate kinds panic.
+func RegisterDepthMessage(kind uint16, f func(depth int64) Message) DepthMessage {
+	if kind == 0 {
+		panic("congest: depth message kind 0 is reserved")
+	}
+	if _, dup := depthByKind[kind]; dup {
+		panic(fmt.Sprintf("congest: duplicate depth message kind %d", kind))
+	}
+	depthByKind[kind] = f
+	return DepthMessage{kind: kind, f: f}
 }
 
 // count is the number of stream messages: 1 for a broadcast, batches+1
@@ -178,10 +221,10 @@ func (el *elideState) depthOf(v int32, s int64) (int32, *pubSlot) {
 
 // chargeRelays charges node i's relays in a depth-d window whose literal
 // send rounds are at most limit: stream message k leaves at round
-// s+d+k, once per child. With a probe, the relays sent at rounds up to
-// attrib go to the phase current at their send round (pAdj), as the
-// relay's sends did; the rest fall to the phase of the barrier that
-// folds the charge.
+// s+d+k, once per child; a depth probe's one message is the one for
+// depth d. With a probe, the relays sent at rounds up to attrib go to
+// the phase current at their send round (pAdj), as the relay's sends
+// did; the rest fall to the phase of the barrier that folds the charge.
 func (e *engine) chargeRelays(i int32, r *winRec, p *pubSlot, s int64, d int32, limit, attrib int64) {
 	f := int64(r.fanout)
 	first := s + int64(d)
@@ -189,15 +232,19 @@ func (e *engine) chargeRelays(i int32, r *winRec, p *pubSlot, s int64, d int32, 
 	if n <= 0 {
 		return
 	}
-	maxBits := p.max
+	cum, maxBits := p.cum, p.max
+	if p.depth.f != nil {
+		b := p.at(d).Bits()
+		cum, maxBits = []int64{0, int64(b)}, b
+	}
 	if n < p.count() {
 		// Cut part-way: only the sent prefix counts.
 		maxBits = 0
 		for k := int64(0); k < n; k++ {
-			maxBits = max(maxBits, int(p.cum[k+1]-p.cum[k]))
+			maxBits = max(maxBits, int(cum[k+1]-cum[k]))
 		}
 	}
-	e.charged[i].add(f*n, f*p.cum[n], maxBits)
+	e.charged[i].add(f*n, f*cum[n], maxBits)
 	if e.probe == nil {
 		return
 	}
@@ -213,19 +260,19 @@ func (e *engine) chargeRelays(i int32, r *winRec, p *pubSlot, s int64, d int32, 
 			ph, from = marks[j-1].phase, max(first, marks[j-1].round)
 		}
 		k0, k1 := from-first, last-first+1
-		e.pAdj[i] = append(e.pAdj[i], phaseCharge{phase: ph, msgs: f * (k1 - k0), bits: f * (p.cum[k1] - p.cum[k0])})
+		e.pAdj[i] = append(e.pAdj[i], phaseCharge{phase: ph, msgs: f * (k1 - k0), bits: f * (cum[k1] - cum[k0])})
 		last = from - 1
 	}
 }
 
 // publish fills root r's slot k and returns the index of the first stream
 // message above the bit bound (-1: none).
-func (el *elideState) publish(r int32, k uint8, tag int64, msg Message, items []Message, stream bool, bound int) int {
+func (el *elideState) publish(r int32, k uint8, tag int64, msg Message, items []Message, stream bool, depth DepthMessage, bound int) int {
 	if el.pub[r] == nil {
 		el.pub[r] = new([2]pubSlot)
 	}
 	p := &el.pub[r][k]
-	p.tag, p.msg, p.items, p.shared, p.max = tag, msg, items, nil, 0
+	p.tag, p.msg, p.items, p.depth, p.shared, p.max = tag, msg, items, depth, nil, 0
 	p.cum = append(p.cum[:0], 0)
 	over := -1
 	add := func(b int) {
@@ -250,12 +297,13 @@ func (el *elideState) publish(r int32, k uint8, tag int64, msg Message, items []
 }
 
 // openWindow starts an elided window at this node at the current round
-// (the op start), with deadline; msg or items are the root's content. A
-// childless root opens nothing: no node reads from it and it relays
-// nothing. At the root it returns the index of the first stream message
-// above the bit bound (-1: none), which the caller must send literally
-// at its literal round.
-func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message, stream bool) int {
+// (the op start), with deadline; msg or items are the root's content,
+// and a depth probe's root also gives its constructor (msg is then the
+// constructor's depth-0 message). A childless root opens nothing: no
+// node reads from it and it relays nothing. At the root it returns the
+// index of the first stream message above the bit bound (-1: none),
+// which the caller must send literally at its literal round.
+func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message, stream bool, depth DepthMessage) int {
 	isRoot := t.IsRoot()
 	if isRoot && len(t.ChildPorts) == 0 {
 		return -1
@@ -273,7 +321,7 @@ func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message,
 	if isRoot {
 		r.parent = -1
 		r.memo = 1<<32 | int64(i)
-		over = el.publish(i, k, r.tag, msg, items, stream, e.bitBound)
+		over = el.publish(i, k, r.tag, msg, items, stream, depth, e.bitBound)
 	} else {
 		r.parent = e.g.Neighbors(int(i))[t.ParentPort]
 		r.memo = 0
@@ -287,10 +335,10 @@ func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message,
 }
 
 // closeWindow ends this node's open window at its deadline: it charges
-// the node's relays and returns the root's published content, or nil
-// when the literal relay would not have delivered the whole stream by
-// the deadline.
-func (a *StepAPI) closeWindow() *pubSlot {
+// the node's relays and returns the root's published content and the
+// node's depth, or nil when the literal relay would not have delivered
+// the whole stream by the deadline.
+func (a *StepAPI) closeWindow() (*pubSlot, int32) {
 	e := a.eng
 	el := e.elide()
 	i := a.node
@@ -300,7 +348,12 @@ func (a *StepAPI) closeWindow() *pubSlot {
 	s := r.tag - 1
 	d, p := el.depthOf(i, s)
 	if d < 0 {
-		return nil
+		return nil, d
+	}
+	if p.depth.f != nil && r.fanout > 0 {
+		if b := p.at(d).Bits(); b > e.bitBound {
+			panic(fmt.Sprintf("congest: node %d sent %d-bit message, bound is %d", i, b, e.bitBound))
+		}
 	}
 	if r.fanout > 0 {
 		// Relays of this round are folded by this barrier; earlier ones
@@ -308,9 +361,9 @@ func (a *StepAPI) closeWindow() *pubSlot {
 		e.chargeRelays(i, r, p, s, d, r.dl, int64(e.round)-1)
 	}
 	if s+int64(d)+p.count()-1 > r.dl {
-		return nil
+		return nil, d
 	}
-	return p
+	return p, d
 }
 
 // foldOpenWindows charges, at the end of a run, the windows that were
@@ -349,7 +402,8 @@ func (e *engine) foldOpenWindows() {
 }
 
 // walkElideSection walks the windows open at the snapshot barrier: each
-// node's record and, at a root, its published content. Decoding restores
+// node's record and, at a root, its published content (a depth probe's
+// as its depth-0 message and constructor kind). Decoding restores
 // them into record slot 0 of each node. Depth and root memos are not
 // carried: they are resolved again from the parent records.
 func (e *engine) walkElideSection(c *Snap) {
@@ -399,13 +453,21 @@ func (e *engine) walkElideSection(c *Snap) {
 		c.Bool(&stream)
 		c.Msg(&p.msg)
 		c.Msgs(&p.items)
+		SnapUint(c, &p.depth.kind, math.MaxUint16)
 		if c.dec && c.err == nil {
+			if p.depth.kind != 0 {
+				var known bool
+				if p.depth.f, known = depthByKind[p.depth.kind]; !known || stream {
+					c.fail("window %d has depth message kind %d", j, p.depth.kind)
+					return
+				}
+			}
 			if !stream && p.msg == nil {
 				c.fail("window %d has no payload", j)
 				return
 			}
 			r.memo = 1<<32 | int64(i)
-			el.publish(int32(i), 0, start+1, p.msg, p.items, stream, e.bitBound)
+			el.publish(int32(i), 0, start+1, p.msg, p.items, stream, p.depth, e.bitBound)
 		}
 	}
 }

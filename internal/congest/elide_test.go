@@ -2,7 +2,9 @@ package congest
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,14 +92,59 @@ func phaseTraffic(res *Result) [][2]int64 {
 	return out
 }
 
-// identity is a per-hop transform that keeps a broadcast literal.
-func identity(m Message) Message { return m }
+// relayBcast is the literal hop-by-hop broadcast (the schedule an elided
+// BroadcastDownStep charges): the root sends its payload to its children
+// at once, and every other node forwards what it receives from its
+// parent, after hop when hop is not nil, in the round it arrives. A depth
+// probe is the relay whose hop adds one. Any other mail panics, at every
+// wake.
+type relayBcast struct {
+	t        Tree
+	deadline int
+	hop      func(Message) Message
+	got      Message
+}
+
+func (r *relayBcast) begin(api *StepAPI, t Tree, deadline int, rootMsg Message, hop func(Message) Message) bool {
+	r.t, r.deadline, r.hop, r.got = t, deadline, hop, nil
+	if t.IsRoot() {
+		r.got = rootMsg
+		for _, c := range t.ChildPorts {
+			api.Send(c, rootMsg)
+		}
+	}
+	return api.Round() >= deadline
+}
+
+func (r *relayBcast) Feed(api *StepAPI, inbox []Inbound) bool {
+	for _, in := range inbox {
+		if in.Port != r.t.ParentPort || r.got != nil {
+			panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", in.Port, api.Index()))
+		}
+		if r.got = in.Msg; r.hop != nil {
+			r.got = r.hop(r.got)
+		}
+		for _, c := range r.t.ChildPorts {
+			api.Send(c, r.got)
+		}
+	}
+	return api.Round() >= r.deadline
+}
+
+func (r *relayBcast) Wake() Status            { return Sleep(r.deadline) }
+func (r *relayBcast) Result() (Message, bool) { return r.got, r.got != nil }
+
+// addOne is the depth probe's hop in the relay: a node forwards one more
+// than it received, which is its depth (depthInt).
+func addOne(m Message) Message { return intMsg{v: m.(intMsg).v + 1} }
 
 // runBroadcasts runs two back-to-back broadcasts (budgets 2·side+2 after
 // a 3-round offset, then 2·side−1, each covering the tree's depth
-// 2·side−2) on the fixture's tree, elided or relayed (an identity
-// transform), and returns the Result with what every node received.
-func (f elideFixture) runBroadcasts(t *testing.T, relay bool, cut, sw int) (*Result, [][2]int64) {
+// 2·side−2) on the fixture's tree, elided or relayed, and returns the
+// Result with what every node received. With depth both are depth
+// probes; the tree is deep enough that some relays cross a power of two,
+// where the message for a depth and for the next differ in size.
+func (f elideFixture) runBroadcasts(t *testing.T, relay, depth bool, cut, sw int) (*Result, [][2]int64) {
 	t.Helper()
 	got := make([][2]int64, f.g.N())
 	budget := f.depth[f.by-1] + 4
@@ -108,16 +155,30 @@ func (f elideFixture) runBroadcasts(t *testing.T, relay bool, cut, sw int) (*Res
 		}
 		tr := f.views[v]
 		var bd [2]BroadcastDownStep
+		var rb [2]relayBcast
 		op := func(k, budget int, payload int64) treeOp {
-			return treeOp{&bd[k], func(api *StepAPI) bool {
+			var machine interface {
+				Feed(api *StepAPI, inbox []Inbound) bool
+				Wake() Status
+				Result() (Message, bool)
+			} = &bd[k]
+			if relay {
+				machine = &rb[k]
+			}
+			return treeOp{machine, func(api *StepAPI) bool {
 				msg := Message(intMsg{v: payload})
 				dl := api.Round() + budget
-				if relay {
-					return bd[k].Begin(api, tr, dl, msg, identity)
+				switch {
+				case relay && depth:
+					return rb[k].begin(api, tr, dl, intMsg{v: 0}, addOne)
+				case relay:
+					return rb[k].begin(api, tr, dl, msg, nil)
+				case depth:
+					return bd[k].BeginDepth(api, tr, dl, depthInt)
 				}
-				return bd[k].Begin(api, tr, dl, msg, nil)
+				return bd[k].Begin(api, tr, dl, msg)
 			}, func(api *StepAPI) {
-				m, ok := bd[k].Result()
+				m, ok := machine.Result()
 				if !ok {
 					panic("broadcast did not complete")
 				}
@@ -127,7 +188,7 @@ func (f elideFixture) runBroadcasts(t *testing.T, relay bool, cut, sw int) (*Res
 		return treeOps(idle(3), op(0, budget, 1<<20), op(1, budget-3, 7))
 	})
 	if err != nil {
-		t.Fatalf("relay %v cut %d: %v", relay, cut, err)
+		t.Fatalf("relay %v depth %v cut %d: %v", relay, depth, cut, err)
 	}
 	return res, got
 }
@@ -140,13 +201,26 @@ func (f elideFixture) runBroadcasts(t *testing.T, relay bool, cut, sw int) (*Res
 // The 12x12 grid runs on four workers, so parallel workers resolve
 // depths concurrently (run it under -race).
 func TestElidedBroadcastMatchesRelay(t *testing.T) {
+	testBroadcastsMatchRelay(t, false)
+}
+
+// TestDepthWindowMatchesRelay checks a depth probe (BeginDepth) against
+// the relay that adds one per hop, as TestElidedBroadcastMatchesRelay
+// does for a fixed payload: every node's depth, verdicts, rounds,
+// messages, bits and largest message, and each phase's traffic, whole or
+// cut at every round, on one and four workers.
+func TestDepthWindowMatchesRelay(t *testing.T) {
+	testBroadcastsMatchRelay(t, true)
+}
+
+func testBroadcastsMatchRelay(t *testing.T, depth bool) {
 	for _, f := range []elideFixture{newElideFixture(5, 1), newElideFixture(12, 4)} {
 		budget := f.depth[f.by-1] + 4
 		end := 3 + 2*budget
 		for _, sw := range []int{6, 3 + budget, end - 2} {
 			for cut := -1; cut <= end; cut++ {
-				want, wantGot := f.runBroadcasts(t, true, cut, sw)
-				res, got := f.runBroadcasts(t, false, cut, sw)
+				want, wantGot := f.runBroadcasts(t, true, depth, cut, sw)
+				res, got := f.runBroadcasts(t, false, depth, cut, sw)
 				if !reflect.DeepEqual(res.Metrics, want.Metrics) || !reflect.DeepEqual(res.Verdicts, want.Verdicts) ||
 					!reflect.DeepEqual(phaseTraffic(res), phaseTraffic(want)) || !reflect.DeepEqual(got, wantGot) {
 					t.Fatalf("n=%d switch %d cut %d:\nelided %+v %v %v\nrelay  %+v %v %v", f.g.N(), sw, cut,
@@ -302,20 +376,26 @@ func TestElidedStreamMatchesRelay(t *testing.T) {
 // later batch.
 func TestElidedBitBound(t *testing.T) {
 	f := newElideFixture(5, 1)
-	huge := func(transform func(Message) Message) (*Result, error) {
+	huge := func(relay bool) (*Result, error) {
 		return RunStep(Config{Graph: f.g, Seed: 5, IDs: f.ids, BitBound: 64}, func(v int) StepProgram {
 			if v == f.by {
 				return bystander(-1, 0)
 			}
 			tr := f.views[v]
+			if relay {
+				var rb relayBcast
+				return treeOps(idle(1), treeOp{&rb, func(api *StepAPI) bool {
+					return rb.begin(api, tr, api.Round()+12, sizedMsg{bits: 65}, nil)
+				}, nil})
+			}
 			var bd BroadcastDownStep
 			return treeOps(idle(1), treeOp{&bd, func(api *StepAPI) bool {
-				return bd.Begin(api, tr, api.Round()+12, sizedMsg{bits: 65}, transform)
+				return bd.Begin(api, tr, api.Round()+12, sizedMsg{bits: 65})
 			}, nil})
 		})
 	}
-	wantRes, wantErr := huge(identity)
-	res, err := huge(nil)
+	wantRes, wantErr := huge(true)
+	res, err := huge(false)
 	if wantErr == nil || err == nil || err.Error() != wantErr.Error() || res.Metrics.Rounds != wantRes.Metrics.Rounds {
 		t.Fatalf("broadcast: elided %v (round %d), relay %v (round %d)", err, res.Metrics.Rounds, wantErr, wantRes.Metrics.Rounds)
 	}
@@ -389,7 +469,7 @@ func TestElidedWindowRejectsInbound(t *testing.T) {
 		tr := f.views[v]
 		var bd BroadcastDownStep
 		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
-			return bd.Begin(api, tr, api.Round()+12, intMsg{v: 3}, nil)
+			return bd.Begin(api, tr, api.Round()+12, intMsg{v: 3})
 		}, nil})
 	})
 	if err == nil || !strings.Contains(err.Error(), "BroadcastDown: unexpected message") {
@@ -418,8 +498,21 @@ func sizeFold(own Message, ch []Message) Message {
 	return sizedMsg{bits: n}
 }
 
+// drawFold is mixFold that also draws from rng when the fold has an odd
+// value, as the trial pick draws only when the fold has a candidate.
+func drawFold(rng *rand.Rand, own Message, ch []Message) Message {
+	x := mixFold(own, ch).(intMsg).v
+	if x%2 == 1 {
+		x = (x + rng.Int63n(1<<20)) % 1_000_003
+	}
+	return intMsg{v: x}
+}
+
 var (
 	mixCombine  = RegisterCombiner(3, func(_ int64, own Message, ch []Message) Message { return mixFold(own, ch) })
+	drawCombine = RegisterRandomCombiner(6, func(rng *rand.Rand, _ int64, own Message, ch []Message) Message {
+		return drawFold(rng, own, ch)
+	})
 	sizeCombine = RegisterCombiner(4, func(_ int64, own Message, ch []Message) Message { return sizeFold(own, ch) })
 	// boomCombine panics where two or more children report.
 	boomCombine = RegisterCombiner(5, func(_ int64, own Message, ch []Message) Message {
@@ -430,32 +523,95 @@ var (
 	})
 )
 
-// cvgResult is what a node's convergecast returned.
+// cvgResult is what a node's convergecast returned, and the node's next
+// draw from its randomness after it.
 type cvgResult struct {
-	agg Message
-	ok  bool
+	agg  Message
+	ok   bool
+	next int64
 }
 
-// cvgRun configures runConvergecasts: the literal relay or by reference,
-// the fold, each node's contribution, the two budgets, the bystander's
-// cut and phase switch, and whether the odd nodes begin the second op a
-// round early (BeginFrom), as a node that skips a cross round does.
+// relayCvg is the literal convergecast relay (the schedule a
+// by-reference ConvergecastStep charges): a leaf sends its contribution
+// to its parent at once; any other node folds its contribution with its
+// children's aggregates, in ChildPorts order, in the round the last one
+// arrives, and sends the result up. A fold may draw from the node's
+// randomness, as a random combiner does. Mail from anything but a child
+// that has not reported yet panics, at every wake.
+type relayCvg struct {
+	t        Tree
+	deadline int
+	own      Message
+	fold     func(api *StepAPI, own Message, ch []Message) Message
+	ch       []Message
+	missing  int
+	agg      Message
+}
+
+func (r *relayCvg) begin(api *StepAPI, t Tree, deadline int, own Message, fold func(api *StepAPI, own Message, ch []Message) Message) bool {
+	r.t, r.deadline, r.own, r.fold, r.agg = t, deadline, own, fold, nil
+	r.ch, r.missing = make([]Message, len(t.ChildPorts)), len(t.ChildPorts)
+	if r.missing == 0 {
+		r.finish(api)
+	}
+	return api.Round() >= deadline
+}
+
+func (r *relayCvg) finish(api *StepAPI) {
+	r.agg = r.fold(api, r.own, r.ch)
+	if !r.t.IsRoot() {
+		api.Send(r.t.ParentPort, r.agg)
+	}
+}
+
+func (r *relayCvg) Feed(api *StepAPI, inbox []Inbound) bool {
+	for _, in := range inbox {
+		k := slices.Index(r.t.ChildPorts, in.Port)
+		if k < 0 || r.ch[k] != nil {
+			panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", in.Port, api.Index()))
+		}
+		r.ch[k] = in.Msg
+		if r.missing--; r.missing == 0 {
+			r.finish(api)
+		}
+	}
+	return api.Round() >= r.deadline
+}
+
+func (r *relayCvg) Wake() Status            { return Sleep(r.deadline) }
+func (r *relayCvg) Result() (Message, bool) { return r.agg, r.agg != nil }
+
+// cvgRun configures runConvergecasts: the relay or by reference, the
+// relay's fold (random folds draw from the node's randomness) and the
+// registered combiner, each node's contribution, the two budgets, the
+// bystander's cut and phase switch, and whether the odd nodes begin the
+// second op a round early (BeginFrom), as a node that skips a cross
+// round does.
 type cvgRun struct {
-	literal bool
+	relay   bool
 	fold    func(own Message, ch []Message) Message
+	draw    func(rng *rand.Rand, own Message, ch []Message) Message
 	comb    Combiner
-	own     func(v, op int) Message
+	own     func(api *StepAPI, v, op int) Message
 	budgets [2]int
 	cut, sw int
 	early   bool
 	bound   int
 }
 
+// relayFold is the relay's fold of c.
+func (c cvgRun) relayFold(api *StepAPI, own Message, ch []Message) Message {
+	if c.draw != nil {
+		return c.draw(api.Rand(), own, ch)
+	}
+	return c.fold(own, ch)
+}
+
 // runConvergecasts runs two convergecasts on the fixture's tree after a
 // 3-round offset, the second starting one round after the first's
-// deadline. The literal run's combiner draws from the node's randomness
-// first, which keeps it off the by-reference path. A node that does not
-// complete an op panics, as every caller of ConvergecastStep does.
+// deadline, and has every node draw from its randomness after each. A
+// node that does not complete an op panics, as every caller of
+// ConvergecastStep does.
 func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error) {
 	got := make([][2]cvgResult, f.g.N())
 	cfg := Config{Graph: f.g, Seed: 5, IDs: f.ids, StopOnReject: true, Workers: f.workers, Probe: elideProbe(), BitBound: c.bound}
@@ -465,29 +621,35 @@ func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error
 		}
 		tr := f.views[v]
 		var cv ConvergecastStep
+		var rc relayCvg
+		var machine interface {
+			Feed(api *StepAPI, inbox []Inbound) bool
+			Wake() Status
+			Result() (Message, bool)
+		} = &cv
+		if c.relay {
+			machine = &rc
+		}
 		op, inOp, next := 0, false, 3
 		begin := func(api *StepAPI, start int) bool {
 			dl := start + c.budgets[op]
-			if c.literal {
-				return cv.BeginLiteral(api, tr, dl, c.own(v, op), func(own Message, ch []Message) Message {
-					api.Rand().Int63()
-					return c.fold(own, ch)
-				})
+			if c.relay {
+				return rc.begin(api, tr, dl, c.own(api, v, op), c.relayFold)
 			}
-			return cv.BeginFrom(api, tr, start, dl, c.own(v, op), c.comb)
+			return cv.BeginFrom(api, tr, start, dl, c.own(api, v, op), c.comb)
 		}
 		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 			for op < 2 {
 				switch {
-				case inOp && !cv.Feed(api, inbox):
-					return cv.Wake()
+				case inOp && !machine.Feed(api, inbox):
+					return machine.Wake()
 				case inOp:
 					inOp = false
-					agg, ok := cv.Result()
+					agg, ok := machine.Result()
 					if !ok {
 						panic(fmt.Sprintf("convergecast %d did not complete", op))
 					}
-					got[v][op] = cvgResult{agg, ok}
+					got[v][op] = cvgResult{agg, ok, api.Rand().Int63()}
 					op, next = op+1, api.Round()+1
 				case api.Round() < next && !(c.early && v%2 == 1 && api.Round() == next-1):
 					return Sleep(next)
@@ -503,30 +665,29 @@ func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error
 	return res, got, err
 }
 
-// TestByRefConvergecastMatchesLiteral checks that a by-reference
-// convergecast is indistinguishable from the literal relay: the same
-// aggregate at every node, verdicts, rounds, messages, bits and largest
-// message, and the same traffic in each phase when the phase switches
-// inside, at the end of, or after a window, whole or cut by StopOnReject
-// at every round of both windows, and whether or not half the nodes
-// begin the second window a round early. The second window's budget is
-// the tree's height, so the root's subtree completes in its last round.
-// The 12x12 grid runs on four workers, so parallel workers claim and fold
-// subtrees concurrently (run it under -race).
-func TestByRefConvergecastMatchesLiteral(t *testing.T) {
+// testCvgMatchesRelay checks that a by-reference convergecast is
+// indistinguishable from the relay: the same aggregate and next draw at
+// every node, verdicts, rounds, messages, bits and largest message, and
+// the same traffic in each phase when the phase switches inside, at the
+// end of, or after a window, whole or cut by StopOnReject at every round
+// of both windows, and whether or not half the nodes begin the second
+// window a round early. The second window's budget is the tree's height,
+// so the root's subtree completes in its last round. The 12x12 grid runs
+// on four workers, so parallel workers claim and fold subtrees
+// concurrently (run it under -race).
+func testCvgMatchesRelay(t *testing.T, c cvgRun) {
 	for _, f := range []elideFixture{newElideFixture(5, 1), newElideFixture(12, 4)} {
 		h := f.depth[f.by-1]
-		c := cvgRun{fold: mixFold, comb: mixCombine, budgets: [2]int{h + 2, h},
-			own: func(v, op int) Message { return intMsg{v: int64(v*(op+3)) % 97} }}
+		c.budgets = [2]int{h + 2, h}
 		end := 3 + c.budgets[0] + 1 + c.budgets[1]
 		for _, c.sw = range []int{6, 3 + c.budgets[0], end - 1} {
 			for c.cut = -1; c.cut <= end+1; c.cut++ {
-				c.literal, c.early = true, false
+				c.relay, c.early = true, false
 				want, wantGot, err := f.runConvergecasts(c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c.literal = false
+				c.relay = false
 				for _, c.early = range []bool{false, true} {
 					res, got, err := f.runConvergecasts(c)
 					if err != nil {
@@ -534,7 +695,7 @@ func TestByRefConvergecastMatchesLiteral(t *testing.T) {
 					}
 					if !reflect.DeepEqual(res.Metrics, want.Metrics) || !reflect.DeepEqual(res.Verdicts, want.Verdicts) ||
 						!reflect.DeepEqual(phaseTraffic(res), phaseTraffic(want)) || !reflect.DeepEqual(got, wantGot) {
-						t.Fatalf("n=%d switch %d cut %d early %v:\nby reference %+v %v\nliteral      %+v %v", f.g.N(), c.sw, c.cut, c.early,
+						t.Fatalf("n=%d switch %d cut %d early %v:\nby reference %+v %v\nrelay        %+v %v", f.g.N(), c.sw, c.cut, c.early,
 							res.Metrics, phaseTraffic(res), want.Metrics, phaseTraffic(want))
 					}
 				}
@@ -543,39 +704,57 @@ func TestByRefConvergecastMatchesLiteral(t *testing.T) {
 	}
 }
 
+// TestByRefConvergecastMatchesLiteral checks a deterministic combiner
+// against the relay (testCvgMatchesRelay).
+func TestByRefConvergecastMatchesLiteral(t *testing.T) {
+	testCvgMatchesRelay(t, cvgRun{fold: mixFold, comb: mixCombine,
+		own: func(_ *StepAPI, v, op int) Message { return intMsg{v: int64(v*(op+3)) % 97} }})
+}
+
+// TestRandomConvergecastMatchesRelay checks a combiner that draws from
+// the folded node's randomness against the relay, whose fold draws at
+// the node that folds (testCvgMatchesRelay). Every node also draws its
+// contribution before the op begins, as the trial pick does, so a fold
+// drawn from another node's stream, or out of order, changes the
+// aggregates and the draws after the op.
+func TestRandomConvergecastMatchesRelay(t *testing.T) {
+	testCvgMatchesRelay(t, cvgRun{draw: drawFold, comb: drawCombine,
+		own: func(api *StepAPI, v, op int) Message { return intMsg{v: int64(v+op) + api.Rand().Int63n(97)} }})
+}
+
 // TestByRefConvergecastErrors checks that a by-reference convergecast
-// fails as the literal relay does, with the same error text: an
-// aggregate above the bit bound (at a leaf's first round and deeper in
-// the tree), a budget below the tree's height, and a message reaching a
-// node inside the window.
+// fails as the relay does, with the same error text: an aggregate above
+// the bit bound (at a leaf's first round and deeper in the tree), a
+// budget below the tree's height, and a message reaching a node inside
+// the window; and that a convergecast with no rounds panics.
 func TestByRefConvergecastErrors(t *testing.T) {
 	f := newElideFixture(5, 1)
 	h := f.depth[f.by-1]
 	parity := func(name string, c cvgRun) {
 		t.Helper()
-		c.literal = true
+		c.relay = true
 		_, _, want := f.runConvergecasts(c)
-		c.literal = false
+		c.relay = false
 		_, _, err := f.runConvergecasts(c)
 		if want == nil || err == nil || err.Error() != want.Error() {
-			t.Fatalf("%s: by reference %v, literal %v", name, err, want)
+			t.Fatalf("%s: by reference %v, relay %v", name, err, want)
 		}
 	}
 	sized := cvgRun{fold: sizeFold, comb: sizeCombine, budgets: [2]int{h + 2, h}, cut: -1, sw: 0,
-		own: func(int, int) Message { return sizedMsg{bits: 11} }}
+		own: func(*StepAPI, int, int) Message { return sizedMsg{bits: 11} }}
 	for _, bound := range []int{10, 16, 25} {
 		sized.bound = bound
 		parity(fmt.Sprintf("bound %d", bound), sized)
 	}
 	mix := cvgRun{fold: mixFold, comb: mixCombine, budgets: [2]int{h - 2, h}, cut: -1, sw: 0,
-		own: func(v, _ int) Message { return intMsg{v: int64(v)} }}
+		own: func(_ *StepAPI, v, _ int) Message { return intMsg{v: int64(v)} }}
 	parity("under budget", mix)
 
 	// A combiner that panics fails the run, on four workers too, without
 	// leaving a claimed record that another resolver waits for forever.
 	for _, pf := range []elideFixture{f, newElideFixture(12, 4)} {
-		boom := cvgRun{fold: mixFold, comb: boomCombine, budgets: [2]int{h + 2, h}, cut: -1,
-			own: func(v, _ int) Message { return intMsg{v: int64(v)} }}
+		boom := cvgRun{fold: mixFold, comb: boomCombine, cut: -1,
+			own: func(_ *StepAPI, v, _ int) Message { return intMsg{v: int64(v)} }}
 		boom.budgets = [2]int{pf.depth[pf.by-1] + 2, pf.depth[pf.by-1]}
 		if _, _, err := pf.runConvergecasts(boom); err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Fatalf("n=%d: panicking combiner: err = %v", pf.g.N(), err)
@@ -585,17 +764,19 @@ func TestByRefConvergecastErrors(t *testing.T) {
 	// A star's center waits for its one tree child, which delays, while
 	// another leaf sends it a message.
 	var want error
-	for _, literal := range []bool{true, false} {
+	for _, relay := range []bool{true, false} {
 		_, err := RunStep(Config{Graph: graph.Star(4), Seed: 2}, func(i int) StepProgram {
 			var cv ConvergecastStep
+			var rc relayCvg
 			op := func(tr Tree, budget int) treeOp {
-				return treeOp{&cv, func(api *StepAPI) bool {
-					if literal {
-						return cv.BeginLiteral(api, tr, api.Round()+budget, intMsg{v: 1}, func(own Message, ch []Message) Message {
-							api.Rand().Int63()
+				if relay {
+					return treeOp{&rc, func(api *StepAPI) bool {
+						return rc.begin(api, tr, api.Round()+budget, intMsg{v: 1}, func(_ *StepAPI, own Message, ch []Message) Message {
 							return mixFold(own, ch)
 						})
-					}
+					}, nil}
+				}
+				return treeOp{&cv, func(api *StepAPI) bool {
 					return cv.Begin(api, tr, api.Round()+budget, intMsg{v: 1}, mixCombine)
 				}, nil}
 			}
@@ -610,12 +791,23 @@ func TestByRefConvergecastErrors(t *testing.T) {
 			return treeOps(idle(8))
 		})
 		if err == nil || !strings.Contains(err.Error(), "Convergecast: unexpected message on port 1 (node 0)") {
-			t.Fatalf("literal %v: err = %v", literal, err)
+			t.Fatalf("relay %v: err = %v", relay, err)
 		}
 		if want == nil {
 			want = err
 		} else if err.Error() != want.Error() {
-			t.Fatalf("stray message: by reference %v, literal %v", err, want)
+			t.Fatalf("stray message: by reference %v, relay %v", err, want)
 		}
+	}
+
+	_, err := RunStep(Config{Graph: graph.Path(2), Seed: 2}, func(i int) StepProgram {
+		var cv ConvergecastStep
+		tr := pathTree(i, 2)
+		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+			return cv.Begin(api, tr, api.Round(), intMsg{v: 1}, mixCombine)
+		}, nil})
+	})
+	if err == nil || !strings.Contains(err.Error(), "Convergecast: no rounds (node 0)") {
+		t.Fatalf("no rounds: err = %v", err)
 	}
 }

@@ -462,14 +462,9 @@ func TestTreeBroadcastDown(t *testing.T) {
 		tr := pathTree(i, n)
 		var bd BroadcastDownStep
 		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
-			var root Message
-			if tr.IsRoot() {
-				root = intMsg{v: 1}
-			}
-			// Each hop increments the payload, so node i receives i+1.
-			return bd.Begin(api, tr, api.Round()+n+2, root, func(m Message) Message {
-				return intMsg{v: m.(intMsg).v + 1}
-			})
+			// The payload is one more than the depth, so node i receives
+			// i+1.
+			return bd.BeginDepth(api, tr, api.Round()+n+2, depthPlusOne)
 		}, func(api *StepAPI) {
 			m, ok := bd.Result()
 			if !ok {
@@ -625,6 +620,9 @@ func TestTreeOpsOnStar(t *testing.T) {
 func TestBitsHelpers(t *testing.T) {
 	if BitsForValue(0) != 1 || BitsForValue(1) != 1 || BitsForValue(2) != 2 || BitsForValue(255) != 8 {
 		t.Fatal("BitsForValue wrong")
+	}
+	if BitsForSigned(0) != 2 || BitsForSigned(-1) != 2 || BitsForSigned(255) != 9 || BitsForSigned(-256) != 10 {
+		t.Fatal("BitsForSigned wrong")
 	}
 	if BitsForID(1024) != 20 {
 		t.Fatalf("BitsForID(1024) = %d, want 20", BitsForID(1024))

@@ -44,6 +44,15 @@ func BitsForValue(v int64) int {
 	return bits.Len64(uint64(v))
 }
 
+// BitsForSigned returns the encoded size of a signed integer field: one
+// sign bit plus BitsForValue of its magnitude.
+func BitsForSigned(v int64) int {
+	if v < 0 {
+		v = -v
+	}
+	return BitsForValue(v) + 1
+}
+
 // BitsForID returns the number of bits of a node identifier in an n-node
 // network (identifiers are assumed polynomial in n; we charge 2*ceil(log n)).
 func BitsForID(n int) int {

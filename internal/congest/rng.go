@@ -160,6 +160,15 @@ type nodeRand struct {
 	rand *rand.Rand
 }
 
+// rand returns node v's randomness, creating it on first use.
+func (e *engine) rand(v int32) *rand.Rand {
+	r := e.rngs[v]
+	if r == nil {
+		r = e.newNodeRand(int(v), 0)
+	}
+	return r.rand
+}
+
 // newNodeRand seeds node's source by the per-node rule, skips it past
 // draws draws (0 on first use, the checkpointed count on restore), and
 // installs it.

@@ -32,7 +32,7 @@ import (
 // version 1"); snapshotVersion is bumped on any layout change.
 const (
 	snapshotMagic   = "PCK1"
-	snapshotVersion = 5
+	snapshotVersion = 6
 )
 
 // snapshotFooterLen is the length of the SHA-256 integrity footer.
@@ -57,9 +57,9 @@ var ErrDeadlineExceeded = errors.New("congest: deadline exceeded")
 // state into a checkpoint. WalkState walks every field Step can have
 // mutated (see Snap); SnapshotKind tags the record so the restore
 // callback can dispatch to the right program type. Function-valued
-// fields cannot be serialized: owners must reinstall them on the first
-// Step after a restore (the tree-machine state setters keep such fields
-// out of the walked state on purpose).
+// fields cannot be serialized, so no tree machine holds one: combiners
+// and depth-probe messages are walked as their registered kinds, and a
+// program's callbacks come from its RestoreFunc.
 type Snapshottable interface {
 	StepProgram
 	// SnapshotKind identifies the program's record to RestoreFunc.

@@ -117,13 +117,7 @@ func (a *StepAPI) BitBound() int { return a.eng.bitBound }
 // only, so creation order never matters. It is created on first use.
 // The source holds no register until its 274th draw (rng.go), and
 // counts its draws so a checkpoint can restore it (snapshot.go).
-func (a *StepAPI) Rand() *rand.Rand {
-	r := a.eng.rngs[a.node]
-	if r == nil {
-		r = a.eng.newNodeRand(int(a.node), 0)
-	}
-	return r.rand
-}
+func (a *StepAPI) Rand() *rand.Rand { return a.eng.rand(a.node) }
 
 // Round returns the current global round number.
 func (a *StepAPI) Round() int { return a.eng.round }

@@ -15,44 +15,63 @@ import "fmt"
 // All primitives are budget-synchronized: every node of the tree begins
 // the same operation with the same deadline, and every node completes
 // exactly at the deadline, keeping multi-part schedules in lockstep (the
-// paper's emulation style, §2.1.5). The structs are reusable: Begin fully resets them, and retained buffers are
-// recycled across operations to keep the hot path allocation-free. They
-// are embedded by value in the per-node program state, and everything
-// they need per wake reaches them through the slab-backed StepAPI
-// (DESIGN.md §8); the run-constant bit bound is captured at Begin so the
-// per-round send path does not re-chase it through the engine.
+// paper's emulation style, §2.1.5). The structs are reusable: Begin fully
+// resets them, and retained buffers are recycled across operations to
+// keep the hot path allocation-free. They are embedded by value in the
+// per-node program state, and everything they need per wake reaches them
+// through the slab-backed StepAPI (DESIGN.md §8).
+//
+// Broadcasts, depth probes, item streams and convergecasts run by
+// reference (elide.go, converge.go): no message moves, every node
+// resolves its result at the deadline, and every node charges exactly the
+// messages the hop-by-hop relay would have sent. None of them holds a
+// function: a convergecast names a registered combiner and a depth probe
+// a registered message constructor, so a checkpoint restores every
+// machine from its walk alone. Only the gather (PipelineUpStep), whose
+// content is assembled on the way up, relays hop by hop.
 
 // BroadcastDownStep distributes a message from the root to every tree
-// node. With a per-hop transform, Begin relays it hop by hop: nodes
-// forward the transformed message to their children one round after
-// receiving. With a nil transform the content is fixed at the root, and
-// the broadcast runs as an elided window (elide.go): no message moves,
-// every node reads the root's payload at the deadline, and every node
-// charges exactly the relays it would have sent.
+// node, as an elided window (elide.go): every node reads the root's
+// payload at the deadline and charges the relays it would have sent. A
+// depth probe (BeginDepth) is the same window with a per-depth payload.
 type BroadcastDownStep struct {
-	t         Tree
-	deadline  int
-	transform func(Message) Message
-	got       Message
-	ok        bool
-	fixed     bool // an elided window is open at this node
+	t        Tree
+	deadline int
+	got      Message
+	ok       bool
 }
 
-// Begin starts the broadcast at the current round (the root sends to its
-// children immediately). It returns true when the operation is already
-// complete (deadline reached). With a nil transform, Results, rounds and
-// traffic are those of the relay; a root whose payload exceeds the bit
-// bound, or a broadcast with no rounds, sends literally, so the run
+// Begin starts the broadcast of rootMsg (read at the root only) at the
+// current round. It returns true when the operation is already complete
+// (deadline reached). Results, rounds and traffic are those of the
+// relay, in which the root sends to its children at once and every node
+// forwards in the round it receives; a root whose payload exceeds the
+// bit bound, or a broadcast with no rounds, sends literally, so the run
 // fails or ends exactly as the relay would.
-func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Message, transform func(Message) Message) bool {
-	b.t, b.deadline, b.transform = t, deadline, transform
+func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Message) bool {
+	return b.begin(api, t, deadline, rootMsg, DepthMessage{})
+}
+
+// BeginDepth starts a depth probe at the current round: every node's
+// result is m's message for its depth in t (the root's is depth 0). It
+// runs as the relay in which each node forwards to its children the
+// message for its own depth.
+func (b *BroadcastDownStep) BeginDepth(api *StepAPI, t Tree, deadline int, m DepthMessage) bool {
+	var rootMsg Message
+	if t.IsRoot() {
+		rootMsg = m.f(0)
+	}
+	return b.begin(api, t, deadline, rootMsg, m)
+}
+
+func (b *BroadcastDownStep) begin(api *StepAPI, t Tree, deadline int, rootMsg Message, depth DepthMessage) bool {
+	b.t, b.deadline = t, deadline
 	b.got, b.ok = nil, false
 	if t.IsRoot() {
 		b.got, b.ok = rootMsg, true
 	}
-	b.fixed = transform == nil && api.Round() < deadline && !(t.IsRoot() && rootMsg.Bits() > api.BitBound())
-	if b.fixed {
-		api.openWindow(t, deadline, rootMsg, nil, false)
+	if api.Round() < deadline && !(t.IsRoot() && rootMsg.Bits() > api.BitBound()) {
+		api.openWindow(t, deadline, rootMsg, nil, false, depth)
 		return false
 	}
 	if t.IsRoot() {
@@ -65,39 +84,18 @@ func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Me
 
 // Feed consumes one wake and reports whether the operation completed.
 func (b *BroadcastDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if b.fixed {
-		if len(inbox) > 0 {
-			panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
-		}
-		if api.Round() < b.deadline {
-			return false
-		}
-		b.fixed = false
-		if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
-			if p := api.closeWindow(); p != nil && !b.t.IsRoot() {
-				b.got, b.ok = p.msg, true
-			}
-		}
-		return true
+	if len(inbox) > 0 {
+		panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
 	}
-	if b.got == nil && !b.t.IsRoot() {
-		for _, in := range inbox {
-			if in.Port != b.t.ParentPort {
-				panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			b.got = in.Msg
-		}
-		if b.got != nil {
-			b.ok = true
-			if b.transform != nil {
-				b.got = b.transform(b.got)
-			}
-			for _, c := range b.t.ChildPorts {
-				api.Send(c, b.got)
-			}
+	if api.Round() < b.deadline {
+		return false
+	}
+	if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
+		if p, d := api.closeWindow(); p != nil && !b.t.IsRoot() {
+			b.got, b.ok = p.at(d), true
 		}
 	}
-	return api.Round() >= b.deadline
+	return true
 }
 
 // Wake is the scheduling request while the operation is incomplete.
@@ -107,48 +105,33 @@ func (b *BroadcastDownStep) Wake() Status { return Sleep(b.deadline) }
 // passed before the message arrived (budget too small).
 func (b *BroadcastDownStep) Result() (Message, bool) { return b.got, b.ok }
 
-// WalkState walks the machine for a checkpoint (see Snap). The transform
-// function is not walked: the owning program must reinstall it after a
-// restore (before the next Feed) when it uses one. An open elided window
-// is carried by the engine's snapshot section.
+// WalkState walks the machine for a checkpoint (see Snap). An open
+// window is carried by the engine's snapshot section.
 func (b *BroadcastDownStep) WalkState(c *Snap) {
 	c.Tree(&b.t)
 	c.Int(&b.deadline)
 	c.Msg(&b.got)
 	c.Bool(&b.ok)
-	c.Bool(&b.fixed)
 }
 
-// SetTransform reinstalls the per-hop transform after a restore; the
-// function itself cannot be serialized.
-func (b *BroadcastDownStep) SetTransform(f func(Message) Message) { b.transform = f }
-
 // ConvergecastStep aggregates one message from every tree node to the
-// root. Each node contributes its own message; the combiner merges it
-// with the aggregates of all children (ordered as ChildPorts; every child
-// contributes exactly one), and a node sends its subtree aggregate to its
-// parent once every child has reported. With a registered combiner
-// (Begin) the convergecast runs by reference (converge.go): no message
-// moves, every node resolves its aggregate at the deadline, and every
-// node charges exactly the up-message it would have sent. A combiner
-// that is not a function of its inputs alone (one that draws from the
-// node's randomness) runs literally (BeginLiteral).
+// root. Each node contributes its own message; the registered combiner
+// merges it with the aggregates of all children (ordered as ChildPorts;
+// every child contributes exactly one), and in the relay a node sends
+// its subtree aggregate to its parent once every child has reported. It
+// runs by reference (converge.go): no message moves, every node resolves
+// its aggregate at the deadline, and every node charges exactly the
+// up-message it would have sent.
 type ConvergecastStep struct {
-	byRef    bool // a by-reference window is open at this node
 	ok       bool
 	deadline int
 	agg      Message
 	t        Tree
-	own      Message // literal: the node's contribution
-	combine  func(own Message, children []Message) Message
-	children []Message // literal: reused across operations
-	missing  int
 }
 
 // Begin starts the convergecast at the current round with a registered
-// combiner. Results, rounds and traffic are those of the literal relay;
-// a convergecast with no rounds runs literally, so it ends exactly as
-// the relay would.
+// combiner. Results, rounds and traffic are those of the relay. The op
+// needs at least one round.
 func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message, combine Combiner) bool {
 	return c.BeginFrom(api, t, api.Round(), deadline, own, combine)
 }
@@ -160,79 +143,23 @@ func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message
 // round is then start, as for the nodes that begin at start.
 func (c *ConvergecastStep) BeginFrom(api *StepAPI, t Tree, start, deadline int, own Message, combine Combiner) bool {
 	if start >= deadline {
-		if start != api.Round() {
-			panic(fmt.Sprintf("congest: Convergecast: no rounds after a deferred start (node %d)", api.Index()))
-		}
-		return c.BeginLiteral(api, t, deadline, own, func(own Message, ch []Message) Message {
-			return combine.f(combine.arg, own, ch)
-		})
+		panic(fmt.Sprintf("congest: Convergecast: no rounds (node %d)", api.Index()))
 	}
-	c.t, c.deadline, c.byRef, c.agg, c.ok = t, deadline, true, nil, false
+	c.t, c.deadline, c.agg, c.ok = t, deadline, nil, false
 	api.openCvg(t, start, deadline, own, combine)
 	return false
 }
 
-// BeginLiteral starts a literal convergecast at the current round: the
-// aggregates travel as messages, and leaves send to their parent
-// immediately.
-func (c *ConvergecastStep) BeginLiteral(api *StepAPI, t Tree, deadline int, own Message, combine func(own Message, children []Message) Message) bool {
-	c.t, c.deadline, c.own, c.combine, c.byRef = t, deadline, own, combine, false
-	c.children = c.children[:0]
-	for range t.ChildPorts {
-		c.children = append(c.children, nil)
-	}
-	c.missing = len(t.ChildPorts)
-	c.agg, c.ok = nil, false
-	if c.missing == 0 {
-		c.finish(api)
-	}
-	return api.Round() >= c.deadline
-}
-
 // Feed consumes one wake and reports whether the operation completed.
 func (c *ConvergecastStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if c.byRef {
-		if len(inbox) > 0 {
-			panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
-		}
-		if api.Round() < c.deadline {
-			return false
-		}
-		c.byRef = false
-		c.agg, c.ok = api.closeCvg()
-		return true
+	if len(inbox) > 0 {
+		panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
 	}
-	if c.missing > 0 {
-		for _, in := range inbox {
-			idx := -1
-			for i, p := range c.t.ChildPorts {
-				if p == in.Port {
-					idx = i
-					break
-				}
-			}
-			if idx == -1 {
-				panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", in.Port, api.Index()))
-			}
-			if c.children[idx] != nil {
-				panic(fmt.Sprintf("congest: Convergecast: duplicate message from child port %d", in.Port))
-			}
-			c.children[idx] = in.Msg
-			c.missing--
-		}
-		if c.missing == 0 {
-			c.finish(api)
-		}
+	if api.Round() < c.deadline {
+		return false
 	}
-	return api.Round() >= c.deadline
-}
-
-func (c *ConvergecastStep) finish(api *StepAPI) {
-	c.agg = c.combine(c.own, c.children)
-	c.ok = true
-	if !c.t.IsRoot() {
-		api.Send(c.t.ParentPort, c.agg)
-	}
+	c.agg, c.ok = api.closeCvg()
+	return true
 }
 
 // Wake is the scheduling request while the operation is incomplete.
@@ -243,27 +170,12 @@ func (c *ConvergecastStep) Wake() Status { return Sleep(c.deadline) }
 // before all children reported. It is valid in the completing wake.
 func (c *ConvergecastStep) Result() (Message, bool) { return c.agg, c.ok }
 
-// WalkState walks an in-flight machine for a checkpoint (see Snap). An
-// open by-reference window is carried by the engine's snapshot section;
-// a literal op's combine function is not walked: the owning program
-// must reinstall it after a restore (SetCombine).
+// WalkState walks an in-flight machine for a checkpoint (see Snap). The
+// open window is carried by the engine's snapshot section.
 func (c *ConvergecastStep) WalkState(s *Snap) {
 	s.Tree(&c.t)
 	s.Int(&c.deadline)
-	s.Bool(&c.byRef)
-	if c.byRef {
-		return
-	}
-	s.Msg(&c.own)
-	SnapList(s, &c.children, (*Snap).Msg)
-	s.Int(&c.missing)
-	s.Msg(&c.agg)
-	s.Bool(&c.ok)
 }
-
-// SetCombine reinstalls a literal op's aggregation function after a
-// restore; the function itself cannot be serialized.
-func (c *ConvergecastStep) SetCombine(f func(own Message, children []Message) Message) { c.combine = f }
 
 // PipelineUpStep streams every node's items to the root, one B-bit batch
 // of items per tree edge per round (packPipe): the standard CONGEST
@@ -421,7 +333,7 @@ func (b *BroadcastItemsDownStep) Begin(api *StepAPI, t Tree, deadline int, items
 		}
 		return true
 	}
-	if k := api.openWindow(t, deadline, nil, items, true); k >= 0 && api.Round()+k <= deadline {
+	if k := api.openWindow(t, deadline, nil, items, true, DepthMessage{}); k >= 0 && api.Round()+k <= deadline {
 		// An over-bound message: send it at its literal round, where the
 		// engine fails the run with the relay's error.
 		b.fail, b.failAt = k, api.Round()+k
@@ -462,7 +374,7 @@ func (b *BroadcastItemsDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
 		return false
 	}
 	if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
-		b.slot = api.closeWindow()
+		b.slot, _ = api.closeWindow()
 		if b.slot != nil && !b.t.IsRoot() {
 			b.items, b.ok = b.slot.items, true
 		}

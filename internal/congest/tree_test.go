@@ -121,7 +121,7 @@ func TestTreeOpsOnRandomTrees(t *testing.T) {
 				if tr.IsRoot() {
 					m, _ = cv.Result()
 				}
-				return bd.Begin(api, tr, api.Round()+maxd+2, m, nil)
+				return bd.Begin(api, tr, api.Round()+maxd+2, m)
 			}, func(api *StepAPI) {
 				got, ok := bd.Result()
 				if !ok || got.(intMsg).v != int64(g.N()) {
@@ -211,9 +211,15 @@ func TestPipelineUpManyItemsPerNode(t *testing.T) {
 	}
 }
 
-// TestBroadcastDownTransformChain verifies per-hop transformations on a
-// deep path (depth counting).
-func TestBroadcastDownTransformChain(t *testing.T) {
+// Depth messages of the tests (kinds 1..31 are reserved for them).
+var (
+	depthInt     = RegisterDepthMessage(1, func(d int64) Message { return intMsg{v: d} })
+	depthPlusOne = RegisterDepthMessage(2, func(d int64) Message { return intMsg{v: d + 1} })
+)
+
+// TestBroadcastDownDepthChain verifies a depth probe on a deep path:
+// every node holds its own depth.
+func TestBroadcastDownDepthChain(t *testing.T) {
 	const n = 30
 	g := graph.Path(n)
 	depths := make([]int64, n)
@@ -221,13 +227,7 @@ func TestBroadcastDownTransformChain(t *testing.T) {
 		tr := pathTree(i, n)
 		var bd BroadcastDownStep
 		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
-			var m Message
-			if tr.IsRoot() {
-				m = intMsg{v: 0}
-			}
-			return bd.Begin(api, tr, api.Round()+n+2, m, func(x Message) Message {
-				return intMsg{v: x.(intMsg).v + 1}
-			})
+			return bd.BeginDepth(api, tr, api.Round()+n+2, depthInt)
 		}, func(api *StepAPI) {
 			got, ok := bd.Result()
 			if !ok {

@@ -6,25 +6,20 @@ import "repro/internal/congest"
 // sampled label pairs, part edge lists, rotations) are chunked into
 // O(log n)-bit messages and pipelined.
 
-func bitsVal(v int64) int {
-	if v < 0 {
-		v = -v
-	}
-	return congest.BitsForValue(v) + 1
-}
-
 // announceMsg is the Stage II boundary exchange: part root and node id.
 type announceMsg struct {
 	PartRoot int64
 	ID       int64
 }
 
-func (m announceMsg) Bits() int { return 2 + bitsVal(m.PartRoot) + bitsVal(m.ID) }
+func (m announceMsg) Bits() int {
+	return 2 + congest.BitsForSigned(m.PartRoot) + congest.BitsForSigned(m.ID)
+}
 
 // valMsg carries one value in tree operations.
 type valMsg struct{ V int64 }
 
-func (m valMsg) Bits() int { return 2 + bitsVal(m.V) }
+func (m valMsg) Bits() int { return 2 + congest.BitsForSigned(m.V) }
 
 // noneMsg is a no-contribution marker.
 type noneMsg struct{}
@@ -34,7 +29,7 @@ func (noneMsg) Bits() int { return 1 }
 // bfsMsg announces a BFS level (§2.2.1).
 type bfsMsg struct{ Level int64 }
 
-func (m bfsMsg) Bits() int { return 2 + bitsVal(m.Level) }
+func (m bfsMsg) Bits() int { return 2 + congest.BitsForSigned(m.Level) }
 
 // childMsg notifies the chosen BFS parent.
 type childMsg struct{}
@@ -44,7 +39,7 @@ func (childMsg) Bits() int { return 2 }
 // lvlMsg carries the final BFS level for edge assignment.
 type lvlMsg struct{ Level int64 }
 
-func (m lvlMsg) Bits() int { return 2 + bitsVal(m.Level) }
+func (m lvlMsg) Bits() int { return 2 + congest.BitsForSigned(m.Level) }
 
 // countsMsg aggregates (nodes, assigned edges) and broadcasts the Euler
 // verdict back down.
@@ -53,12 +48,12 @@ type countsMsg struct {
 	Reject bool
 }
 
-func (m countsMsg) Bits() int { return 3 + bitsVal(m.N) + bitsVal(m.M) }
+func (m countsMsg) Bits() int { return 3 + congest.BitsForSigned(m.N) + congest.BitsForSigned(m.M) }
 
 // edgeItem is one part edge (by endpoint ids) in the embedding gather.
 type edgeItem struct{ A, B int64 }
 
-func (m edgeItem) Bits() int { return 2 + bitsVal(m.A) + bitsVal(m.B) }
+func (m edgeItem) Bits() int { return 2 + congest.BitsForSigned(m.A) + congest.BitsForSigned(m.B) }
 
 // rotItem is one rotation entry in the embedding scatter: neighbor Nbr is
 // at clockwise position Idx around node Node.
@@ -68,7 +63,9 @@ type rotItem struct {
 	Nbr  int64
 }
 
-func (m rotItem) Bits() int { return 2 + bitsVal(m.Node) + bitsVal(int64(m.Idx)) + bitsVal(m.Nbr) }
+func (m rotItem) Bits() int {
+	return 2 + congest.BitsForSigned(m.Node) + congest.BitsForSigned(int64(m.Idx)) + congest.BitsForSigned(m.Nbr)
+}
 
 // embedFail tells the part that the strict embedding step rejected.
 type embedFail struct{}
@@ -84,7 +81,7 @@ type labelChunk struct {
 func (m labelChunk) Bits() int {
 	b := 4
 	for _, e := range m.Elems {
-		b += bitsVal(int64(e))
+		b += congest.BitsForSigned(int64(e))
 	}
 	return b
 }
@@ -101,18 +98,17 @@ type sampleChunk struct {
 }
 
 func (m *sampleChunk) Bits() int {
-	b := 5 + bitsVal(m.Owner) + bitsVal(int64(m.EIdx)) + bitsVal(int64(m.CIdx))
+	b := 5 + congest.BitsForSigned(m.Owner) + congest.BitsForSigned(int64(m.EIdx)) + congest.BitsForSigned(int64(m.CIdx))
 	for _, e := range m.Elems {
-		b += bitsVal(int64(e))
+		b += congest.BitsForSigned(int64(e))
 	}
 	return b
 }
 
-// depthTransform increments the depth-probe payload on each hop of the
-// budget agreement.
-func depthTransform(m congest.Message) congest.Message {
-	return valMsg{V: m.(valMsg).V + 1}
-}
+// depthVal is the budget agreement's depth probe: a node at depth d
+// holds valMsg{d} and relays it to its children. Depth message kinds
+// 64..95 are reserved for package core.
+var depthVal = congest.RegisterDepthMessage(64, func(d int64) congest.Message { return valMsg{V: d} })
 
 // The combiners of the part-context and Stage II convergecasts, both
 // registered, so they run by reference. Combiner kinds 64..95 are

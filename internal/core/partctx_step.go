@@ -20,7 +20,7 @@ import (
 type pcOp uint8
 
 const (
-	pcDepthDown  pcOp = iota // bcast: depth probe (+1 per hop)
+	pcDepthDown  pcOp = iota // bcast: depth probe (each node's own depth)
 	pcDepthUp                // cvg: max depth
 	pcDepthAgree             // bcast: agreed depth -> budget
 	pcIdentity               // cross: part root + id exchange
@@ -38,13 +38,12 @@ type PartCtxStep struct {
 	part *partition.Outcome
 	done func(api *congest.StepAPI, c *PartCtxStep) congest.Status
 
-	pc       pcOp
-	inOp     bool
-	restored bool        // decoded from a checkpoint; machines need reattaching
-	phase    obs.PhaseID // "stage2/partctx"; zero announces nothing
-	bd       congest.BroadcastDownStep
-	cv       congest.ConvergecastStep
-	reg      congest.Message
+	pc    pcOp
+	inOp  bool
+	phase obs.PhaseID // "stage2/partctx"; zero announces nothing
+	bd    congest.BroadcastDownStep
+	cv    congest.ConvergecastStep
+	reg   congest.Message
 
 	budget   int
 	maxDepth int
@@ -108,15 +107,11 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 	if c.phase != 0 && c.pc == pcDepthDown && !c.inOp {
 		api.PhaseEnter(c.phase)
 	}
-	if c.restored {
-		c.restored = false
-		c.reattach()
-	}
 	for {
 		switch c.pc {
 		case pcDepthDown:
 			if !c.inOp {
-				if !c.bd.Begin(api, c.part.Tree, api.Round()+api.N()+2, valMsg{V: 0}, depthTransform) {
+				if !c.bd.BeginDepth(api, c.part.Tree, api.Round()+api.N()+2, depthVal) {
 					c.inOp = true
 					return c.bd.Wake()
 				}
@@ -152,7 +147,7 @@ func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 
 		case pcDepthAgree:
 			if !c.inOp {
-				if !c.bd.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg, nil) {
+				if !c.bd.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg) {
 					c.inOp = true
 					return c.bd.Wake()
 				}
@@ -349,7 +344,7 @@ func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) con
 
 		case geCountDown:
 			if !g.inOp {
-				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, g.reg, nil) {
+				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, g.reg) {
 					g.inOp = true
 					return g.bd.Wake()
 				}
@@ -399,7 +394,7 @@ func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) con
 				if g.bad {
 					v = 1
 				}
-				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, valMsg{V: v}, nil) {
+				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, valMsg{V: v}) {
 					g.inOp = true
 					return g.bd.Wake()
 				}

@@ -139,9 +139,9 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 // runs: the SHA-256 of each run's ordered snapshot sequence (snapshotDigest).
 // A layout change must bump the snapshot version and re-record these.
 var crashEveryBarrierDigests = map[string]string{
-	"grid/deterministic": "c9b416b6379f834df88a322e03466d8fc9eec8b36de2eb12f44a51522175d3e0",
-	"grid/randomized":    "bffbefda30894251da40eba279bb766c49e012086222231b089d5dea92423fb4",
-	"far/deterministic":  "40950025c1894fb1c052797cce37d3cf98053f1754c7f5fd5984855c90680bc5",
+	"grid/deterministic": "d6d81e7dd9bf0feb77e10874c4deb0dfca00ca3f23ab4f60a842ec1c1b6e1444",
+	"grid/randomized":    "daf91a418b68a08d51667a2030ed4c6c8a01832f7fff0686ada2a01c7a8744d4",
+	"far/deterministic":  "f1c17cb34d1387d0b6b3b2aee2e50d2e4c6ba84676254cb63c28966d243aed42",
 }
 
 // snapshotDigest hashes an ordered snapshot sequence: each snapshot's
@@ -163,11 +163,15 @@ func snapshotDigest(snaps [][]byte) string {
 // checkpoint is resumed (alternating one and two workers), each to the
 // uninterrupted run's exact RunResult. Every elided part-tree window
 // (elide.go in internal/congest) spans at least its start barrier, so
-// every window kind — Stage I broadcasts, the part-context depth
-// agreement, the counts broadcast, the rotation scatter and the sample
-// stream — is cut at least once, at every offset into it. The grid runs
-// both Stage I variants; the far input, which StopOnReject also cuts
-// inside open windows, runs the deterministic one.
+// every window kind — Stage I broadcasts and convergecasts (the
+// randomized variant's tTrialPick among them), the part-context depth
+// probe and agreement, the counts broadcast, the rotation scatter and
+// the sample stream — is cut at least once, at every offset into it;
+// the test checks that some checkpoint of each run cuts the depth probe
+// (TestResumeInsideTrialPick in internal/partition checks the trial
+// pick's). The grid runs both Stage I variants; the far input, which
+// StopOnReject also cuts inside open windows, runs the deterministic
+// one.
 //
 // The snapshot bytes are pinned: each run's sequence hashes to its
 // crashEveryBarrierDigests entry. Every 7th resumed run also checkpoints
@@ -201,6 +205,15 @@ func TestCrashEveryBarrier(t *testing.T) {
 			}
 			if got, want := snapshotDigest(snaps), crashEveryBarrierDigests[name]; got != want {
 				t.Errorf("%s: snapshot sequence digest %s, want %s", name, got, want)
+			}
+			probeCut := false
+			eachRestored(t, fam.g, opts, snaps, func(_, _ int, p congest.StepProgram) {
+				if c, ok := p.(*PartCtxStep); ok && c.inOp && c.pc == pcDepthDown {
+					probeCut = true
+				}
+			})
+			if !probeCut {
+				t.Errorf("%s: no checkpoint cuts the part-context depth probe", name)
 			}
 			for b, snap := range snaps {
 				res := opts
@@ -253,30 +266,42 @@ func TestStageIIRegisterDropped(t *testing.T) {
 	if _, err := RunTester(g, run, 1); err != nil {
 		t.Fatal(err)
 	}
+	stage2 := 0
+	eachRestored(t, g, opts, snaps, func(b, node int, p congest.StepProgram) {
+		if s, ok := p.(*stage2Node); ok {
+			stage2++
+			if s.reg != nil {
+				t.Errorf("barrier %d: node %d at op %d keeps register %T", b+1, node, s.pc, s.reg)
+			}
+		}
+	})
+	if stage2 == 0 {
+		t.Fatal("no checkpoint holds a Stage II node")
+	}
+}
+
+// eachRestored decodes every checkpoint of a seed-1 tester run on g
+// without running a barrier, and calls visit with the checkpoint's index
+// and each node and program it restores.
+func eachRestored(t *testing.T, g *graph.Graph, opts Options, snaps [][]byte, visit func(b, node int, p congest.StepProgram)) {
+	t.Helper()
 	o := opts.withDefaults()
 	stop := make(chan struct{})
 	close(stop) // decode the checkpoint, run no barrier
-	stage2 := 0
 	for b, snap := range snaps {
 		restore := restoreTester(partition.NewStageIPlan(o.Partition, g.N()), o)
 		cfg := testerConfig(g, 1, o)
 		cfg.Cancel = stop
 		_, err := congest.ResumeStep(cfg, snap, func(node int, kind uint16, c *congest.Snap) (congest.StepProgram, error) {
 			p, err := restore(node, kind, c)
-			if s, ok := p.(*stage2Node); ok {
-				stage2++
-				if s.reg != nil {
-					t.Errorf("barrier %d: node %d at op %d keeps register %T", b+1, node, s.pc, s.reg)
-				}
+			if err == nil {
+				visit(b, node, p)
 			}
 			return p, err
 		})
 		if err != nil && !errors.Is(err, congest.ErrCanceled) {
 			t.Fatalf("barrier %d: %v", b+1, err)
 		}
-	}
-	if stage2 == 0 {
-		t.Fatal("no checkpoint holds a Stage II node")
 	}
 }
 

@@ -138,15 +138,6 @@ func (c *PartCtxStep) WalkState(s *congest.Snap) {
 	s.Ints(&c.childPorts)
 }
 
-// reattach reinstalls the function-typed tree-machine state after a
-// restore: the depth probe's per-hop transform (the depth convergecast
-// runs by reference, and every other op runs without functions).
-func (c *PartCtxStep) reattach() {
-	if c.inOp && c.pc == pcDepthDown {
-		c.bd.SetTransform(depthTransform)
-	}
-}
-
 // SnapshotKind implements congest.Snapshottable.
 func (s *stage2Node) SnapshotKind() uint16 { return SnapKindStageII }
 
@@ -214,7 +205,7 @@ func restoreTester(plan *partition.StageIPlan, o Options) congest.RestoreFunc {
 			})
 		case SnapKindPartCtx:
 			so := o.StageII.withDefaults()
-			pc := &PartCtxStep{restored: true, phase: so.partCtxPhase}
+			pc := &PartCtxStep{phase: so.partCtxPhase}
 			pc.WalkState(c)
 			pc.done = stageIIHandoff(pc.part, so)
 			p = pc

@@ -122,7 +122,9 @@ func snapRecordSeeds(t testing.TB) [][]byte {
 				seeds = append(seeds, in)
 			}
 		}
-		for b := 0; b < len(snaps); b += 9 {
+		// Every fifth checkpoint, so the short part-context prelude is
+		// sampled at several offsets.
+		for b := 0; b < len(snaps); b += 5 {
 			progs, msgs := cutRecords(t, snaps[b])
 			for kind, recs := range progs {
 				if sel, ok := run.kind[kind]; ok {

@@ -169,7 +169,7 @@ func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 				if s.tree.IsRoot() {
 					c.Reject = c.N >= 3 && c.M > 3*c.N-6
 				}
-				if !s.bd.Begin(api, s.tree, api.Round()+s.budget+2, c, nil) {
+				if !s.bd.Begin(api, s.tree, api.Round()+s.budget+2, c) {
 					s.inOp = true
 					return s.bd.Wake()
 				}

@@ -231,3 +231,49 @@ func TestStageIBatchingEquivalence(t *testing.T) {
 		}
 	})
 }
+
+// TestResumeInsideTrialPick checkpoints a randomized Stage I run at every
+// barrier and resumes each checkpoint taken while a node is inside an
+// open tTrialPick convergecast, on one and four workers, to the
+// uninterrupted run's outcomes and Result. The pick's combiner draws
+// from the folded node's randomness when the window resolves, so a
+// restore must leave every draw count where the uninterrupted run had it.
+func TestResumeInsideTrialPick(t *testing.T) {
+	g := graph.Grid(6, 6)
+	opts := Options{Epsilon: 0.25, Schedule: PracticalSchedule, Variant: Randomized}
+	bOuts, bIDs, bRes, err := runStageI(g, opts, 1, 1, congest.CheckpointConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := stageIRun{bOuts, bIDs, bRes}
+	var nodes []*stageINode
+	var cuts [][]byte
+	probe := congest.CheckpointConfig{
+		EveryBarriers: 1,
+		Sink: func(_ int, data []byte) error {
+			for _, sn := range nodes {
+				if sn.inOp && !sn.finished && sn.plan.ops[sn.pc].tag == tTrialPick {
+					cuts = append(cuts, data)
+					break
+				}
+			}
+			return nil
+		},
+	}
+	if _, _, _, err := runStageI(g, opts, 1, 1, probe, &nodes); err != nil {
+		t.Fatal(err)
+	}
+	if len(cuts) == 0 {
+		t.Fatal("no checkpoint cuts a tTrialPick window")
+	}
+	for k, snap := range cuts {
+		for _, w := range []int{1, 4} {
+			rOuts, rIDs, rRes, err := resumeStageI(g, opts, 1, w, snap)
+			if err != nil {
+				t.Fatalf("cut %d/w%d: %v", k, w, err)
+			}
+			compareStageIRuns(t, fmt.Sprintf("cut %d/w%d", k, w), base, stageIRun{rOuts, rIDs, rRes})
+		}
+	}
+	t.Logf("%d checkpoints cut a tTrialPick window", len(cuts))
+}

@@ -10,10 +10,11 @@ import (
 
 // The combiners of Stage I's part-tree convergecasts. Each merges a
 // node's own contribution with its children's, in ChildPorts order. All
-// but the randomized variant's reservoir pick (combineTrial) are
-// registered, so their convergecasts run by reference. Combiner kinds
-// 32..63 are reserved for package partition (the internal/congest tests
-// use 1..31, internal/core 64..95, internal/spanner 96..127).
+// are registered, so every convergecast runs by reference; the
+// randomized variant's reservoir pick (combineTrial) draws from the
+// folded node's randomness. Combiner kinds 32..63 are reserved for
+// package partition (the internal/congest tests use 1..31,
+// internal/core 64..95, internal/spanner 96..127).
 var (
 	cmbFirst     = congest.RegisterCombiner(32, combineFirst)
 	cmbSum       = congest.RegisterCombiner(33, combineSum)
@@ -22,6 +23,7 @@ var (
 	cmbPairSum   = congest.RegisterCombiner(36, combinePairSum)
 	cmbColorSums = congest.RegisterCombiner(37, combineColorSums)
 	cmbFD        = congest.RegisterCombiner(38, combineFD) // argument: the entry cap
+	cmbTrial     = congest.RegisterRandomCombiner(39, combineTrial)
 )
 
 // combineFirst picks the first non-none contribution (used when exactly
@@ -176,8 +178,9 @@ func combineFD(limit int64, own congest.Message, children []congest.Message) con
 
 // combineTrial is the weighted reservoir combiner of the tree-sampling
 // procedure (§4.1): it picks one candidate with probability proportional to its subtree
-// cross-degree and re-labels the winner with the subtree total.
-func combineTrial(rng *rand.Rand, o congest.Message, ch []congest.Message) congest.Message {
+// cross-degree and re-labels the winner with the subtree total. It draws
+// once when there is a candidate.
+func combineTrial(rng *rand.Rand, _ int64, o congest.Message, ch []congest.Message) congest.Message {
 	cands := make([]trialMsg, 0, len(ch)+1)
 	if tm, ok := o.(trialMsg); ok {
 		cands = append(cands, tm)

@@ -1,6 +1,10 @@
 package partition
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/congest"
+)
 
 // This file implements the random-shift clustering baseline discussed in
 // §1.1 of the paper: the Elkin–Neiman/Miller–Peng–Xu style partition that
@@ -16,7 +20,9 @@ type claimMsg struct {
 	Prio int64
 }
 
-func (m claimMsg) Bits() int { return 2 + bitsVal(m.Root) + bitsVal(m.Prio) }
+func (m claimMsg) Bits() int {
+	return 2 + congest.BitsForSigned(m.Root) + congest.BitsForSigned(m.Prio)
+}
 
 // ackMsg tells a neighbor it became this node's cluster-tree parent.
 type ackMsg struct{}

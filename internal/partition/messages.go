@@ -6,14 +6,6 @@ import "repro/internal/congest"
 // CONGEST O(log n)-bit discipline; list-valued messages are bounded by
 // 3*alpha+1 entries (constant), so all messages are O(log n) bits.
 
-// bitsVal is the encoded size of one integer field: sign bit plus value.
-func bitsVal(v int64) int {
-	if v < 0 {
-		v = -v
-	}
-	return congest.BitsForValue(v) + 1
-}
-
 // noneMsg is an explicit "no contribution" marker used in convergecasts.
 type noneMsg struct{}
 
@@ -22,7 +14,7 @@ func (noneMsg) Bits() int { return 1 }
 // valMsg carries a single value (color, level, weight, id).
 type valMsg struct{ V int64 }
 
-func (m valMsg) Bits() int { return 2 + bitsVal(m.V) }
+func (m valMsg) Bits() int { return 2 + congest.BitsForSigned(m.V) }
 
 // smallVals interns boxed valMsg values for the dominant small payloads
 // (colors, levels, flags, ids up to n) so that hot paths do not allocate
@@ -46,12 +38,12 @@ func vmsg(v int64) congest.Message {
 // pairMsg carries two values.
 type pairMsg struct{ A, B int64 }
 
-func (m pairMsg) Bits() int { return 2 + bitsVal(m.A) + bitsVal(m.B) }
+func (m pairMsg) Bits() int { return 2 + congest.BitsForSigned(m.A) + congest.BitsForSigned(m.B) }
 
 // rootAnnounce is the phase-start boundary discovery message.
 type rootAnnounce struct{ Root int64 }
 
-func (m rootAnnounce) Bits() int { return 2 + bitsVal(m.Root) }
+func (m rootAnnounce) Bits() int { return 2 + congest.BitsForSigned(m.Root) }
 
 // statusMsg is the per-super-round broadcast from a part root: the part's
 // activity flag and the roots it needs activity reports for (at most
@@ -64,7 +56,7 @@ type statusMsg struct {
 func (m statusMsg) Bits() int {
 	b := 3
 	for _, w := range m.Watch {
-		b += bitsVal(w)
+		b += congest.BitsForSigned(w)
 	}
 	return b
 }
@@ -96,7 +88,7 @@ type activityMsg struct {
 	Active bool
 }
 
-func (m activityMsg) Bits() int { return 3 + bitsVal(m.Root) }
+func (m activityMsg) Bits() int { return 3 + congest.BitsForSigned(m.Root) }
 
 // rootWeight is one (neighbor part, edge count) entry.
 type rootWeight struct {
@@ -122,10 +114,10 @@ type decompAgg struct {
 func (m decompAgg) Bits() int {
 	b := 4
 	for _, e := range m.Entries {
-		b += bitsVal(e.Root) + bitsVal(e.Weight)
+		b += congest.BitsForSigned(e.Root) + congest.BitsForSigned(e.Weight)
 	}
 	for _, w := range m.Watch {
-		b += bitsVal(w.Root) + 1
+		b += congest.BitsForSigned(w.Root) + 1
 	}
 	return b
 }
@@ -137,13 +129,15 @@ type selMsg struct {
 	HasOut bool
 }
 
-func (m selMsg) Bits() int { return 3 + bitsVal(m.Target) + bitsVal(m.Weight) }
+func (m selMsg) Bits() int {
+	return 3 + congest.BitsForSigned(m.Target) + congest.BitsForSigned(m.Weight)
+}
 
 // fSelect notifies the designated neighbor v^j that this part selected an
 // edge into v^j's part.
 type fSelect struct{ ChildRoot int64 }
 
-func (m fSelect) Bits() int { return 2 + bitsVal(m.ChildRoot) }
+func (m fSelect) Bits() int { return 2 + congest.BitsForSigned(m.ChildRoot) }
 
 // reportMsg carries the part's final color and out-edge weight to its
 // designated node for cross-boundary reporting.
@@ -152,7 +146,9 @@ type reportMsg struct {
 	Weight int64
 }
 
-func (m reportMsg) Bits() int { return 2 + bitsVal(m.Color) + bitsVal(m.Weight) }
+func (m reportMsg) Bits() int {
+	return 2 + congest.BitsForSigned(m.Color) + congest.BitsForSigned(m.Weight)
+}
 
 // childReport crosses the boundary from u^j to v^j after coloring.
 type childReport struct {
@@ -160,13 +156,15 @@ type childReport struct {
 	Weight int64
 }
 
-func (m childReport) Bits() int { return 2 + bitsVal(m.Color) + bitsVal(m.Weight) }
+func (m childReport) Bits() int {
+	return 2 + congest.BitsForSigned(m.Color) + congest.BitsForSigned(m.Weight)
+}
 
 // colorSums aggregates incoming-edge weights per child color (1..3).
 type colorSums struct{ W [4]int64 }
 
 func (m colorSums) Bits() int {
-	return 2 + bitsVal(m.W[1]) + bitsVal(m.W[2]) + bitsVal(m.W[3])
+	return 2 + congest.BitsForSigned(m.W[1]) + congest.BitsForSigned(m.W[2]) + congest.BitsForSigned(m.W[3])
 }
 
 // markMsg is the root's marking decision broadcast.
@@ -207,5 +205,5 @@ type trialMsg struct {
 }
 
 func (m trialMsg) Bits() int {
-	return 2 + bitsVal(m.NodeID) + bitsVal(m.Target) + bitsVal(m.Degree)
+	return 2 + congest.BitsForSigned(m.NodeID) + congest.BitsForSigned(m.Target) + congest.BitsForSigned(m.Degree)
 }

@@ -8,9 +8,8 @@ package partition
 // are rebuilt from scratch by the next operation that uses them, and the
 // boxed activity cache (actMsgRoot/actMsgT/actMsgF) is invalidated by
 // construction — rootIDs are always >= 1, so the zero-valued cache key
-// after a restore forces a rebuild. Function-typed fields cannot be
-// serialized; Step reinstalls them on the first wake after a restore
-// (reattach).
+// after a restore forces a rebuild. The only function-typed field,
+// onDone, comes from ResumeNode's caller.
 
 import (
 	"fmt"
@@ -205,13 +204,11 @@ func (s *stageINode) WalkState(c *congest.Snap) {
 // ResumeNode reconstructs one node's Stage I program from a checkpoint
 // record written by WalkState. The plan must be compiled from the same
 // Options and n as the checkpointed run; onDone plays the role it has in
-// NewNode. The returned program reinstalls its function-typed state
-// (the randomized variant's combiner) on its first Step.
+// NewNode.
 func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepAPI, out *Outcome) congest.Status) (congest.StepProgram, error) {
 	s := pl.allocNode()
 	s.plan = pl
 	s.onDone = onDone
-	s.restored = true
 	s.WalkState(c)
 	if err := c.Err(); err != nil {
 		return nil, err
@@ -237,7 +234,7 @@ func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepA
 		}
 	}
 	// The cascade-window tallies (DESIGN.md §10) rebuild the same way: a
-	// root's restored T-membership, level, and contraction parity imply
+	// root's decoded T-membership, level, and contraction parity imply
 	// exactly the tally writes its history performed this phase — level 0
 	// and its parity are assigned in the hop-0 entry glue, level L >= 1
 	// (and its parity) during hop L-1 of the respective cascade.
@@ -259,22 +256,4 @@ func (pl *StageIPlan) ResumeNode(c *congest.Snap, onDone func(api *congest.StepA
 		}
 	}
 	return s, nil
-}
-
-// reattach reinstalls the function-typed fields that a checkpoint cannot
-// carry: the randomized variant's closure combiner from initNode and,
-// when its literal convergecast is in flight, the op's combiner on the
-// tree machine. Every other convergecast runs by reference with a
-// registered combiner that the engine's record names, and Stage I
-// broadcasts never carry a transform (Begin is always called with nil),
-// so neither machine needs more repair.
-func (s *stageINode) reattach(api *congest.StepAPI) {
-	s.trialCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return combineTrial(api.Rand(), own, children)
-	}
-	if s.inOp {
-		if op := &s.plan.ops[s.pc]; op.kind == sCvg && op.tag == tTrialPick {
-			s.cv.SetCombine(s.trialCombine)
-		}
-	}
 }

@@ -299,7 +299,6 @@ type stageINode struct {
 
 	started   bool
 	finished  bool
-	restored  bool // decoded from a checkpoint; closures need reattaching
 	inOp      bool
 	fdJoined  bool // entered this phase's forest decomposition (§10)
 	fdDirty   bool // current super-round changed local FD state
@@ -356,11 +355,10 @@ type stageINode struct {
 	stStatus   statusMsg    // this super-round's status broadcast
 
 	// Randomized-variant selection state (root-only best tracking plus a
-	// reusable cross-port scratch buffer and the RNG-bearing combiner).
+	// reusable cross-port scratch buffer).
 	bestW        int64
 	bestTarget   int64
 	crossScratch []int
-	trialCombine func(own congest.Message, children []congest.Message) congest.Message
 
 	// Scratch buffers for this node's decompAgg contribution.
 	ownEntries []rootWeight
@@ -399,10 +397,6 @@ func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 	if !s.started {
 		s.started = true
 		s.initNode(api)
-	}
-	if s.restored {
-		s.restored = false
-		s.reattach(api)
 	}
 	for {
 		if s.finished {
@@ -455,7 +449,7 @@ func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest
 				if s.cascWindow(api, op) {
 					return congest.Sleep(s.fdFFUntil)
 				}
-				if !s.bd.Begin(api, s.tree, api.Round()+s.D, s.prepBcast(api, op), nil) {
+				if !s.bd.Begin(api, s.tree, api.Round()+s.D, s.prepBcast(api, op)) {
 					s.inOp = true
 					return s.bd.Wake()
 				}
@@ -544,9 +538,6 @@ func (s *stageINode) initNode(api *congest.StepAPI) {
 	s.nbrRoot, s.fChildColor, s.fChildWt = words[:deg:deg], words[deg:2*deg:2*deg], words[2*deg:]
 	s.cross, s.fChild, s.fChildMark = flags[:deg:deg], flags[deg:2*deg:2*deg], flags[2*deg:3*deg:3*deg]
 	s.actPort, s.actSeen = flags[3*deg:4*deg:4*deg], flags[4*deg:]
-	s.trialCombine = func(own congest.Message, children []congest.Message) congest.Message {
-		return combineTrial(api.Rand(), own, children)
-	}
 }
 
 // beginPhase resets the per-phase state and does the phase bookkeeping.
@@ -805,20 +796,14 @@ func (s *stageINode) absorbBcast(api *congest.StepAPI, op *sOp, got congest.Mess
 }
 
 // beginCvg begins the convergecast op at round start, the current round
-// or, after a cross round the node skips, the next one. The randomized
-// variant's reservoir pick draws from the node's randomness, so it runs
-// literally (at the current round).
+// or, after a cross round the node skips, the next one.
 func (s *stageINode) beginCvg(api *congest.StepAPI, op *sOp, start int) bool {
 	own, comb := s.prepCvg(api, op)
-	if op.tag == tTrialPick {
-		return s.cv.BeginLiteral(api, s.tree, start+s.D, own, s.trialCombine)
-	}
 	return s.cv.BeginFrom(api, s.tree, start, start+s.D, own, comb)
 }
 
 // prepCvg returns this node's contribution and the combiner for a
-// convergecast op (for tTrialPick, whose combiner is s.trialCombine, the
-// zero Combiner).
+// convergecast op.
 func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, congest.Combiner) {
 	if op.ff {
 		return s.crossGot, cmbFirst
@@ -885,9 +870,9 @@ func (s *stageINode) prepCvg(api *congest.StepAPI, op *sOp) (congest.Message, co
 				NodeID: api.ID(),
 				Target: s.nbrRoot[p],
 				Degree: int64(len(s.crossScratch)),
-			}, congest.Combiner{}
+			}, cmbTrial
 		}
-		return noneMsg{}, congest.Combiner{}
+		return noneMsg{}, cmbTrial
 	case tTrialWeight:
 		// Step (3): count this node's edges into the announced target.
 		cnt := int64(0)

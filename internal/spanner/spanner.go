@@ -52,10 +52,10 @@ type depthMsg struct{ D int64 }
 
 func (m depthMsg) Bits() int { return 2 + congest.BitsForValue(m.D) }
 
-// depthHop increments the depth-probe payload on each hop.
-func depthHop(m congest.Message) congest.Message {
-	return depthMsg{D: m.(depthMsg).D + 1}
-}
+// depthProbe is the stretch certificate's depth probe: a node at depth d
+// holds depthMsg{d} and relays it to its children. Depth message kinds
+// 96..127 are reserved for package spanner.
+var depthProbe = congest.RegisterDepthMessage(96, func(d int64) congest.Message { return depthMsg{D: d} })
 
 // cmbMaxDepth is the depth convergecast's combiner, registered so the
 // convergecast runs by reference. Combiner kinds 96..127 are reserved

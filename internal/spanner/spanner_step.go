@@ -16,7 +16,7 @@ import (
 type spOp uint8
 
 const (
-	spDepthDown  spOp = iota // bcast: depth probe (+1 per hop)
+	spDepthDown  spOp = iota // bcast: depth probe (each node's own depth)
 	spDepthUp                // cvg: max depth
 	spDepthAgree             // bcast: agreed depth
 	spBoundary               // cross: flag cross-part edges
@@ -49,7 +49,7 @@ func (s *spannerNode) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 		switch s.pc {
 		case spDepthDown:
 			if !s.inOp {
-				if !s.bd.Begin(api, s.part.Tree, api.Round()+probe, depthMsg{}, depthHop) {
+				if !s.bd.BeginDepth(api, s.part.Tree, api.Round()+probe, depthProbe) {
 					s.inOp = true
 					return s.bd.Wake()
 				}
@@ -85,7 +85,7 @@ func (s *spannerNode) Step(api *congest.StepAPI, inbox []congest.Inbound) conges
 
 		case spDepthAgree:
 			if !s.inOp {
-				if !s.bd.Begin(api, s.part.Tree, api.Round()+probe, s.reg, nil) {
+				if !s.bd.Begin(api, s.part.Tree, api.Round()+probe, s.reg) {
 					s.inOp = true
 					return s.bd.Wake()
 				}
