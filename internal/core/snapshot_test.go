@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/congest"
@@ -83,9 +84,17 @@ func cutRecords(t testing.TB, snap []byte) (progs map[uint16][][]byte, msgs [][]
 	return progs, msgs
 }
 
+// seedsPerRecord is the number of FuzzSnapRecord seeds per run and
+// record selector. Go names seeds by position (seed#0, seed#1, ...), so
+// a fixed count keeps every name when a change to the engine makes
+// checkpoints fewer or their records more alike.
+const seedsPerRecord = 26
+
 // snapRecordSeeds returns FuzzSnapRecord's seeds: program records and
 // mailbox messages of real checkpoints, each behind its selector byte,
-// then one empty record per selector, which every decoder must reject.
+// seedsPerRecord per run and selector (spread over the run's distinct
+// records, cycling them when there are fewer), then one empty record
+// per selector, which every decoder must reject.
 func snapRecordSeeds(t testing.TB) [][]byte {
 	far, _ := graph.PlanarPlusRandomEdges(40, 30, rand.New(rand.NewSource(4)))
 	var seeds [][]byte
@@ -110,22 +119,18 @@ func snapRecordSeeds(t testing.TB) [][]byte {
 		if _, err := RunTester(run.g, opts, 1); err != nil {
 			t.Fatal(err)
 		}
-		// At most 40 distinct seeds per record kind and run, so the
-		// rarer Stage II records are not drowned by Stage I ones.
+		// The distinct records of each selector, in checkpoint order.
 		seen := map[string]bool{}
-		per := map[byte]int{}
+		distinct := map[byte][][]byte{}
 		add := func(sel byte, rec []byte) {
 			in := append([]byte{sel}, rec...)
-			if !seen[string(in)] && per[sel] < 40 {
+			if !seen[string(in)] {
 				seen[string(in)] = true
-				per[sel]++
-				seeds = append(seeds, in)
+				distinct[sel] = append(distinct[sel], in)
 			}
 		}
-		// Every fifth checkpoint, so the short part-context prelude is
-		// sampled at several offsets.
-		for b := 0; b < len(snaps); b += 5 {
-			progs, msgs := cutRecords(t, snaps[b])
+		for _, snap := range snaps {
+			progs, msgs := cutRecords(t, snap)
 			for kind, recs := range progs {
 				if sel, ok := run.kind[kind]; ok {
 					add(sel, recs[len(recs)/2])
@@ -133,6 +138,24 @@ func snapRecordSeeds(t testing.TB) [][]byte {
 			}
 			for _, m := range msgs {
 				add(fuzzMsg, m)
+			}
+		}
+		sels := []byte{fuzzMsg}
+		for _, sel := range run.kind {
+			sels = append(sels, sel)
+		}
+		slices.Sort(sels)
+		for _, sel := range sels {
+			recs := distinct[sel]
+			if len(recs) == 0 {
+				t.Fatalf("run %v/%d: no record for selector %d", run.v, run.g.N(), sel)
+			}
+			for k := 0; k < seedsPerRecord; k++ {
+				if len(recs) >= seedsPerRecord {
+					seeds = append(seeds, recs[k*len(recs)/seedsPerRecord])
+				} else {
+					seeds = append(seeds, recs[k%len(recs)])
+				}
 			}
 		}
 	}
@@ -207,9 +230,14 @@ func FuzzSnapRecord(f *testing.F) {
 // TestSnapRecordByteFlips runs checkSnapRecord on every one-byte
 // change (plus or minus one) of every FuzzSnapRecord seed, so the
 // decoders' contract is checked deterministically, not only by chance
-// mutations.
+// mutations. A seed repeated by the cycling is swept once.
 func TestSnapRecordByteFlips(t *testing.T) {
+	flipped := map[string]bool{}
 	for _, s := range snapRecordSeeds(t) {
+		if flipped[string(s)] {
+			continue // a cycled seed
+		}
+		flipped[string(s)] = true
 		for i := 1; i < len(s); i++ {
 			for _, d := range []byte{1, 0xff} {
 				in := append([]byte(nil), s...)
