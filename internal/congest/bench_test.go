@@ -23,7 +23,6 @@ func BenchmarkEngineBroadcast(b *testing.B) {
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := RunStep(Config{Graph: g, Seed: int64(i)}, func(node int) StepProgram {
-				var bd BroadcastDownStep
 				started := false
 				return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 					if !started {
@@ -33,15 +32,9 @@ func BenchmarkEngineBroadcast(b *testing.B) {
 						if tr.IsRoot() {
 							root = intMsg{v: 42}
 						}
-						if !bd.Begin(api, tr, api.Round()+n+2, root) {
-							return bd.Wake()
-						}
-					} else if !bd.Feed(api, inbox) {
-						return bd.Wake()
+						return api.Broadcast(tr, api.Round()+n+2, root)
 					}
-					if _, ok := bd.Result(); !ok {
-						panic("broadcast failed")
-					}
+					api.Result()
 					return Done()
 				})
 			})
@@ -58,21 +51,14 @@ func BenchmarkEngineConvergecast(b *testing.B) {
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, err := RunStep(Config{Graph: g, Seed: int64(i)}, func(node int) StepProgram {
-				var cv ConvergecastStep
 				started := false
 				return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 					if !started {
 						started = true
 						own := intMsg{v: int64(api.Index())}
-						if !cv.Begin(api, tree(api.Index()), api.Round()+n+2, own, sumCombine) {
-							return cv.Wake()
-						}
-					} else if !cv.Feed(api, inbox) {
-						return cv.Wake()
+						return api.Convergecast(tree(api.Index()), api.Round(), api.Round()+n+2, own, sumCombine)
 					}
-					if _, ok := cv.Result(); !ok {
-						panic("convergecast failed")
-					}
+					api.Result()
 					return Done()
 				})
 			})

@@ -73,7 +73,7 @@ func RegisterCombiner(kind uint16, f func(arg int64, own Message, children []Mes
 // RegisterRandomCombiner is RegisterCombiner for a combiner that draws
 // from rng, the randomness (StepAPI.Rand) of the node whose aggregate it
 // folds. A node must not draw from its own randomness while its window
-// is open, before Feed closes it.
+// is open, before Result closes it.
 func RegisterRandomCombiner(kind uint16, f func(rng *rand.Rand, arg int64, own Message, children []Message) Message) Combiner {
 	return registerCombiner(Combiner{kind: kind, rf: f})
 }

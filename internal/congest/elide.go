@@ -76,7 +76,7 @@ func (p *pubSlot) at(d int32) Message {
 
 // DepthMessage is a registered depth-probe message constructor: f(d) is
 // the message a node at depth d of the broadcast tree holds and relays
-// to its children (BroadcastDownStep.BeginDepth). Every message it
+// to its children (StepAPI.BroadcastDepth). Every message it
 // returns for a depth below n must fit the bit bound. The zero value is
 // not a constructor.
 type DepthMessage struct {
@@ -105,7 +105,7 @@ func RegisterDepthMessage(kind uint16, f func(depth int64) Message) DepthMessage
 func (p *pubSlot) count() int64 { return int64(len(p.cum) - 1) }
 
 // sharedVal is a per-stream value computed once from the items by the
-// first node that asks (BroadcastItemsDownStep.Shared).
+// first node that asks (StepAPI.Shared).
 type sharedVal struct {
 	once sync.Once
 	v    any

@@ -154,36 +154,31 @@ func (f elideFixture) runBroadcasts(t *testing.T, relay, depth bool, cut, sw int
 			return bystander(cut, sw)
 		}
 		tr := f.views[v]
-		var bd [2]BroadcastDownStep
 		var rb [2]relayBcast
 		op := func(k, budget int, payload int64) treeOp {
-			var machine interface {
-				Feed(api *StepAPI, inbox []Inbound) bool
-				Wake() Status
-				Result() (Message, bool)
-			} = &bd[k]
+			msg := Message(intMsg{v: payload})
 			if relay {
-				machine = &rb[k]
-			}
-			return treeOp{machine, func(api *StepAPI) bool {
-				msg := Message(intMsg{v: payload})
-				dl := api.Round() + budget
-				switch {
-				case relay && depth:
-					return rb[k].begin(api, tr, dl, intMsg{v: 0}, addOne)
-				case relay:
+				return machineOp(&rb[k], func(api *StepAPI) bool {
+					dl := api.Round() + budget
+					if depth {
+						return rb[k].begin(api, tr, dl, intMsg{v: 0}, addOne)
+					}
 					return rb[k].begin(api, tr, dl, msg, nil)
-				case depth:
-					return bd[k].BeginDepth(api, tr, dl, depthInt)
+				}, func(api *StepAPI) {
+					m, ok := rb[k].Result()
+					if !ok {
+						panic("broadcast did not complete")
+					}
+					got[v][k] = m.(intMsg).v
+				})
+			}
+			return engineOp(func(api *StepAPI) Status {
+				dl := api.Round() + budget
+				if depth {
+					return api.BroadcastDepth(tr, dl, depthInt)
 				}
-				return bd[k].Begin(api, tr, dl, msg)
-			}, func(api *StepAPI) {
-				m, ok := machine.Result()
-				if !ok {
-					panic("broadcast did not complete")
-				}
-				got[v][k] = m.(intMsg).v
-			}}
+				return api.Broadcast(tr, dl, msg)
+			}, func(api *StepAPI) { got[v][k] = api.Result().(intMsg).v })
 		}
 		return treeOps(idle(3), op(0, budget, 1<<20), op(1, budget-3, 7))
 	})
@@ -320,25 +315,20 @@ func (f elideFixture) runStreams(relay bool, cut, sw, over int) (*Result, []int,
 		}
 		if relay {
 			var r relayItems
-			return treeOps(idle(2), treeOp{&r, func(api *StepAPI) bool {
+			return treeOps(idle(2), machineOp(&r, func(api *StepAPI) bool {
 				return r.begin(api, tr, api.Round()+40, items)
 			}, func(api *StepAPI) {
 				if tr.IsRoot() {
 					r.got = items
 				}
 				counts[v] = len(r.got)
-			}})
+			}))
 		}
-		var b BroadcastItemsDownStep
-		return treeOps(idle(2), treeOp{&b, func(api *StepAPI) bool {
-			return b.Begin(api, tr, api.Round()+40, items)
+		return treeOps(idle(2), engineOp(func(api *StepAPI) Status {
+			return api.Stream(tr, api.Round()+40, items)
 		}, func(api *StepAPI) {
-			got, ok := b.Result()
-			if !ok {
-				panic("stream did not complete")
-			}
-			counts[v] = len(got)
-		}})
+			counts[v] = api.Shared(func(items []Message) any { return len(items) }).(int)
+		}))
 	})
 	return res, counts, err
 }
@@ -384,14 +374,13 @@ func TestElidedBitBound(t *testing.T) {
 			tr := f.views[v]
 			if relay {
 				var rb relayBcast
-				return treeOps(idle(1), treeOp{&rb, func(api *StepAPI) bool {
+				return treeOps(idle(1), machineOp(&rb, func(api *StepAPI) bool {
 					return rb.begin(api, tr, api.Round()+12, sizedMsg{bits: 65}, nil)
-				}, nil})
+				}, nil))
 			}
-			var bd BroadcastDownStep
-			return treeOps(idle(1), treeOp{&bd, func(api *StepAPI) bool {
-				return bd.Begin(api, tr, api.Round()+12, sizedMsg{bits: 65})
-			}, nil})
+			return treeOps(idle(1), engineOp(func(api *StepAPI) Status {
+				return api.Broadcast(tr, api.Round()+12, sizedMsg{bits: 65})
+			}, func(api *StepAPI) { api.Result() }))
 		})
 	}
 	wantRes, wantErr := huge(true)
@@ -467,10 +456,9 @@ func TestElidedWindowRejectsInbound(t *testing.T) {
 			})
 		}
 		tr := f.views[v]
-		var bd BroadcastDownStep
-		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
-			return bd.Begin(api, tr, api.Round()+12, intMsg{v: 3})
-		}, nil})
+		return treeOps(engineOp(func(api *StepAPI) Status {
+			return api.Broadcast(tr, api.Round()+12, intMsg{v: 3})
+		}, func(api *StepAPI) { api.Result() }))
 	})
 	if err == nil || !strings.Contains(err.Error(), "BroadcastDown: unexpected message") {
 		t.Fatalf("err = %v", err)
@@ -527,7 +515,6 @@ var (
 // draw from its randomness after it.
 type cvgResult struct {
 	agg  Message
-	ok   bool
 	next int64
 }
 
@@ -578,8 +565,7 @@ func (r *relayCvg) Feed(api *StepAPI, inbox []Inbound) bool {
 	return api.Round() >= r.deadline
 }
 
-func (r *relayCvg) Wake() Status            { return Sleep(r.deadline) }
-func (r *relayCvg) Result() (Message, bool) { return r.agg, r.agg != nil }
+func (r *relayCvg) Wake() Status { return Sleep(r.deadline) }
 
 // cvgRun configures runConvergecasts: the relay or by reference, the
 // relay's fold (random folds draw from the node's randomness) and the
@@ -620,43 +606,34 @@ func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error
 			return bystander(c.cut, c.sw)
 		}
 		tr := f.views[v]
-		var cv ConvergecastStep
 		var rc relayCvg
-		var machine interface {
-			Feed(api *StepAPI, inbox []Inbound) bool
-			Wake() Status
-			Result() (Message, bool)
-		} = &cv
-		if c.relay {
-			machine = &rc
-		}
 		op, inOp, next := 0, false, 3
-		begin := func(api *StepAPI, start int) bool {
-			dl := start + c.budgets[op]
-			if c.relay {
-				return rc.begin(api, tr, dl, c.own(api, v, op), c.relayFold)
-			}
-			return cv.BeginFrom(api, tr, start, dl, c.own(api, v, op), c.comb)
-		}
 		return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 			for op < 2 {
 				switch {
-				case inOp && !machine.Feed(api, inbox):
-					return machine.Wake()
+				case inOp && c.relay && !rc.Feed(api, inbox):
+					return rc.Wake()
 				case inOp:
 					inOp = false
-					agg, ok := machine.Result()
-					if !ok {
-						panic(fmt.Sprintf("convergecast %d did not complete", op))
+					var agg Message
+					if !c.relay {
+						agg = api.Result()
+					} else if agg = rc.agg; agg == nil {
+						// The relay's incomplete op ends as the engine's does.
+						panic(fmt.Sprintf("congest: Convergecast: under budget (node %d)", api.Index()))
 					}
-					got[v][op] = cvgResult{agg, ok, api.Rand().Int63()}
+					got[v][op] = cvgResult{agg, api.Rand().Int63()}
 					op, next = op+1, api.Round()+1
 				case api.Round() < next && !(c.early && v%2 == 1 && api.Round() == next-1):
 					return Sleep(next)
-				default:
-					if inOp = !begin(api, next); !inOp {
+				case c.relay:
+					if inOp = !rc.begin(api, tr, next+c.budgets[op], c.own(api, v, op), c.relayFold); !inOp {
 						panic("convergecast with rounds completed at its start")
 					}
+					return rc.Wake()
+				default:
+					inOp = true
+					return api.Convergecast(tr, next, next+c.budgets[op], c.own(api, v, op), c.comb)
 				}
 			}
 			return Done()
@@ -726,7 +703,8 @@ func TestRandomConvergecastMatchesRelay(t *testing.T) {
 // fails as the relay does, with the same error text: an aggregate above
 // the bit bound (at a leaf's first round and deeper in the tree), a
 // budget below the tree's height, and a message reaching a node inside
-// the window; and that a convergecast with no rounds panics.
+// the window; and that a convergecast, a broadcast or a stream with no
+// rounds panics.
 func TestByRefConvergecastErrors(t *testing.T) {
 	f := newElideFixture(5, 1)
 	h := f.depth[f.by-1]
@@ -766,19 +744,18 @@ func TestByRefConvergecastErrors(t *testing.T) {
 	var want error
 	for _, relay := range []bool{true, false} {
 		_, err := RunStep(Config{Graph: graph.Star(4), Seed: 2}, func(i int) StepProgram {
-			var cv ConvergecastStep
 			var rc relayCvg
 			op := func(tr Tree, budget int) treeOp {
 				if relay {
-					return treeOp{&rc, func(api *StepAPI) bool {
+					return machineOp(&rc, func(api *StepAPI) bool {
 						return rc.begin(api, tr, api.Round()+budget, intMsg{v: 1}, func(_ *StepAPI, own Message, ch []Message) Message {
 							return mixFold(own, ch)
 						})
-					}, nil}
+					}, nil)
 				}
-				return treeOp{&cv, func(api *StepAPI) bool {
-					return cv.Begin(api, tr, api.Round()+budget, intMsg{v: 1}, mixCombine)
-				}, nil}
+				return engineOp(func(api *StepAPI) Status {
+					return api.Convergecast(tr, api.Round(), api.Round()+budget, intMsg{v: 1}, mixCombine)
+				}, func(api *StepAPI) { api.Result() })
 			}
 			switch i {
 			case 0:
@@ -800,14 +777,27 @@ func TestByRefConvergecastErrors(t *testing.T) {
 		}
 	}
 
-	_, err := RunStep(Config{Graph: graph.Path(2), Seed: 2}, func(i int) StepProgram {
-		var cv ConvergecastStep
-		tr := pathTree(i, 2)
-		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
-			return cv.Begin(api, tr, api.Round(), intMsg{v: 1}, mixCombine)
-		}, nil})
-	})
-	if err == nil || !strings.Contains(err.Error(), "Convergecast: no rounds (node 0)") {
-		t.Fatalf("no rounds: err = %v", err)
+	// Every op needs at least one round.
+	for _, op := range []struct {
+		name string
+		call func(api *StepAPI, tr Tree) Status
+	}{
+		{"Convergecast", func(api *StepAPI, tr Tree) Status {
+			return api.Convergecast(tr, api.Round(), api.Round(), intMsg{v: 1}, mixCombine)
+		}},
+		{"BroadcastDown", func(api *StepAPI, tr Tree) Status {
+			return api.Broadcast(tr, api.Round(), intMsg{v: 1})
+		}},
+		{"BroadcastItemsDown", func(api *StepAPI, tr Tree) Status {
+			return api.Stream(tr, api.Round(), []Message{intMsg{v: 1}})
+		}},
+	} {
+		_, err := RunStep(Config{Graph: graph.Path(2), Seed: 2}, func(i int) StepProgram {
+			tr := pathTree(i, 2)
+			return treeOps(engineOp(func(api *StepAPI) Status { return op.call(api, tr) }, nil))
+		})
+		if err == nil || !strings.Contains(err.Error(), op.name+": no rounds (node 0)") {
+			t.Fatalf("%s with no rounds: err = %v", op.name, err)
+		}
 	}
 }

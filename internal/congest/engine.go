@@ -246,6 +246,7 @@ func RunStep(cfg Config, progs func(node int) StepProgram) (*Result, error) {
 		modeled:      make([]int64, n),
 		charged:      make([]charge, n),
 		opened:       make([]uint8, n),
+		opKind:       make([]uint8, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),
@@ -395,6 +396,18 @@ type engine struct {
 	cv     *cvgState
 	cvOnce sync.Once
 	opened []uint8 // per node: the window kinds it opened in its current step
+
+	// The tree ops (tree_step.go): opKind is each node's open op (0:
+	// none); pay holds a root's payload, allocated by the first root
+	// through payOnce; lit holds the pending literal sends of over-bound
+	// stream messages, and lits counts them, so a wake checks for one
+	// only while one is pending.
+	opKind  []uint8
+	pay     []opPayload
+	payOnce sync.Once
+	litMu   sync.Mutex
+	lit     map[int32]litSend
+	lits    atomic.Int32
 
 	// Observability (internal/obs). All slabs below are nil unless
 	// Config.Probe is set; the disabled fast path is a nil check per
@@ -1212,12 +1225,22 @@ func (e *engine) commitOpened() {
 
 // computeNode advances node i by one round: it runs the node's Step (and
 // any same-round BecomeStep handovers) and returns the resulting
-// status. It touches only node i's slab entries, so distinct nodes'
-// computes may run concurrently; all shared effects (routing, Done,
-// metrics) happen on the engine loop.
+// status. Mail reaching a node inside a tree op fails it, and the wake
+// of an over-bound stream's literal round sends that message for the
+// node (tree_step.go). It touches only node i's slab entries, so
+// distinct nodes' computes may run concurrently; all shared effects
+// (routing, Done, metrics) happen on the engine loop.
 func (e *engine) computeNode(i int) Status {
 	h := &e.hot[i]
 	api := &e.apis[i]
+	if len(h.inbox) > 0 && e.opKind[i] != 0 {
+		e.strayMail(i, h.inbox)
+	}
+	if e.lits.Load() != 0 {
+		if st, ok := e.literal(int32(i)); ok {
+			return st
+		}
+	}
 	status := h.prog.Step(api, h.inbox)
 	for status.kind == statusBecomeStep {
 		h.prog = status.contStep // handover, same round

@@ -460,18 +460,13 @@ func TestTreeBroadcastDown(t *testing.T) {
 	got := make([]int64, n)
 	_, err := RunStep(Config{Graph: g, Seed: 15}, func(i int) StepProgram {
 		tr := pathTree(i, n)
-		var bd BroadcastDownStep
-		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
+		return treeOps(engineOp(func(api *StepAPI) Status {
 			// The payload is one more than the depth, so node i receives
 			// i+1.
-			return bd.BeginDepth(api, tr, api.Round()+n+2, depthPlusOne)
+			return api.BroadcastDepth(tr, api.Round()+n+2, depthPlusOne)
 		}, func(api *StepAPI) {
-			m, ok := bd.Result()
-			if !ok {
-				panic("broadcast did not complete")
-			}
-			got[api.Index()] = m.(intMsg).v
-		}})
+			got[api.Index()] = api.Result().(intMsg).v
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,18 +484,13 @@ func TestTreeConvergecastSum(t *testing.T) {
 	var rootSum int64
 	_, err := RunStep(Config{Graph: g, Seed: 16}, func(i int) StepProgram {
 		tr := pathTree(i, n)
-		var cv ConvergecastStep
-		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
-			return cv.Begin(api, tr, api.Round()+n+2, intMsg{v: int64(i)}, sumCombine)
+		return treeOps(engineOp(func(api *StepAPI) Status {
+			return api.Convergecast(tr, api.Round(), api.Round()+n+2, intMsg{v: int64(i)}, sumCombine)
 		}, func(api *StepAPI) {
-			agg, ok := cv.Result()
-			if !ok {
-				panic("convergecast did not complete")
-			}
-			if tr.IsRoot() {
+			if agg := api.Result(); tr.IsRoot() {
 				rootSum = agg.(intMsg).v
 			}
-		}})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +507,7 @@ func TestTreePipelineUp(t *testing.T) {
 	_, err := RunStep(Config{Graph: g, Seed: 17}, func(i int) StepProgram {
 		tr := pathTree(i, n)
 		var pu PipelineUpStep
-		return treeOps(treeOp{&pu, func(api *StepAPI) bool {
+		return treeOps(machineOp(&pu, func(api *StepAPI) bool {
 			// Each node contributes two items; budget = items + depth + slack.
 			items := []Message{intMsg{v: int64(i * 10)}, intMsg{v: int64(i*10 + 1)}}
 			return pu.Begin(api, tr, api.Round()+2*n+n+4, items)
@@ -529,7 +519,7 @@ func TestTreePipelineUp(t *testing.T) {
 			for _, m := range got {
 				collected = append(collected, m.(intMsg).v)
 			}
-		}})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -554,27 +544,23 @@ func TestTreeBroadcastItemsDown(t *testing.T) {
 	counts := make([]int, n)
 	_, err := RunStep(Config{Graph: g, Seed: 18}, func(i int) StepProgram {
 		tr := pathTree(i, n)
-		var bi BroadcastItemsDownStep
-		return treeOps(treeOp{&bi, func(api *StepAPI) bool {
+		return treeOps(engineOp(func(api *StepAPI) Status {
 			var items []Message
 			if tr.IsRoot() {
 				for k := 0; k < 7; k++ {
 					items = append(items, intMsg{v: int64(100 + k)})
 				}
 			}
-			return bi.Begin(api, tr, api.Round()+7+n+4, items)
+			return api.Stream(tr, api.Round()+7+n+4, items)
 		}, func(api *StepAPI) {
-			got, ok := bi.Result()
-			if !ok {
-				panic("broadcast-items did not complete")
-			}
+			got := api.Shared(func(items []Message) any { return items }).([]Message)
 			counts[api.Index()] = len(got)
 			for k, m := range got {
 				if m.(intMsg).v != int64(100+k) {
 					panic("wrong item order")
 				}
 			}
-		}})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -596,18 +582,13 @@ func TestTreeOpsOnStar(t *testing.T) {
 		if i == 0 {
 			tr = Tree{ParentPort: -1, ChildPorts: []int{0, 1, 2, 3, 4, 5}}
 		}
-		var cv ConvergecastStep
-		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
-			return cv.Begin(api, tr, api.Round()+4, intMsg{v: 1}, sumCombine)
+		return treeOps(engineOp(func(api *StepAPI) Status {
+			return api.Convergecast(tr, api.Round(), api.Round()+4, intMsg{v: 1}, sumCombine)
 		}, func(api *StepAPI) {
-			agg, ok := cv.Result()
-			if !ok {
-				panic("convergecast failed")
-			}
-			if tr.IsRoot() {
+			if agg := api.Result(); tr.IsRoot() {
 				sum = agg.(intMsg).v
 			}
-		}})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)

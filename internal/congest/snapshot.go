@@ -22,17 +22,17 @@ import (
 // the phase/deadline/mailbox slabs and are rebuilt on restore, so the
 // format serializes only: the run header, the per-node slabs, each
 // node's mailbox, its lazy RNG draw count, its program state via the
-// Snapshottable interface, and the elided and by-reference windows still
-// open (elide.go, converge.go). Restore re-enters the scheduler loop right
-// after the barrier, so a restored run executes the exact same barrier
-// sequence — and produces a byte-identical Result — as an uninterrupted
-// one.
+// Snapshottable interface, and the elided and by-reference windows and
+// the tree ops still open (elide.go, converge.go, tree_step.go).
+// Restore re-enters the scheduler loop right after the barrier, so a
+// restored run executes the exact same barrier sequence — and produces a
+// byte-identical Result — as an uninterrupted one.
 
 // snapshotMagic identifies the checkpoint format ("planar checkpoint,
 // version 1"); snapshotVersion is bumped on any layout change.
 const (
 	snapshotMagic   = "PCK1"
-	snapshotVersion = 6
+	snapshotVersion = 7
 )
 
 // snapshotFooterLen is the length of the SHA-256 integrity footer.
@@ -483,8 +483,9 @@ func (h *snapHeader) walk(c *Snap) {
 }
 
 // walkBody walks everything after the header: the node ids, each node's
-// record, the open elided and by-reference windows and the obs section. Decoding rebuilds
-// each live node's program through restore.
+// record, the open elided and by-reference windows, the open tree ops
+// and the obs section. Decoding rebuilds each live node's program
+// through restore.
 func (e *engine) walkBody(c *Snap, restore RestoreFunc) {
 	for i := range e.ids {
 		c.Varint(&e.ids[i])
@@ -495,6 +496,7 @@ func (e *engine) walkBody(c *Snap, restore RestoreFunc) {
 	}
 	e.walkElideSection(c)
 	e.walkCvgSection(c)
+	e.walkOpsSection(c)
 	e.walkObsSection(c)
 }
 
@@ -675,6 +677,7 @@ func ResumeStep(cfg Config, data []byte, restore RestoreFunc) (*Result, error) {
 		modeled:      make([]int64, n),
 		charged:      make([]charge, n),
 		opened:       make([]uint8, n),
+		opKind:       make([]uint8, n),
 		rngs:         make([]*nodeRand, n),
 		apis:         make([]StepAPI, n),
 		verdicts:     make([]Verdict, n),

@@ -176,55 +176,38 @@ type treeOpsProg struct {
 	sums      []int64
 	collected *[]int64
 	phase     int
-	cv        ConvergecastStep
 	pu        PipelineUpStep
 	tr        Tree
-	started   bool
 }
 
 func (p *treeOpsProg) Step(api *StepAPI, inbox []Inbound) Status {
-	for {
-		switch p.phase {
-		case 0:
-			if !p.started {
-				p.started = true
-				p.tr = pathTree(api.Index(), p.n)
-				own := intMsg{v: int64(api.Index())}
-				if !p.cv.Begin(api, p.tr, api.Round()+p.n+2, own, sumCombine) {
-					return p.cv.Wake()
-				}
-			} else if !p.cv.Feed(api, inbox) {
-				return p.cv.Wake()
-			}
-			agg, ok := p.cv.Result()
-			if !ok {
-				panic("convergecast failed")
-			}
-			p.sums[api.Index()] = agg.(intMsg).v
-			p.phase = 1
-			p.started = false
-		case 1:
-			if !p.started {
-				p.started = true
-				items := []Message{intMsg{v: int64(api.Index() * 10)}}
-				if !p.pu.Begin(api, p.tr, api.Round()+2*p.n+4, items) {
-					return p.pu.Wake()
-				}
-			} else if !p.pu.Feed(api, inbox) {
-				return p.pu.Wake()
-			}
-			got, ok := p.pu.Result()
-			if p.tr.IsRoot() {
-				if !ok {
-					panic("pipeline failed")
-				}
-				for _, m := range got {
-					*p.collected = append(*p.collected, m.(intMsg).v)
-				}
-			}
-			return Done()
+	switch p.phase {
+	case 0:
+		p.phase = 1
+		p.tr = pathTree(api.Index(), p.n)
+		return api.Convergecast(p.tr, api.Round(), api.Round()+p.n+2, intMsg{v: int64(api.Index())}, sumCombine)
+	case 1:
+		p.sums[api.Index()] = api.Result().(intMsg).v
+		p.phase = 2
+		items := []Message{intMsg{v: int64(api.Index() * 10)}}
+		if !p.pu.Begin(api, p.tr, api.Round()+2*p.n+4, items) {
+			return p.pu.Wake()
+		}
+	default:
+		if !p.pu.Feed(api, inbox) {
+			return p.pu.Wake()
 		}
 	}
+	got, ok := p.pu.Result()
+	if p.tr.IsRoot() {
+		if !ok {
+			panic("pipeline failed")
+		}
+		for _, m := range got {
+			*p.collected = append(*p.collected, m.(intMsg).v)
+		}
+	}
+	return Done()
 }
 
 // TestStopOnRejectMidRound verifies that a reject stops the run at the

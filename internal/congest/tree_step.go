@@ -2,8 +2,30 @@ package congest
 
 import "fmt"
 
-// The Tree communication primitives. Each primitive is a small state
-// machine driven from a StepProgram:
+// The Tree communication primitives. A broadcast, a depth probe, an item
+// stream and a convergecast are each one StepAPI call, made at the op's
+// start round by every node of the tree with the same deadline. The call
+// opens the op in the engine and returns the Status the node yields;
+// the node sleeps to the deadline and reads the result there:
+//
+//	return api.Broadcast(t, deadline, m)   // at the start round
+//	...
+//	got := api.Result()                    // at the deadline wake
+//
+// Every node completes exactly at the deadline, which keeps multi-part
+// schedules in lockstep (the paper's emulation style, §2.1.5). The ops
+// run by reference (elide.go, converge.go): no message moves, every node
+// resolves its result at the deadline, and every node charges exactly
+// the messages the hop-by-hop relay would have sent. The engine owns all
+// of an op's state: the window records, the root's payload, the literal
+// round of an over-bound stream message, the rejection of mail that
+// reaches a node inside an op, and the error of an op whose budget is
+// below the relay's. No op holds a function: a convergecast names a
+// registered combiner and a depth probe a registered message
+// constructor, so a checkpoint restores every op from its walk alone.
+// Only the gather (PipelineUpStep), whose content is assembled on the
+// way up, relays hop by hop, as a state machine driven from the node's
+// program:
 //
 //	completed := sm.Begin(api, ...)   // at the operation's start round
 //	for !completed {
@@ -11,170 +33,267 @@ import "fmt"
 //	    completed = sm.Feed(api, inbox)
 //	}
 //	result, ok := sm.Result()
-//
-// All primitives are budget-synchronized: every node of the tree begins
-// the same operation with the same deadline, and every node completes
-// exactly at the deadline, keeping multi-part schedules in lockstep (the
-// paper's emulation style, §2.1.5). The structs are reusable: Begin fully
-// resets them, and retained buffers are recycled across operations to
-// keep the hot path allocation-free. They are embedded by value in the
-// per-node program state, and everything they need per wake reaches them
-// through the slab-backed StepAPI (DESIGN.md §8).
-//
-// Broadcasts, depth probes, item streams and convergecasts run by
-// reference (elide.go, converge.go): no message moves, every node
-// resolves its result at the deadline, and every node charges exactly the
-// messages the hop-by-hop relay would have sent. None of them holds a
-// function: a convergecast names a registered combiner and a depth probe
-// a registered message constructor, so a checkpoint restores every
-// machine from its walk alone. Only the gather (PipelineUpStep), whose
-// content is assembled on the way up, relays hop by hop.
 
-// BroadcastDownStep distributes a message from the root to every tree
-// node, as an elided window (elide.go): every node reads the root's
-// payload at the deadline and charges the relays it would have sent. A
-// depth probe (BeginDepth) is the same window with a per-depth payload.
-type BroadcastDownStep struct {
-	t        Tree
-	deadline int
-	got      Message
-	ok       bool
+// Op kinds (engine.opKind): the low bits name the open op, opRoot marks
+// the root of its tree.
+const (
+	opBcast    uint8 = 1 + iota // broadcast or depth probe (elide.go)
+	opStream                    // item stream (elide.go)
+	opCvg                       // convergecast (converge.go)
+	opKindMask uint8 = 3
+	opRoot     uint8 = 4
+)
+
+// opName is each op kind's name in the errors it raises.
+var opName = [...]string{opBcast: "BroadcastDown", opStream: "BroadcastItemsDown", opCvg: "Convergecast"}
+
+// opPayload is a root's content of its open op: the broadcast payload
+// (a depth probe's depth-0 message) or the stream items. A root's result
+// is its own content, also when it has no children and opens no window.
+type opPayload struct {
+	msg   Message
+	items []Message
 }
 
-// Begin starts the broadcast of rootMsg (read at the root only) at the
-// current round. It returns true when the operation is already complete
-// (deadline reached). Results, rounds and traffic are those of the
-// relay, in which the root sends to its children at once and every node
-// forwards in the round it receives; a root whose payload exceeds the
-// bit bound, or a broadcast with no rounds, sends literally, so the run
-// fails or ends exactly as the relay would.
-func (b *BroadcastDownStep) Begin(api *StepAPI, t Tree, deadline int, rootMsg Message) bool {
-	return b.begin(api, t, deadline, rootMsg, DepthMessage{})
+// litSend is an over-bound stream message that the root sends literally
+// at round at, the round the relay sends it: stream message k of the
+// root's items (the end marker after the last batch), on the first
+// child port. Only the first send matters: the barrier fails the run at
+// it with the relay's error.
+type litSend struct {
+	k, port int
+	at, dl  int64
 }
 
-// BeginDepth starts a depth probe at the current round: every node's
+// payload returns node i's root payload slot, allocating the run's slab
+// on first use (safe from parallel workers).
+func (e *engine) payload(i int32) *opPayload {
+	e.payOnce.Do(func() { e.pay = make([]opPayload, e.n) })
+	return &e.pay[i]
+}
+
+// beginOp records this node's op of kind k, starting at round start and
+// ending at deadline. An op needs at least one round, and a node runs
+// one op at a time.
+func (a *StepAPI) beginOp(k uint8, t Tree, start, deadline int) {
+	if start >= deadline {
+		panic(fmt.Sprintf("congest: %s: no rounds (node %d)", opName[k], a.node))
+	}
+	e := a.eng
+	if open := e.opKind[a.node]; open != 0 {
+		panic(fmt.Sprintf("congest: %s: node %d begins it inside a %s", opName[k], a.node, opName[open&opKindMask]))
+	}
+	if t.IsRoot() {
+		k |= opRoot
+	}
+	e.opKind[a.node] = k
+}
+
+// Broadcast begins the broadcast of m (read at the root only) from the
+// root of t to every node of t at the current round, and returns the
+// Status the node yields until the deadline, where Result returns m.
+// Results, rounds and traffic are those of the relay, in which the root
+// sends to its children at once and every node forwards in the round it
+// receives; a root payload above the bit bound is sent literally, so the
+// run fails as the relay's does.
+func (a *StepAPI) Broadcast(t Tree, deadline int, m Message) Status {
+	return a.broadcast(t, deadline, m, DepthMessage{})
+}
+
+// BroadcastDepth begins a depth probe at the current round: every node's
 // result is m's message for its depth in t (the root's is depth 0). It
 // runs as the relay in which each node forwards to its children the
 // message for its own depth.
-func (b *BroadcastDownStep) BeginDepth(api *StepAPI, t Tree, deadline int, m DepthMessage) bool {
-	var rootMsg Message
+func (a *StepAPI) BroadcastDepth(t Tree, deadline int, m DepthMessage) Status {
+	var root Message
 	if t.IsRoot() {
-		rootMsg = m.f(0)
+		root = m.f(0)
 	}
-	return b.begin(api, t, deadline, rootMsg, m)
+	return a.broadcast(t, deadline, root, m)
 }
 
-func (b *BroadcastDownStep) begin(api *StepAPI, t Tree, deadline int, rootMsg Message, depth DepthMessage) bool {
-	b.t, b.deadline = t, deadline
-	b.got, b.ok = nil, false
+func (a *StepAPI) broadcast(t Tree, deadline int, m Message, depth DepthMessage) Status {
+	a.beginOp(opBcast, t, a.eng.round, deadline)
 	if t.IsRoot() {
-		b.got, b.ok = rootMsg, true
-	}
-	if api.Round() < deadline && !(t.IsRoot() && rootMsg.Bits() > api.BitBound()) {
-		api.openWindow(t, deadline, rootMsg, nil, false, depth)
-		return false
-	}
-	if t.IsRoot() {
-		for _, c := range t.ChildPorts {
-			api.Send(c, rootMsg)
+		a.eng.payload(a.node).msg = m
+		if m.Bits() > a.eng.bitBound {
+			for _, c := range t.ChildPorts {
+				a.Send(c, m)
+			}
+			return Sleep(deadline)
 		}
 	}
-	return api.Round() >= b.deadline
+	a.openWindow(t, deadline, m, nil, false, depth)
+	return Sleep(deadline)
 }
 
-// Feed consumes one wake and reports whether the operation completed.
-func (b *BroadcastDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if len(inbox) > 0 {
-		panic(fmt.Sprintf("congest: BroadcastDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
+// Stream begins streaming items, fixed at the root (read there only), to
+// every node of t at the current round. Its relay pipelines one B-bit
+// batch per round through the tree (packPipe), then an end marker; every
+// node reads the items at the deadline through Shared. Items must
+// individually fit the bit bound: the relay's first over-bound message
+// is sent literally at its round, where the run fails as the relay's
+// does.
+func (a *StepAPI) Stream(t Tree, deadline int, items []Message) Status {
+	e := a.eng
+	a.beginOp(opStream, t, e.round, deadline)
+	if t.IsRoot() {
+		e.payload(a.node).items = items
 	}
-	if api.Round() < b.deadline {
-		return false
-	}
-	if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
-		if p, d := api.closeWindow(); p != nil && !b.t.IsRoot() {
-			b.got, b.ok = p.at(d), true
+	k := a.openWindow(t, deadline, nil, items, true, DepthMessage{})
+	switch {
+	case k < 0 || e.round+k > deadline:
+	case k == 0:
+		a.sendLiteral(litSend{k: 0, port: t.ChildPorts[0]})
+	default:
+		e.litMu.Lock()
+		if e.lit == nil {
+			e.lit = map[int32]litSend{}
 		}
+		e.lit[a.node] = litSend{k: k, port: t.ChildPorts[0], at: int64(e.round + k), dl: int64(deadline)}
+		e.litMu.Unlock()
+		e.lits.Add(1)
+		return Sleep(e.round + k)
 	}
-	return true
+	return Sleep(deadline)
 }
 
-// Wake is the scheduling request while the operation is incomplete.
-func (b *BroadcastDownStep) Wake() Status { return Sleep(b.deadline) }
-
-// Result returns the received message; ok is false when the deadline
-// passed before the message arrived (budget too small).
-func (b *BroadcastDownStep) Result() (Message, bool) { return b.got, b.ok }
-
-// WalkState walks the machine for a checkpoint (see Snap). An open
-// window is carried by the engine's snapshot section.
-func (b *BroadcastDownStep) WalkState(c *Snap) {
-	c.Tree(&b.t)
-	c.Int(&b.deadline)
-	c.Msg(&b.got)
-	c.Bool(&b.ok)
-}
-
-// ConvergecastStep aggregates one message from every tree node to the
-// root. Each node contributes its own message; the registered combiner
-// merges it with the aggregates of all children (ordered as ChildPorts;
-// every child contributes exactly one), and in the relay a node sends
-// its subtree aggregate to its parent once every child has reported. It
-// runs by reference (converge.go): no message moves, every node resolves
-// its aggregate at the deadline, and every node charges exactly the
-// up-message it would have sent.
-type ConvergecastStep struct {
-	ok       bool
-	deadline int
-	agg      Message
-	t        Tree
-}
-
-// Begin starts the convergecast at the current round with a registered
-// combiner. Results, rounds and traffic are those of the relay. The op
-// needs at least one round.
-func (c *ConvergecastStep) Begin(api *StepAPI, t Tree, deadline int, own Message, combine Combiner) bool {
-	return c.BeginFrom(api, t, api.Round(), deadline, own, combine)
-}
-
-// BeginFrom is Begin for an op whose start round is the current round or
-// the next one: a node that provably receives nothing in the current
-// round's exchange may begin the following convergecast a round early
-// and skip its wake at the start round. The node's leaves-first send
-// round is then start, as for the nodes that begin at start.
-func (c *ConvergecastStep) BeginFrom(api *StepAPI, t Tree, start, deadline int, own Message, combine Combiner) bool {
-	if start >= deadline {
-		panic(fmt.Sprintf("congest: Convergecast: no rounds (node %d)", api.Index()))
+// sendLiteral sends stream message l.k of this root's items.
+func (a *StepAPI) sendLiteral(l litSend) {
+	var m Message = pipeEnd{}
+	for rest, k := a.eng.pay[a.node].items, l.k; len(rest) > 0; k-- {
+		batch, n := packPipe(rest, a.eng.bitBound)
+		if k == 0 {
+			m = batch
+			break
+		}
+		rest = rest[n:]
 	}
-	c.t, c.deadline, c.agg, c.ok = t, deadline, nil, false
-	api.openCvg(t, start, deadline, own, combine)
-	return false
+	a.Send(l.port, m)
 }
 
-// Feed consumes one wake and reports whether the operation completed.
-func (c *ConvergecastStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if len(inbox) > 0 {
-		panic(fmt.Sprintf("congest: Convergecast: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
+// literal sends node i's pending literal stream message when its round
+// has come, and reports the Status to yield when that round is not the
+// deadline (the node's program then does not step). It runs only while
+// some stream has one pending.
+func (e *engine) literal(i int32) (Status, bool) {
+	e.litMu.Lock()
+	l, ok := e.lit[i]
+	if ok && l.at == int64(e.round) {
+		delete(e.lit, i)
+		e.lits.Add(-1)
 	}
-	if api.Round() < c.deadline {
-		return false
+	e.litMu.Unlock()
+	if !ok || l.at != int64(e.round) {
+		return Status{}, false
 	}
-	c.agg, c.ok = api.closeCvg()
-	return true
+	e.apis[i].sendLiteral(l)
+	return Sleep(int(l.dl)), l.at < l.dl
 }
 
-// Wake is the scheduling request while the operation is incomplete.
-func (c *ConvergecastStep) Wake() Status { return Sleep(c.deadline) }
+// Convergecast begins a convergecast that aggregates one message from
+// every node of t to the root, and returns the Status the node yields
+// until the deadline, where Result returns the node's subtree aggregate
+// (the full aggregate at the root). Each node contributes own; the
+// registered combiner merges it with the aggregates of all children
+// (ordered as ChildPorts), and in the relay a node sends its subtree
+// aggregate to its parent once every child has reported. The op starts
+// at round start, the current round or the next one: a node that
+// provably receives nothing in the current round's exchange may begin
+// the following convergecast a round early and skip its wake at start.
+// Its leaves-first send round is then start, as for the nodes that
+// begin at start.
+func (a *StepAPI) Convergecast(t Tree, start, deadline int, own Message, comb Combiner) Status {
+	a.beginOp(opCvg, t, start, deadline)
+	a.openCvg(t, start, deadline, own, comb)
+	return Sleep(deadline)
+}
 
-// Result returns the aggregate (the full aggregate at the root, the
-// subtree aggregate elsewhere); ok is false when the deadline passed
-// before all children reported. It is valid in the completing wake.
-func (c *ConvergecastStep) Result() (Message, bool) { return c.agg, c.ok }
+// endOp ends this node's open op, which must be of kind k, at its
+// deadline wake, and reports whether the node is the op's root.
+func (a *StepAPI) endOp(k uint8) bool {
+	e := a.eng
+	open := e.opKind[a.node]
+	if open&opKindMask != k {
+		panic(fmt.Sprintf("congest: %s: node %d reads a result with none open", opName[k], a.node))
+	}
+	e.opKind[a.node] = 0
+	return open&opRoot != 0
+}
 
-// WalkState walks an in-flight machine for a checkpoint (see Snap). The
-// open window is carried by the engine's snapshot section.
-func (c *ConvergecastStep) WalkState(s *Snap) {
-	s.Tree(&c.t)
-	s.Int(&c.deadline)
+// underBudget fails the node: the relay would not have completed its op
+// of kind k by the deadline.
+func (a *StepAPI) underBudget(k uint8) {
+	panic(fmt.Sprintf("congest: %s: under budget (node %d)", opName[k], a.node))
+}
+
+// Result ends this node's broadcast, depth probe or convergecast at its
+// deadline wake and returns the op's result: the root's payload (a depth
+// probe's message for the node's depth) or the node's subtree aggregate.
+// An op whose relay would not have completed by the deadline fails the
+// node with the engine's under-budget error.
+func (a *StepAPI) Result() Message {
+	if a.eng.opKind[a.node]&opKindMask == opCvg {
+		a.endOp(opCvg)
+		agg, ok := a.closeCvg()
+		if !ok {
+			a.underBudget(opCvg)
+		}
+		return agg
+	}
+	if a.endOp(opBcast) {
+		p := &a.eng.pay[a.node]
+		m := p.msg
+		*p = opPayload{}
+		a.closeRootWindow()
+		return m
+	}
+	p, d := a.closeWindow()
+	if p == nil {
+		a.underBudget(opBcast)
+	}
+	return p.at(d)
+}
+
+// Shared ends this node's item stream at its deadline wake and returns a
+// value computed once per stream from its items by build, for all nodes
+// of the tree: the first caller computes it, the others get the same
+// value, so build must be a pure function of the items, which are
+// shared and read-only. A stream whose relay would not have delivered
+// every item by the deadline fails the node with the engine's
+// under-budget error (at the root it completes).
+func (a *StepAPI) Shared(build func(items []Message) any) any {
+	var slot *pubSlot
+	if a.endOp(opStream) {
+		p := &a.eng.pay[a.node]
+		items := p.items
+		*p = opPayload{}
+		if slot = a.closeRootWindow(); slot == nil {
+			return build(items) // a childless root publishes nothing
+		}
+	} else if slot, _ = a.closeWindow(); slot == nil {
+		a.underBudget(opStream)
+	}
+	sv := slot.shared
+	sv.once.Do(func() { sv.v = build(slot.items) })
+	return sv.v
+}
+
+// closeRootWindow closes the window a root opened (none when it has no
+// children or sent its payload literally) and returns its published
+// content, nil when it opened none or the relay would not have sent the
+// whole stream by the deadline.
+func (a *StepAPI) closeRootWindow() *pubSlot {
+	if el := a.eng.el; el == nil || el.state[a.node]&winOpen == 0 {
+		return nil
+	}
+	p, _ := a.closeWindow()
+	return p
+}
+
+// strayMail fails node i, inside an open op, for the mail in its inbox.
+func (e *engine) strayMail(i int, inbox []Inbound) {
+	panic(fmt.Sprintf("congest: %s: unexpected message on port %d (node %d)", opName[e.opKind[i]&opKindMask], inbox[0].Port, i))
 }
 
 // PipelineUpStep streams every node's items to the root, one B-bit batch
@@ -302,126 +421,80 @@ func (p *PipelineUpStep) WalkState(c *Snap) {
 	c.Bool(&p.wantNext)
 }
 
-// BroadcastItemsDownStep streams a sequence of items, fixed at the root,
-// to every tree node. Its literal schedule pipelines one B-bit batch per
-// round through the tree (packPipe), then an end marker; it runs as an
-// elided window (elide.go): the root publishes the items, every node
-// reads them at the deadline, and every node charges exactly the batches
-// it would have relayed. Items must individually fit the bit bound.
-type BroadcastItemsDownStep struct {
-	t        Tree
-	deadline int
-	items    []Message // root: the source items; elsewhere: the root's, once complete
-	ok       bool
-	fail     int      // root: index of the first over-bound stream message (-1: none)
-	failAt   int      // root: the round the relay sends it
-	slot     *pubSlot // the published stream, in the completing wake
-}
-
-// Begin starts the stream at the current round.
-func (b *BroadcastItemsDownStep) Begin(api *StepAPI, t Tree, deadline int, items []Message) bool {
-	b.t, b.deadline, b.slot = t, deadline, nil
-	b.items, b.ok, b.fail, b.failAt = nil, false, -1, 0
-	if t.IsRoot() {
-		b.items, b.ok = items, true
-	}
-	if api.Round() >= deadline {
-		// No rounds: the root's first send lands in the next op, as the
-		// relay's would.
-		if t.IsRoot() {
-			b.sendLiteral(api, 0)
-		}
-		return true
-	}
-	if k := api.openWindow(t, deadline, nil, items, true, DepthMessage{}); k >= 0 && api.Round()+k <= deadline {
-		// An over-bound message: send it at its literal round, where the
-		// engine fails the run with the relay's error.
-		b.fail, b.failAt = k, api.Round()+k
-		if k == 0 {
-			b.sendLiteral(api, 0)
+// walkOpsSection walks the ops open at the snapshot barrier: each node's
+// op kind and, at a root, its payload and any pending literal send. It
+// follows the window sections, so decoding checks that every non-root
+// op has its window.
+func (e *engine) walkOpsSection(c *Snap) {
+	var open []int
+	if !c.dec {
+		for i, k := range e.opKind {
+			if k != 0 {
+				open = append(open, i)
+			}
 		}
 	}
-	return false
-}
-
-// sendLiteral sends stream message k (batch k, or the end marker after
-// the last batch) from the root to its children.
-func (b *BroadcastItemsDownStep) sendLiteral(api *StepAPI, k int) {
-	var m Message = pipeEnd{}
-	for rest := b.items; len(rest) > 0; k-- {
-		batch, n := packPipe(rest, api.BitBound())
-		if k == 0 {
-			m = batch
-			break
+	count := len(open)
+	SnapUint(c, &count, e.n)
+	for j := 0; j < count && c.err == nil; j++ {
+		var i int
+		if !c.dec {
+			i = open[j]
 		}
-		rest = rest[n:]
-	}
-	for _, c := range b.t.ChildPorts {
-		api.Send(c, m)
-	}
-}
-
-// Feed consumes one wake and reports whether the operation completed.
-func (b *BroadcastItemsDownStep) Feed(api *StepAPI, inbox []Inbound) bool {
-	if len(inbox) > 0 {
-		panic(fmt.Sprintf("congest: BroadcastItemsDown: unexpected message on port %d (node %d)", inbox[0].Port, api.Index()))
-	}
-	if b.fail > 0 && api.Round() == b.failAt {
-		b.sendLiteral(api, b.fail)
-		b.fail = -1
-	}
-	if api.Round() < b.deadline {
-		return false
-	}
-	if !b.t.IsRoot() || len(b.t.ChildPorts) > 0 {
-		b.slot, _ = api.closeWindow()
-		if b.slot != nil && !b.t.IsRoot() {
-			b.items, b.ok = b.slot.items, true
+		SnapUint(c, &i, e.n-1)
+		k := e.opKind[i]
+		if c.dec && k != 0 {
+			c.fail("op record %d repeats node %d", j, i)
 		}
-	}
-	return true
-}
-
-// Wake is the scheduling request while the operation is incomplete.
-func (b *BroadcastItemsDownStep) Wake() Status {
-	if b.fail > 0 && b.failAt < b.deadline {
-		return Sleep(b.failAt)
-	}
-	return Sleep(b.deadline)
-}
-
-// Result returns the full item sequence (shared with every node of the
-// tree: read-only) and whether the relay would have delivered it by the
-// deadline (at the root: always). It is valid in the completing wake.
-func (b *BroadcastItemsDownStep) Result() ([]Message, bool) { return b.items, b.ok }
-
-// Shared returns a value computed once per stream from its items by
-// build, for all nodes of the tree (the first caller computes it, the
-// others get the same value; build must be a pure function of the
-// items). It is valid in the completing wake.
-func (b *BroadcastItemsDownStep) Shared(build func(items []Message) any) any {
-	if b.slot == nil {
-		return build(b.items) // a childless root publishes nothing
-	}
-	sv := b.slot.shared
-	sv.once.Do(func() { sv.v = build(b.slot.items) })
-	return sv.v
-}
-
-// WalkState walks the machine for a checkpoint (see Snap). Only the root
-// holds items (the others read the published stream when it completes).
-func (b *BroadcastItemsDownStep) WalkState(c *Snap) {
-	c.Tree(&b.t)
-	c.Int(&b.deadline)
-	if b.t.IsRoot() {
-		c.Msgs(&b.items)
-	} else {
-		var none []Message
-		if c.Msgs(&none); none != nil {
-			c.fail("stream items at a non-root")
+		SnapUint(c, &k, opRoot|opKindMask)
+		kind := k & opKindMask
+		if c.err != nil || kind == 0 {
+			c.fail("op record %d has kind %d", j, k)
+			return
+		}
+		e.opKind[i] = k
+		switch {
+		case kind == opCvg:
+			if c.dec && (e.cv == nil || !e.cv.node[i].open) {
+				c.fail("convergecast of node %d has no window", i)
+			}
+		case k&opRoot == 0:
+			if c.dec && (e.el == nil || e.el.state[i]&winOpen == 0) {
+				c.fail("%s of node %d has no window", opName[kind], i)
+			}
+		case kind == opBcast:
+			p := e.payload(int32(i))
+			if c.Msg(&p.msg); c.dec && p.msg == nil {
+				c.fail("broadcast root %d has no payload", i)
+			}
+		default:
+			e.walkStreamRoot(c, i)
 		}
 	}
-	c.Bool(&b.ok)
-	c.Int(&b.fail)
-	c.Int(&b.failAt)
+}
+
+// walkStreamRoot walks stream root i's items and pending literal send.
+func (e *engine) walkStreamRoot(c *Snap, i int) {
+	p := e.payload(int32(i))
+	c.Msgs(&p.items)
+	l, pending := e.lit[int32(i)]
+	c.Bool(&pending)
+	if !pending {
+		return
+	}
+	SnapUint(c, &l.k, len(p.items)+1)
+	SnapUint(c, &l.port, e.g.Degree(i)-1)
+	SnapUint(c, &l.at, int64(e.maxRounds))
+	SnapUint(c, &l.dl, int64(e.maxRounds))
+	if c.dec && c.err == nil {
+		if l.k == 0 || l.at <= int64(e.round) || l.at > l.dl {
+			c.fail("stream root %d sends message %d at round %d (deadline %d) at round %d", i, l.k, l.at, l.dl, e.round)
+			return
+		}
+		if e.lit == nil {
+			e.lit = map[int32]litSend{}
+		}
+		e.lit[int32(i)] = l
+		e.lits.Add(1)
+	}
 }

@@ -33,16 +33,32 @@ func randomTreeViews(g *graph.Graph) []Tree {
 	return views
 }
 
-// treeOp is one operation of a test program built from the tree state
-// machines: begin starts op (reporting whether it already completed) and
-// done, when non-nil, consumes its result.
+// machine is a Begin/Feed/Wake state machine: the gather, an idle wait
+// or a test-side relay.
+type machine interface {
+	Feed(api *StepAPI, inbox []Inbound) bool
+	Wake() Status
+}
+
+// treeOp is one operation of a test program: an engine op, whose call
+// begins it and which ends at the node's next wake (its deadline), or a
+// machine op, whose begin starts m and reports whether it already
+// completed. done, when non-nil, consumes the result at the end.
 type treeOp struct {
-	op interface {
-		Feed(api *StepAPI, inbox []Inbound) bool
-		Wake() Status
-	}
+	call  func(api *StepAPI) Status
+	m     machine
 	begin func(api *StepAPI) bool
 	done  func(api *StepAPI)
+}
+
+// engineOp is the treeOp of an engine call.
+func engineOp(call func(api *StepAPI) Status, done func(api *StepAPI)) treeOp {
+	return treeOp{call: call, done: done}
+}
+
+// machineOp is the treeOp of a state machine.
+func machineOp(m machine, begin func(api *StepAPI) bool, done func(api *StepAPI)) treeOp {
+	return treeOp{m: m, begin: begin, done: done}
 }
 
 // treeOps runs ops back to back, each beginning in the round the previous
@@ -52,15 +68,17 @@ func treeOps(ops ...treeOp) StepProgram {
 	return StepFunc(func(api *StepAPI, inbox []Inbound) Status {
 		for ; k < len(ops); k++ {
 			op := ops[k]
-			complete := false
-			if started {
-				complete = op.op.Feed(api, inbox)
-			} else {
+			switch {
+			case !started && op.m == nil:
 				started = true
-				complete = op.begin(api)
-			}
-			if !complete {
-				return op.op.Wake()
+				return op.call(api)
+			case !started:
+				started = true
+				if !op.begin(api) {
+					return op.m.Wake()
+				}
+			case op.m != nil && !op.m.Feed(api, inbox):
+				return op.m.Wake()
 			}
 			if op.done != nil {
 				op.done(api)
@@ -80,10 +98,10 @@ func (o *idleOp) Wake() Status                        { return Sleep(o.until) }
 // idle is a treeOp that idles for n rounds.
 func idle(n int) treeOp {
 	o := &idleOp{}
-	return treeOp{op: o, begin: func(api *StepAPI) bool {
+	return machineOp(o, func(api *StepAPI) bool {
 		o.until = api.Round() + n
 		return n <= 0
-	}}
+	}, nil)
 }
 
 // TestTreeOpsOnRandomTrees: broadcast and convergecast work on arbitrary
@@ -103,31 +121,21 @@ func TestTreeOpsOnRandomTrees(t *testing.T) {
 		var rootSum int64
 		_, err := RunStep(Config{Graph: g, Seed: int64(trial)}, func(i int) StepProgram {
 			tr := views[i]
-			var cv ConvergecastStep
-			var bd BroadcastDownStep
-			return treeOps(treeOp{&cv, func(api *StepAPI) bool {
-				return cv.Begin(api, tr, api.Round()+maxd+2, intMsg{v: 1}, sumCombine)
+			var agg Message
+			return treeOps(engineOp(func(api *StepAPI) Status {
+				return api.Convergecast(tr, api.Round(), api.Round()+maxd+2, intMsg{v: 1}, sumCombine)
 			}, func(api *StepAPI) {
-				agg, ok := cv.Result()
-				if !ok {
-					panic("convergecast failed")
-				}
-				if tr.IsRoot() {
+				if agg = api.Result(); tr.IsRoot() {
 					rootSum = agg.(intMsg).v
 				}
-			}}, treeOp{&bd, func(api *StepAPI) bool {
+			}), engineOp(func(api *StepAPI) Status {
 				// Follow with a broadcast to confirm alternating ops align.
-				var m Message
-				if tr.IsRoot() {
-					m, _ = cv.Result()
-				}
-				return bd.Begin(api, tr, api.Round()+maxd+2, m)
+				return api.Broadcast(tr, api.Round()+maxd+2, agg)
 			}, func(api *StepAPI) {
-				got, ok := bd.Result()
-				if !ok || got.(intMsg).v != int64(g.N()) {
+				if got := api.Result(); got.(intMsg).v != int64(g.N()) {
 					panic("broadcast mismatch")
 				}
-			}})
+			}))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -151,19 +159,17 @@ func TestTreeOpsRejectStrayTraffic(t *testing.T) {
 	// for its real child, which delays.
 	g := graph.Star(4)
 	_, err := RunStep(Config{Graph: g, Seed: 2}, func(i int) StepProgram {
-		var cv ConvergecastStep
+		cvg := func(tr Tree, budget int) treeOp {
+			return engineOp(func(api *StepAPI) Status {
+				return api.Convergecast(tr, api.Round(), api.Round()+budget, intMsg{v: 1}, keepOwn)
+			}, func(api *StepAPI) { api.Result() })
+		}
 		switch i {
 		case 0:
-			tr := Tree{ParentPort: -1, ChildPorts: []int{0}}
-			return treeOps(treeOp{op: &cv, begin: func(api *StepAPI) bool {
-				return cv.Begin(api, tr, api.Round()+6, intMsg{v: 1}, keepOwn)
-			}})
+			return treeOps(cvg(Tree{ParentPort: -1, ChildPorts: []int{0}}, 6))
 		case 1:
-			tr := Tree{ParentPort: 0}
 			return treeOps(idle(3), // delay so the center is still waiting
-				treeOp{op: &cv, begin: func(api *StepAPI) bool {
-					return cv.Begin(api, tr, api.Round()+3, intMsg{v: 1}, keepOwn)
-				}})
+				cvg(Tree{ParentPort: 0}, 3))
 		case 2:
 			return rounds(1, func(api *StepAPI, _ int, _ []Inbound) {
 				api.Send(0, intMsg{v: 99}) // stray injection into the op
@@ -187,7 +193,7 @@ func TestPipelineUpManyItemsPerNode(t *testing.T) {
 	_, err := RunStep(Config{Graph: g, Seed: 3}, func(i int) StepProgram {
 		tr := pathTree(i, n)
 		var pu PipelineUpStep
-		return treeOps(treeOp{&pu, func(api *StepAPI) bool {
+		return treeOps(machineOp(&pu, func(api *StepAPI) bool {
 			var items []Message
 			for k := 0; k < perNode; k++ {
 				items = append(items, intMsg{v: int64(i*100 + k)})
@@ -201,7 +207,7 @@ func TestPipelineUpManyItemsPerNode(t *testing.T) {
 			if tr.IsRoot() {
 				got = len(out)
 			}
-		}})
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,16 +231,11 @@ func TestBroadcastDownDepthChain(t *testing.T) {
 	depths := make([]int64, n)
 	_, err := RunStep(Config{Graph: g, Seed: 4}, func(i int) StepProgram {
 		tr := pathTree(i, n)
-		var bd BroadcastDownStep
-		return treeOps(treeOp{&bd, func(api *StepAPI) bool {
-			return bd.BeginDepth(api, tr, api.Round()+n+2, depthInt)
+		return treeOps(engineOp(func(api *StepAPI) Status {
+			return api.BroadcastDepth(tr, api.Round()+n+2, depthInt)
 		}, func(api *StepAPI) {
-			got, ok := bd.Result()
-			if !ok {
-				panic("broadcast incomplete")
-			}
-			depths[i] = got.(intMsg).v
-		}})
+			depths[i] = api.Result().(intMsg).v
+		}))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -246,32 +247,23 @@ func TestBroadcastDownDepthChain(t *testing.T) {
 	}
 }
 
-// TestConvergecastInsufficientBudget: ops report ok=false (rather than
-// hanging or panicking) when the deadline cannot be met.
+// TestConvergecastInsufficientBudget: an op whose budget is below the
+// tree's height ends the run with the engine's under-budget error at the
+// deadline, rather than hanging or handing out a partial aggregate.
 func TestConvergecastInsufficientBudget(t *testing.T) {
 	const n = 10
 	g := graph.Path(n)
-	okAtRoot := true
-	_, err := RunStep(Config{Graph: g, Seed: 5}, func(i int) StepProgram {
+	res, err := RunStep(Config{Graph: g, Seed: 5}, func(i int) StepProgram {
 		tr := pathTree(i, n)
-		var cv ConvergecastStep
-		return treeOps(treeOp{&cv, func(api *StepAPI) bool {
+		return treeOps(engineOp(func(api *StepAPI) Status {
 			// Budget 3 < depth 9: the root cannot hear everyone.
-			return cv.Begin(api, tr, api.Round()+3, intMsg{v: 1}, sumCombine)
-		}, func(api *StepAPI) {
-			if tr.IsRoot() {
-				_, okAtRoot = cv.Result()
-			}
-		}},
-			// Quiesce: messages still in flight at the deadline would
-			// poison the next op, so drain one slack round per remaining
-			// hop.
-			idle(n))
+			return api.Convergecast(tr, api.Round(), api.Round()+3, intMsg{v: 1}, sumCombine)
+		}, func(api *StepAPI) { api.Result() }), idle(n))
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "panicked at round 3: congest: Convergecast: under budget (node 0)") {
+		t.Fatalf("err = %v, want the root's under-budget error at the deadline", err)
 	}
-	if okAtRoot {
-		t.Fatal("root must report failure under an impossible budget")
+	if res.Metrics.Rounds != 3 {
+		t.Fatalf("run ended at round %d, want 3", res.Metrics.Rounds)
 	}
 }

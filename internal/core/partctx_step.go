@@ -20,7 +20,8 @@ import (
 type pcOp uint8
 
 const (
-	pcDepthDown  pcOp = iota // bcast: depth probe (each node's own depth)
+	pcStart      pcOp = iota // entry: nothing begun yet
+	pcDepthDown              // bcast: depth probe (each node's own depth)
 	pcDepthUp                // cvg: max depth
 	pcDepthAgree             // bcast: agreed depth -> budget
 	pcIdentity               // cross: part root + id exchange
@@ -38,11 +39,8 @@ type PartCtxStep struct {
 	part *partition.Outcome
 	done func(api *congest.StepAPI, c *PartCtxStep) congest.Status
 
-	pc    pcOp
-	inOp  bool
+	pc    pcOp        // the op in flight (pcStart: none begun)
 	phase obs.PhaseID // "stage2/partctx"; zero announces nothing
-	bd    congest.BroadcastDownStep
-	cv    congest.ConvergecastStep
 	reg   congest.Message
 
 	budget   int
@@ -95,160 +93,114 @@ func (c *PartCtxStep) NonTreeAssignedPorts() []int {
 	return out
 }
 
-// Step implements congest.StepProgram: it advances through the
-// preprocessing ops and hands
-// over to the done callback once the context is complete.
+// Step implements congest.StepProgram: each wake ends the op in flight
+// and begins the next, and the context, once complete, goes to the done
+// callback.
 func (c *PartCtxStep) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
-	// The phase announcement condition is derived purely from serialized
-	// state (first op, not yet begun) so that an interrupted-and-resumed
-	// run attributes identically to an uninterrupted one: the entry state
-	// is consumed within the first Step, so a checkpoint can never park in
-	// it and the announcement fires exactly once either way.
-	if c.phase != 0 && c.pc == pcDepthDown && !c.inOp {
-		api.PhaseEnter(c.phase)
+	if c.pc == pcStart {
+		// The entry state is left within the first Step, so a checkpoint
+		// never parks in it and a resumed run announces exactly once.
+		if c.phase != 0 {
+			api.PhaseEnter(c.phase)
+		}
+	} else if !c.absorb(api, inbox) {
+		return congest.Sleep(c.deadline)
 	}
-	for {
-		switch c.pc {
-		case pcDepthDown:
-			if !c.inOp {
-				if !c.bd.BeginDepth(api, c.part.Tree, api.Round()+api.N()+2, depthVal) {
-					c.inOp = true
-					return c.bd.Wake()
-				}
-			} else if !c.bd.Feed(api, inbox) {
-				return c.bd.Wake()
-			} else {
-				c.inOp = false
-			}
-			d, ok := c.bd.Result()
-			if !ok {
-				panic("core: depth probe under-budgeted")
-			}
-			c.reg = d
-			c.pc = pcDepthUp
+	c.pc++
+	return c.prepare(api)
+}
 
-		case pcDepthUp:
-			if !c.inOp {
-				if !c.cv.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg, cmbMaxVal) {
-					c.inOp = true
-					return c.cv.Wake()
-				}
-			} else if !c.cv.Feed(api, inbox) {
-				return c.cv.Wake()
-			} else {
-				c.inOp = false
-			}
-			maxd, ok := c.cv.Result()
-			if !ok {
-				panic("core: depth convergecast under-budgeted")
-			}
-			c.reg = maxd
-			c.pc = pcDepthAgree
-
-		case pcDepthAgree:
-			if !c.inOp {
-				if !c.bd.Begin(api, c.part.Tree, api.Round()+api.N()+2, c.reg) {
-					c.inOp = true
-					return c.bd.Wake()
-				}
-			} else if !c.bd.Feed(api, inbox) {
-				return c.bd.Wake()
-			} else {
-				c.inOp = false
-			}
-			agreed, ok := c.bd.Result()
-			if !ok {
-				panic("core: depth broadcast under-budgeted")
-			}
-			c.maxDepth = int(agreed.(valMsg).V)
-			c.budget = 2*c.maxDepth + 2
-			c.pc = pcIdentity
-
-		case pcIdentity:
-			if !c.inOp {
-				api.SendAll(announceMsg{PartRoot: c.part.RootID, ID: api.ID()})
-				c.inOp = true
-				return congest.Running()
-			}
-			c.inOp = false
-			deg := api.Degree()
-			c.intra = make([]bool, deg)
-			c.nbrID = make([]int64, deg)
-			for _, in := range inbox {
-				am, ok := in.Msg.(announceMsg)
-				if !ok {
-					// A neighboring part on a skewed schedule cannot
-					// reach here, but stay tolerant.
-					continue
-				}
-				c.intra[in.Port] = am.PartRoot == c.part.RootID
-				c.nbrID[in.Port] = am.ID
-			}
-			c.pc = pcBFS
-
-		case pcBFS:
-			if !c.inOp {
-				c.deadline = api.Round() + c.budget + 3
-				c.parentPort = -1
-				c.childPorts = nil
-				c.adopted = c.part.Tree.IsRoot()
-				c.level = 0
-				if c.adopted {
-					for p, ok := range c.intra {
-						if ok {
-							api.Send(p, bfsMsg{Level: 0})
-						}
-					}
-				}
-				c.inOp = true
-				if api.Round() < c.deadline {
-					return congest.Sleep(c.deadline)
-				}
-			} else if !c.feedBFS(api, inbox) {
-				return congest.Sleep(c.deadline)
-			}
-			c.inOp = false
-			if !c.adopted {
-				panic("core: BFS did not reach a part node (invalid partition)")
-			}
-			sort.Ints(c.childPorts)
-			c.tree = congest.Tree{ParentPort: c.parentPort, ChildPorts: c.childPorts}
-			if c.part.Tree.IsRoot() {
-				c.tree.ParentPort = -1
-			}
-			c.pc = pcLevels
-
-		case pcLevels:
-			if !c.inOp {
-				for p, ok := range c.intra {
-					if ok {
-						api.Send(p, lvlMsg{Level: c.level})
-					}
-				}
-				c.inOp = true
-				return congest.Running()
-			}
-			c.inOp = false
-			c.nbrLvl = make([]int64, api.Degree())
-			for _, in := range inbox {
-				if m, ok := in.Msg.(lvlMsg); ok {
-					c.nbrLvl[in.Port] = m.Level
-				}
-			}
+// prepare begins the op at pc and returns the Status the node yields.
+func (c *PartCtxStep) prepare(api *congest.StepAPI) congest.Status {
+	dl := api.Round() + api.N() + 2
+	switch c.pc {
+	case pcDepthDown:
+		return api.BroadcastDepth(c.part.Tree, dl, depthVal)
+	case pcDepthUp:
+		return api.Convergecast(c.part.Tree, api.Round(), dl, c.reg, cmbMaxVal)
+	case pcDepthAgree:
+		return api.Broadcast(c.part.Tree, dl, c.reg)
+	case pcIdentity:
+		api.SendAll(announceMsg{PartRoot: c.part.RootID, ID: api.ID()})
+		return congest.Running()
+	case pcBFS:
+		c.deadline = api.Round() + c.budget + 3
+		c.parentPort = -1
+		c.childPorts = nil
+		c.adopted = c.part.Tree.IsRoot()
+		c.level = 0
+		if c.adopted {
 			for p, ok := range c.intra {
-				if !ok {
-					continue
-				}
-				if c.level > c.nbrLvl[p] || (c.level == c.nbrLvl[p] && api.ID() > c.nbrID[p]) {
-					c.assigned = append(c.assigned, p)
+				if ok {
+					api.Send(p, bfsMsg{Level: 0})
 				}
 			}
-			c.pc = pcDone
+		}
+		return congest.Sleep(c.deadline)
+	case pcLevels:
+		for p, ok := range c.intra {
+			if ok {
+				api.Send(p, lvlMsg{Level: c.level})
+			}
+		}
+		return congest.Running()
+	}
+	return c.done(api, c)
+}
 
-		default: // pcDone
-			return c.done(api, c)
+// absorb ends the op at pc with this wake's inbox; it reports false
+// while the BFS window runs.
+func (c *PartCtxStep) absorb(api *congest.StepAPI, inbox []congest.Inbound) bool {
+	switch c.pc {
+	case pcDepthDown, pcDepthUp:
+		c.reg = api.Result()
+	case pcDepthAgree:
+		c.maxDepth = int(api.Result().(valMsg).V)
+		c.budget = 2*c.maxDepth + 2
+		c.reg = nil
+	case pcIdentity:
+		deg := api.Degree()
+		c.intra = make([]bool, deg)
+		c.nbrID = make([]int64, deg)
+		for _, in := range inbox {
+			am, ok := in.Msg.(announceMsg)
+			if !ok {
+				// A neighboring part on a skewed schedule cannot
+				// reach here, but stay tolerant.
+				continue
+			}
+			c.intra[in.Port] = am.PartRoot == c.part.RootID
+			c.nbrID[in.Port] = am.ID
+		}
+	case pcBFS:
+		if !c.feedBFS(api, inbox) {
+			return false
+		}
+		if !c.adopted {
+			panic("core: BFS did not reach a part node (invalid partition)")
+		}
+		sort.Ints(c.childPorts)
+		c.tree = congest.Tree{ParentPort: c.parentPort, ChildPorts: c.childPorts}
+		if c.part.Tree.IsRoot() {
+			c.tree.ParentPort = -1
+		}
+	case pcLevels:
+		c.nbrLvl = make([]int64, api.Degree())
+		for _, in := range inbox {
+			if m, ok := in.Msg.(lvlMsg); ok {
+				c.nbrLvl[in.Port] = m.Level
+			}
+		}
+		for p, ok := range c.intra {
+			if !ok {
+				continue
+			}
+			if c.level > c.nbrLvl[p] || (c.level == c.nbrLvl[p] && api.ID() > c.nbrID[p]) {
+				c.assigned = append(c.assigned, p)
+			}
 		}
 	}
+	return true
 }
 
 // feedBFS consumes one wake of the BFS tree construction; returns true at
@@ -285,7 +237,8 @@ func (c *PartCtxStep) feedBFS(api *congest.StepAPI, inbox []congest.Inbound) boo
 type geOp uint8
 
 const (
-	geCountUp   geOp = iota // cvg: (n, m) counts
+	geStart     geOp = iota // entry: nothing begun yet
+	geCountUp               // cvg: (n, m) counts
 	geCountDown             // bcast: counts back down
 	geGather                // pipeline: assigned edges to the root
 	geBit                   // bcast: the root's predicate bit
@@ -300,14 +253,11 @@ type gatherEvalNode struct {
 	pred func(g *graph.Graph) bool
 	done func(api *congest.StepAPI, reject, rootEvaluated bool) congest.Status
 
-	pc   geOp
-	inOp bool
-	cv   congest.ConvergecastStep
-	bd   congest.BroadcastDownStep
-	pu   congest.PipelineUpStep
-	reg  congest.Message
-	m    int64
-	bad  bool
+	pc  geOp // the op in flight (geStart: none begun)
+	pu  congest.PipelineUpStep
+	reg congest.Message
+	m   int64
+	bad bool
 }
 
 // NewGatherEval returns the continuation that gathers the part graph at
@@ -318,103 +268,62 @@ func (c *PartCtxStep) NewGatherEval(pred func(g *graph.Graph) bool, done func(ap
 	return &gatherEvalNode{c: c, pred: pred, done: done}
 }
 
-// Step implements congest.StepProgram.
+// Step implements congest.StepProgram: each wake ends the op in flight
+// and begins the next.
 func (g *gatherEvalNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
 	c := g.c
-	for {
-		switch g.pc {
-		case geCountUp:
-			if !g.inOp {
-				own := countsMsg{N: 1, M: int64(len(c.assigned))}
-				if !g.cv.Begin(api, c.tree, api.Round()+c.budget+2, own, cmbCounts) {
-					g.inOp = true
-					return g.cv.Wake()
-				}
-			} else if !g.cv.Feed(api, inbox) {
-				return g.cv.Wake()
-			} else {
-				g.inOp = false
-			}
-			agg, ok := g.cv.Result()
+	if g.pc != geStart && !g.absorb(api, inbox) {
+		return g.pu.Wake()
+	}
+	g.pc++
+	dl := api.Round() + c.budget + 2
+	switch g.pc {
+	case geCountUp:
+		own := countsMsg{N: 1, M: int64(len(c.assigned))}
+		return api.Convergecast(c.tree, api.Round(), dl, own, cmbCounts)
+	case geCountDown:
+		return api.Broadcast(c.tree, dl, g.reg)
+	case geGather:
+		items := make([]congest.Message, 0, len(c.assigned))
+		for _, p := range c.assigned {
+			items = append(items, edgeItem{A: api.ID(), B: c.nbrID[p]})
+		}
+		g.pu.Begin(api, c.tree, api.Round()+int(g.m)+c.budget+4, items)
+		return g.pu.Wake()
+	case geBit:
+		v := int64(0)
+		if g.bad {
+			v = 1
+		}
+		return api.Broadcast(c.tree, dl, valMsg{V: v})
+	}
+	return g.done(api, g.reg.(valMsg).V == 1, c.tree.IsRoot())
+}
+
+// absorb ends the op at pc; it reports false while the gather runs.
+func (g *gatherEvalNode) absorb(api *congest.StepAPI, inbox []congest.Inbound) bool {
+	c := g.c
+	switch g.pc {
+	case geCountUp, geBit:
+		g.reg = api.Result()
+	case geCountDown:
+		g.m = api.Result().(countsMsg).M
+	case geGather:
+		if !g.pu.Feed(api, inbox) {
+			return false
+		}
+		collected, ok := g.pu.Result()
+		g.bad = false
+		if c.tree.IsRoot() {
 			if !ok {
-				panic("core: counts convergecast under-budgeted")
+				panic("core: edge gather under-budgeted")
 			}
-			g.reg = agg
-			g.pc = geCountDown
-
-		case geCountDown:
-			if !g.inOp {
-				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, g.reg) {
-					g.inOp = true
-					return g.bd.Wake()
-				}
-			} else if !g.bd.Feed(api, inbox) {
-				return g.bd.Wake()
-			} else {
-				g.inOp = false
-			}
-			res, ok := g.bd.Result()
-			if !ok {
-				panic("core: counts broadcast under-budgeted")
-			}
-			g.m = res.(countsMsg).M
-			g.pc = geGather
-
-		case geGather:
-			if !g.inOp {
-				items := make([]congest.Message, 0, len(c.assigned))
-				for _, p := range c.assigned {
-					items = append(items, edgeItem{A: api.ID(), B: c.nbrID[p]})
-				}
-				budget := int(g.m) + c.budget + 4
-				if !g.pu.Begin(api, c.tree, api.Round()+budget, items) {
-					g.inOp = true
-					return g.pu.Wake()
-				}
-			} else if !g.pu.Feed(api, inbox) {
-				return g.pu.Wake()
-			} else {
-				g.inOp = false
-			}
-			collected, ok := g.pu.Result()
-			g.bad = false
-			if c.tree.IsRoot() {
-				if !ok {
-					panic("core: edge gather under-budgeted")
-				}
-				pg, _ := buildPartGraph(collected, api.ID())
-				api.ChargeModeledRounds(2 * c.maxDepth)
-				g.bad = !g.pred(pg)
-			}
-			g.pc = geBit
-
-		case geBit:
-			if !g.inOp {
-				v := int64(0)
-				if g.bad {
-					v = 1
-				}
-				if !g.bd.Begin(api, c.tree, api.Round()+c.budget+2, valMsg{V: v}) {
-					g.inOp = true
-					return g.bd.Wake()
-				}
-			} else if !g.bd.Feed(api, inbox) {
-				return g.bd.Wake()
-			} else {
-				g.inOp = false
-			}
-			got, ok := g.bd.Result()
-			if !ok {
-				panic("core: bit broadcast under-budgeted")
-			}
-			g.reg = got
-			g.pc = geFinish
-
-		default: // geFinish
-			reject := g.reg.(valMsg).V == 1
-			return g.done(api, reject, c.tree.IsRoot())
+			pg, _ := buildPartGraph(collected, api.ID())
+			api.ChargeModeledRounds(2 * c.maxDepth)
+			g.bad = !g.pred(pg)
 		}
 	}
+	return true
 }
 
 // buildPartGraph assembles the gathered edge list into the part's induced

@@ -139,9 +139,9 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 // runs: the SHA-256 of each run's ordered snapshot sequence (snapshotDigest).
 // A layout change must bump the snapshot version and re-record these.
 var crashEveryBarrierDigests = map[string]string{
-	"grid/deterministic": "d6d81e7dd9bf0feb77e10874c4deb0dfca00ca3f23ab4f60a842ec1c1b6e1444",
-	"grid/randomized":    "daf91a418b68a08d51667a2030ed4c6c8a01832f7fff0686ada2a01c7a8744d4",
-	"far/deterministic":  "f1c17cb34d1387d0b6b3b2aee2e50d2e4c6ba84676254cb63c28966d243aed42",
+	"grid/deterministic": "6e07d0e4fe3ea7499786383ef603b664bfd17507b17b1417299f255eede69bc6",
+	"grid/randomized":    "1dcb221ec2ccb5fe2edb632fde82114e92dbbdef8c393ad8df82088f5878cfdb",
+	"far/deterministic":  "6d2eea0d6277d3e066714e184dfbfc1e1c47e9b66a99c2c216c0873e8b4edfed",
 }
 
 // snapshotDigest hashes an ordered snapshot sequence: each snapshot's
@@ -208,7 +208,7 @@ func TestCrashEveryBarrier(t *testing.T) {
 			}
 			probeCut := false
 			eachRestored(t, fam.g, opts, snaps, func(_, _ int, p congest.StepProgram) {
-				if c, ok := p.(*PartCtxStep); ok && c.inOp && c.pc == pcDepthDown {
+				if c, ok := p.(*PartCtxStep); ok && c.pc == pcDepthDown {
 					probeCut = true
 				}
 			})

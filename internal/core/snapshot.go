@@ -120,9 +120,6 @@ func (c *PartCtxStep) SnapshotKind() uint16 { return SnapKindPartCtx }
 func (c *PartCtxStep) WalkState(s *congest.Snap) {
 	walkOutcome(s, &c.part)
 	congest.SnapInt(s, &c.pc, 0, pcDone)
-	s.Bool(&c.inOp)
-	c.bd.WalkState(s)
-	c.cv.WalkState(s)
 	s.Msg(&c.reg)
 	s.Int(&c.budget)
 	s.Int(&c.maxDepth)
@@ -153,11 +150,7 @@ func (s *stage2Node) WalkState(c *congest.Snap) {
 	congest.SnapInt(c, &s.opts.EmbedMode, planar.FallbackArbitrary, planar.FallbackMaxPlanarSubgraph)
 	c.Bool(&s.opts.StrictEmbedReject)
 	congest.SnapInt(c, &s.pc, 0, o2Finish)
-	c.Bool(&s.inOp)
-	s.bd.WalkState(c)
-	s.cv.WalkState(c)
 	s.pu.WalkState(c)
-	s.bid.WalkState(c)
 	c.Msg(&s.reg)
 	c.Int(&s.budget)
 	c.Int(&s.maxDepth)

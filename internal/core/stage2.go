@@ -103,14 +103,17 @@ func modeledEmbedRounds(n, maxDepth int) int {
 	return 2*maxDepth + mD
 }
 
-// rotationIndex maps a part node's id to the range [lo, hi) of its
-// entries in the rotation scatter stream.
-type rotationIndex map[int64][2]int
+// rotationIndex is the rotation scatter stream with, for each part
+// node's id, the range [lo, hi) of its entries in it.
+type rotationIndex struct {
+	items []congest.Message
+	at    map[int64][2]int
+}
 
 // indexRotation builds the rotation stream's index. embedRotationItems
 // emits each node's entries contiguously, so one pass finds the ranges.
 func indexRotation(items []congest.Message) any {
-	idx := make(rotationIndex)
+	idx := rotationIndex{items: items, at: map[int64][2]int{}}
 	for lo := 0; lo < len(items); {
 		r, ok := items[lo].(rotItem)
 		hi := lo + 1
@@ -121,7 +124,7 @@ func indexRotation(items []congest.Message) any {
 			hi++
 		}
 		if ok {
-			idx[r.Node] = [2]int{lo, hi}
+			idx.at[r.Node] = [2]int{lo, hi}
 		}
 		lo = hi
 	}
@@ -286,7 +289,7 @@ var sampleScratch = sync.Pool{
 
 // reassembleSamples reassembles the sample stream's chunks into label
 // pairs. Every node of a part reads the same stream, so the part runs it
-// once (BroadcastItemsDownStep.Shared) and its nodes share the result:
+// once (StepAPI.Shared) and its nodes share the result:
 // read-only data. Only the scratch is pooled; the returned edges own
 // their label storage.
 func reassembleSamples(down []congest.Message) []LabeledEdge {

@@ -23,15 +23,17 @@ import (
 // The per-node state is engine-"cold" (one object per node behind the
 // StepProgram interface, see DESIGN.md §8) and every per-wake access goes
 // through the slab-backed StepAPI. The script is a linear list of tree
-// operations (driven by the step state machines of package congest),
-// single exchange rounds, and two message-driven label-stream windows.
+// operations (engine calls of package congest, and the gather's state
+// machine), single exchange rounds, and two message-driven label-stream
+// windows.
 // Local computation lives in stage2.go (embedRotationItems,
 // edgePositionsFromRotation, buildSampleChunks, reassembleSamples, ...).
 
 type s2op uint8
 
 const (
-	o2CountUp    s2op = iota // cvg: (n, m) counts
+	o2Start      s2op = iota // entry: nothing begun yet
+	o2CountUp                // cvg: (n, m) counts
 	o2CountDown              // bcast: counts + Euler decision
 	o2GatherUp               // pipeline: edge list to the root
 	o2Scatter                // stream: rotation items down (root embeds)
@@ -80,13 +82,8 @@ type stage2Node struct {
 	part *partition.Outcome
 	opts StageIIOptions
 
-	pc   s2op
-	inOp bool
-
-	bd  congest.BroadcastDownStep
-	cv  congest.ConvergecastStep
+	pc  s2op // the op in flight (o2Start: none begun)
 	pu  congest.PipelineUpStep
-	bid congest.BroadcastItemsDownStep
 	reg congest.Message // result register between dependent ops, nil once consumed
 
 	// Stage II state. edgePos and nbrLabels are port-indexed slices.
@@ -133,256 +130,210 @@ type stage2Node struct {
 	verdict   congest.Verdict
 }
 
-// Step advances the linear Stage II script; completed ops chain into the
-// next one within the same wake (ops complete exactly at their deadline).
+// Step advances the linear Stage II script: each wake ends the op in
+// flight and begins the next, which may be o2Finish when the part's
+// verdict is already known.
 func (s *stage2Node) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
-	// Announce the op-script phase from the entry state only (first op,
-	// not yet begun) — the same resume-safe pattern as PartCtxStep.Step.
-	if s.opts.opsPhase != 0 && s.pc == o2CountUp && !s.inOp {
-		api.PhaseEnter(s.opts.opsPhase)
+	if s.pc == o2Start {
+		// Announce the op-script phase from the entry state, which the
+		// first Step leaves — the same resume-safe pattern as
+		// PartCtxStep.Step.
+		if s.opts.opsPhase != 0 {
+			api.PhaseEnter(s.opts.opsPhase)
+		}
+		s.pc = o2CountUp
+	} else if st, done := s.absorb(api, inbox); !done {
+		return st
 	}
-	for {
-		switch s.pc {
-		case o2CountUp:
-			if !s.inOp {
-				own := countsMsg{N: 1, M: int64(len(s.assigned))}
-				if !s.cv.Begin(api, s.tree, api.Round()+s.budget+2, own, cmbCounts) {
-					s.inOp = true
-					return s.cv.Wake()
-				}
-			} else if !s.cv.Feed(api, inbox) {
-				return s.cv.Wake()
-			} else {
-				s.inOp = false
-			}
-			agg, ok := s.cv.Result()
-			if !ok {
-				panic("core: counts convergecast under-budgeted")
-			}
-			s.reg = agg
-			s.pc = o2CountDown
+	return s.prepare(api)
+}
 
-		case o2CountDown:
-			if !s.inOp {
-				c := s.reg.(countsMsg)
-				s.reg = nil
-				if s.tree.IsRoot() {
-					c.Reject = c.N >= 3 && c.M > 3*c.N-6
-				}
-				if !s.bd.Begin(api, s.tree, api.Round()+s.budget+2, c) {
-					s.inOp = true
-					return s.bd.Wake()
-				}
-			} else if !s.bd.Feed(api, inbox) {
-				return s.bd.Wake()
-			} else {
-				s.inOp = false
+// prepare begins the op at pc and returns the Status the node yields.
+func (s *stage2Node) prepare(api *congest.StepAPI) congest.Status {
+	dl := api.Round() + s.budget + 2
+	switch s.pc {
+	case o2CountUp:
+		own := countsMsg{N: 1, M: int64(len(s.assigned))}
+		return api.Convergecast(s.tree, api.Round(), dl, own, cmbCounts)
+	case o2CountDown:
+		c := s.reg.(countsMsg)
+		s.reg = nil
+		if s.tree.IsRoot() {
+			c.Reject = c.N >= 3 && c.M > 3*c.N-6
+		}
+		return api.Broadcast(s.tree, dl, c)
+	case o2GatherUp:
+		items := make([]congest.Message, 0, len(s.assigned))
+		for _, p := range s.assigned {
+			items = append(items, edgeItem{A: api.ID(), B: s.nbrID[p]})
+		}
+		s.pu.Begin(api, s.tree, api.Round()+int(s.partM)+s.budget+4, items)
+		return s.pu.Wake()
+	case o2Scatter:
+		var out []congest.Message
+		strictFail := false
+		if s.tree.IsRoot() {
+			// The gathered list aliases the gather machine's buffer,
+			// which the sample gather reuses: drop it once consumed.
+			collected := s.reg.(edgeListMsg).items
+			s.reg = nil
+			out, strictFail = embedRotationItems(collected, api.ID(), s.partN, s.opts)
+			api.ChargeModeledRounds(modeledEmbedRounds(api.N(), s.maxDepth))
+		}
+		if strictFail {
+			out = []congest.Message{embedFail{}}
+		}
+		return api.Stream(s.tree, api.Round()+int(2*s.partM)+s.budget+6, out)
+	case o2Labels:
+		s.beginLabels(api)
+		return s.labelsWake()
+	case o2Exchange:
+		s.beginExchange(api)
+		return s.exchangeWake()
+	case o2SampleUp:
+		mt := s.partM - (s.partN - 1)
+		want := sampleWant(s.opts, api.N())
+		capEdges := int(4*want) + 8
+		chunksPer := 2*chunksPerLabelFor(s.budget, s.per) + 2
+		s.capChunks = capEdges * chunksPer
+		s.sBudget = s.capChunks + s.budget + 6
+		var items []congest.Message
+		if mt > 0 {
+			items = buildSampleChunks(s.assignedNonTree(), want/float64(mt), s.per, api.ID(), api.Rand())
+		}
+		s.pu.Begin(api, s.tree, api.Round()+s.sBudget, items)
+		return s.pu.Wake()
+	case o2SampleDown:
+		var up []congest.Message
+		if s.tree.IsRoot() {
+			up = s.reg.(edgeListMsg).items
+			s.reg = nil
+			if len(up) > s.capChunks {
+				// Oversampling tail event: truncate, and clear the
+				// dropped entries so the backing array does not
+				// keep their chunks live for the whole stream.
+				clear(up[s.capChunks:])
+				up = up[:s.capChunks]
 			}
-			res, ok := s.bd.Result()
-			if !ok {
-				panic("core: counts broadcast under-budgeted")
+		}
+		return api.Stream(s.tree, api.Round()+s.sBudget, up)
+	}
+	// o2Finish: a Stage I rejection overrides, and non-rejecting nodes
+	// accept.
+	v := s.verdict
+	if s.part.Rejected {
+		v = congest.VerdictReject // already output during Stage I
+	}
+	if v != congest.VerdictReject {
+		api.Output(congest.VerdictAccept)
+	}
+	return congest.Done()
+}
+
+// absorb ends the op at pc with this wake's inbox and sets pc to the next
+// op; while the op runs it reports false and the Status to yield.
+func (s *stage2Node) absorb(api *congest.StepAPI, inbox []congest.Inbound) (congest.Status, bool) {
+	switch s.pc {
+	case o2CountUp:
+		s.reg = api.Result()
+		s.pc = o2CountDown
+
+	case o2CountDown:
+		rc := api.Result().(countsMsg)
+		s.partN = rc.N
+		s.partM = rc.M
+		switch {
+		case rc.Reject:
+			s.decide(api)
+		case s.partM == 0 || s.partN <= 2:
+			s.verdict = congest.VerdictAccept // trivially planar part
+			s.pc = o2Finish
+		default:
+			s.pc = o2GatherUp
+		}
+
+	case o2GatherUp:
+		if !s.pu.Feed(api, inbox) {
+			return s.pu.Wake(), false
+		}
+		collected, ok := s.pu.Result()
+		if s.tree.IsRoot() && !ok {
+			panic("core: edge gather under-budgeted")
+		}
+		if s.tree.IsRoot() {
+			s.reg = edgeListMsg{items: collected}
+		}
+		s.pc = o2Scatter
+
+	case o2Scatter:
+		// Every node of the part reads the root's stream; the index the
+		// first reader builds hands each node its own entries.
+		rot := api.Shared(indexRotation).(rotationIndex)
+		if len(rot.items) == 1 {
+			if _, fail := rot.items[0].(embedFail); fail {
+				s.decide(api)
+				break
 			}
-			rc := res.(countsMsg)
-			s.partN = rc.N
-			s.partM = rc.M
-			if rc.Reject {
-				s.verdict = congest.VerdictAccept
-				if s.tree.IsRoot() {
+		}
+		own := rot.at[api.ID()]
+		s.rotPorts = rotationPorts(rot.items[own[0]:own[1]], api.ID(), s.intra, s.nbrID)
+		s.pc = o2Labels
+
+	case o2Labels:
+		if done, st := s.feedLabels(api, inbox); !done {
+			return st, false
+		}
+		s.pc = o2Exchange
+
+	case o2Exchange:
+		if done, st := s.feedExchange(api, inbox); !done {
+			return st, false
+		}
+		s.pc = o2SampleUp
+
+	case o2SampleUp:
+		if !s.pu.Feed(api, inbox) {
+			return s.pu.Wake(), false
+		}
+		up, _ := s.pu.Result()
+		if s.tree.IsRoot() {
+			s.reg = edgeListMsg{items: up}
+		}
+		s.pc = o2SampleDown
+
+	case o2SampleDown:
+		// The part's nodes share the root's chunks and one reassembly.
+		s.samples = api.Shared(func(items []congest.Message) any {
+			return reassembleSamples(items)
+		}).([]LabeledEdge)
+		s.pc = o2Finish
+
+		// Step K: local violation checks (Definition 7).
+		s.verdict = congest.VerdictAccept
+	detect:
+		for _, m := range s.assignedNonTree() {
+			for _, sm := range s.samples {
+				if Intersects(m, sm) {
 					api.Output(congest.VerdictReject)
 					s.verdict = congest.VerdictReject
-				}
-				s.pc = o2Finish
-				continue
-			}
-			if s.partM == 0 || s.partN <= 2 {
-				s.verdict = congest.VerdictAccept // trivially planar part
-				s.pc = o2Finish
-				continue
-			}
-			s.pc = o2GatherUp
-
-		case o2GatherUp:
-			if !s.inOp {
-				items := make([]congest.Message, 0, len(s.assigned))
-				for _, p := range s.assigned {
-					items = append(items, edgeItem{A: api.ID(), B: s.nbrID[p]})
-				}
-				gatherBudget := int(s.partM) + s.budget + 4
-				if !s.pu.Begin(api, s.tree, api.Round()+gatherBudget, items) {
-					s.inOp = true
-					return s.pu.Wake()
-				}
-			} else if !s.pu.Feed(api, inbox) {
-				return s.pu.Wake()
-			} else {
-				s.inOp = false
-			}
-			collected, ok := s.pu.Result()
-			if s.tree.IsRoot() && !ok {
-				panic("core: edge gather under-budgeted")
-			}
-			if s.tree.IsRoot() {
-				s.reg = edgeListMsg{items: collected}
-			}
-			s.pc = o2Scatter
-
-		case o2Scatter:
-			if !s.inOp {
-				var out []congest.Message
-				strictFail := false
-				if s.tree.IsRoot() {
-					// The gathered list aliases the gather machine's buffer,
-					// which the sample gather reuses: drop it once consumed.
-					collected := s.reg.(edgeListMsg).items
-					s.reg = nil
-					out, strictFail = embedRotationItems(collected, api.ID(), s.partN, s.opts)
-					api.ChargeModeledRounds(modeledEmbedRounds(api.N(), s.maxDepth))
-				}
-				if strictFail {
-					out = []congest.Message{embedFail{}}
-				}
-				scatterBudget := int(2*s.partM) + s.budget + 6
-				if !s.bid.Begin(api, s.tree, api.Round()+scatterBudget, out) {
-					s.inOp = true
-					return s.bid.Wake()
-				}
-			} else if !s.bid.Feed(api, inbox) {
-				return s.bid.Wake()
-			} else {
-				s.inOp = false
-			}
-			got, ok := s.bid.Result()
-			if !ok {
-				panic("core: rotation scatter under-budgeted")
-			}
-			if len(got) == 1 {
-				if _, fail := got[0].(embedFail); fail {
-					s.verdict = congest.VerdictAccept
-					if s.tree.IsRoot() {
-						api.Output(congest.VerdictReject)
-						s.verdict = congest.VerdictReject
-					}
-					s.pc = o2Finish
-					continue
+					break detect
 				}
 			}
-			// Every node of the part reads the root's stream; the index
-			// the first reader builds hands each node its own entries.
-			own := s.bid.Shared(indexRotation).(rotationIndex)[api.ID()]
-			s.rotPorts = rotationPorts(got[own[0]:own[1]], api.ID(), s.intra, s.nbrID)
-			s.pc = o2Labels
-
-		case o2Labels:
-			if !s.inOp {
-				s.beginLabels(api)
-				s.inOp = true
-				return s.labelsWake()
-			}
-			done, st := s.feedLabels(api, inbox)
-			if !done {
-				return st
-			}
-			s.inOp = false
-			s.pc = o2Exchange
-
-		case o2Exchange:
-			if !s.inOp {
-				s.beginExchange(api)
-				s.inOp = true
-				return s.exchangeWake()
-			}
-			done, st := s.feedExchange(api, inbox)
-			if !done {
-				return st
-			}
-			s.inOp = false
-			s.pc = o2SampleUp
-
-		case o2SampleUp:
-			if !s.inOp {
-				mt := s.partM - (s.partN - 1)
-				want := sampleWant(s.opts, api.N())
-				capEdges := int(4*want) + 8
-				chunksPer := 2*chunksPerLabelFor(s.budget, s.per) + 2
-				s.capChunks = capEdges * chunksPer
-				s.sBudget = s.capChunks + s.budget + 6
-				var items []congest.Message
-				if mt > 0 {
-					items = buildSampleChunks(s.assignedNonTree(), want/float64(mt), s.per, api.ID(), api.Rand())
-				}
-				if !s.pu.Begin(api, s.tree, api.Round()+s.sBudget, items) {
-					s.inOp = true
-					return s.pu.Wake()
-				}
-			} else if !s.pu.Feed(api, inbox) {
-				return s.pu.Wake()
-			} else {
-				s.inOp = false
-			}
-			up, _ := s.pu.Result()
-			if s.tree.IsRoot() {
-				s.reg = edgeListMsg{items: up}
-			}
-			s.pc = o2SampleDown
-
-		case o2SampleDown:
-			if !s.inOp {
-				var up []congest.Message
-				if s.tree.IsRoot() {
-					up = s.reg.(edgeListMsg).items
-					s.reg = nil
-					if len(up) > s.capChunks {
-						// Oversampling tail event: truncate, and clear the
-						// dropped entries so the backing array does not
-						// keep their chunks live for the whole stream.
-						clear(up[s.capChunks:])
-						up = up[:s.capChunks]
-					}
-				}
-				if !s.bid.Begin(api, s.tree, api.Round()+s.sBudget, up) {
-					s.inOp = true
-					return s.bid.Wake()
-				}
-			} else if !s.bid.Feed(api, inbox) {
-				return s.bid.Wake()
-			} else {
-				s.inOp = false
-			}
-			if _, ok := s.bid.Result(); !ok {
-				panic("core: sample broadcast under-budgeted")
-			}
-			// The part's nodes share the root's chunks and one reassembly.
-			s.samples = s.bid.Shared(func(items []congest.Message) any {
-				return reassembleSamples(items)
-			}).([]LabeledEdge)
-			s.pc = o2Finish
-
-			// Step K: local violation checks (Definition 7).
-			s.verdict = congest.VerdictAccept
-		detect:
-			for _, m := range s.assignedNonTree() {
-				for _, sm := range s.samples {
-					if Intersects(m, sm) {
-						api.Output(congest.VerdictReject)
-						s.verdict = congest.VerdictReject
-						break detect
-					}
-				}
-			}
-
-		case o2Finish:
-			// A Stage I rejection overrides, and non-rejecting nodes
-			// accept.
-			v := s.verdict
-			if s.part.Rejected {
-				v = congest.VerdictReject // already output during Stage I
-			}
-			if v != congest.VerdictReject {
-				api.Output(congest.VerdictAccept)
-			}
-			return congest.Done()
 		}
 	}
+	return congest.Status{}, true
+}
+
+// decide ends the part's script on a rejection its root decided (the
+// Euler bound or a strict embedding failure): the root rejects, every
+// other node accepts.
+func (s *stage2Node) decide(api *congest.StepAPI) {
+	s.verdict = congest.VerdictAccept
+	if s.tree.IsRoot() {
+		api.Output(congest.VerdictReject)
+		s.verdict = congest.VerdictReject
+	}
+	s.pc = o2Finish
 }
 
 // assignedNonTree returns this node's assigned non-tree attachment-label

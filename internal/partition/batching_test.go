@@ -252,7 +252,7 @@ func TestResumeInsideTrialPick(t *testing.T) {
 		EveryBarriers: 1,
 		Sink: func(_ int, data []byte) error {
 			for _, sn := range nodes {
-				if sn.inOp && !sn.finished && sn.plan.ops[sn.pc].tag == tTrialPick {
+				if sn.started && !sn.fdFF && !sn.cascFF && !sn.finished && sn.plan.ops[sn.pc].tag == tTrialPick {
 					cuts = append(cuts, data)
 					break
 				}

@@ -128,21 +128,9 @@ func (s *stageINode) WalkState(c *congest.Snap) {
 	c.Bool(&s.finished)
 	congest.SnapInt(c, &s.phase, 0, s.plan.phases)
 	c.Int(&s.pc)
-	c.Bool(&s.inOp)
 	c.Int(&s.D)
 	c.Int(&s.phasesRun)
 	c.Bool(&s.earlyExit)
-	// Only the tree machine of the op in flight is walked: an idle one
-	// holds nothing the next op reads, and its tree may alias the node's,
-	// which later ops rewrite.
-	if s.inOp && s.pc >= 0 && s.pc < len(s.plan.ops) {
-		switch s.plan.ops[s.pc].kind {
-		case sBcast:
-			s.bd.WalkState(c)
-		case sCvg:
-			s.cv.WalkState(c)
-		}
-	}
 	c.Varint(&s.rootID)
 	c.Tree(&s.tree)
 	c.Bool(&s.rejected)

@@ -11,15 +11,17 @@ import (
 	"repro/internal/obs"
 )
 
-// This file implements Stage I as a StepProgram, in both variants. The interpreter state below is the per-node "cold" side of
-// the engine's memory model (DESIGN.md §8): one heap object per node
-// behind the StepProgram interface, reached once per wake through the
-// slab-backed StepAPI, with its own per-wake-hot fields (pc, inOp, the
-// embedded bd/cv machines) declared up front. Every node executes the same static script of
-// budget-synchronized operations per phase — broadcasts, convergecasts,
-// single cross-boundary rounds, and the contraction flip window — so the
-// whole phase schedule compiles to a flat op list interpreted by a small
-// state machine. The Deterministic variant compiles the forest
+// This file implements Stage I as a StepProgram, in both variants. The
+// interpreter state below is the per-node "cold" side of the engine's
+// memory model (DESIGN.md §8): one heap object per node behind the
+// StepProgram interface, reached once per wake through the slab-backed
+// StepAPI, with its per-wake-hot fields (pc and the window flags)
+// declared up front; the tree ops in flight live in the engine. Every
+// node executes the same static script of budget-synchronized
+// operations per phase — broadcasts, convergecasts, single
+// cross-boundary rounds, and the contraction flip window — so the whole
+// phase schedule compiles to a flat op list: each wake ends the op in
+// flight (absorb) and begins the next (prepare). The Deterministic variant compiles the forest
 // decomposition into the script; the Randomized variant compiles the
 // weighted-edge-selection trials of §4 (Theorem 4) instead. The golden
 // table (golden_test.go) pins the Results of both variants, so a change
@@ -299,7 +301,6 @@ type stageINode struct {
 
 	started   bool
 	finished  bool
-	inOp      bool
 	fdJoined  bool // entered this phase's forest decomposition (§10)
 	fdDirty   bool // current super-round changed local FD state
 	fdFF      bool // fast-forwarding the remaining super-rounds
@@ -312,9 +313,6 @@ type stageINode struct {
 	phasesRun   int
 	earlyExit   bool
 	fdCleanMask uint64 // bit l set: super-round l was clean at this node
-
-	bd congest.BroadcastDownStep
-	cv congest.ConvergecastStep
 
 	// Stage I state. Fields prefixed "part" are meaningful only at the
 	// part root, which acts for the auxiliary node v(P).
@@ -390,141 +388,105 @@ type stageINode struct {
 	deadline  int             // flip window deadline
 }
 
-// Step implements congest.StepProgram: it advances through the op script,
-// starting follow-up ops in the same wake whenever an op completes (ops
-// complete exactly at their deadline, and the next op begins there).
+// Step implements congest.StepProgram: each wake ends the op in flight
+// (the op at pc, once started and outside a fast-forward window) and
+// begins the next one.
 func (s *stageINode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
-	if !s.started {
+	switch {
+	case !s.started:
 		s.started = true
 		s.initNode(api)
+	case s.fdFF:
+		// Inside a batched super-round window (defensive: no message can
+		// reach a windowed node, so only the deadline wakes it).
+		if api.Round() < s.fdFFUntil {
+			return congest.Sleep(s.fdFFUntil)
+		}
+		s.fdFF = false
+		s.fdFinish(api)
+	case s.cascFF:
+		// Inside a cascade quiet-tail window; unlike the FD window there
+		// is no post-loop glue to run at the wake round.
+		if api.Round() < s.fdFFUntil {
+			return congest.Sleep(s.fdFFUntil)
+		}
+		s.cascFF = false
+	default:
+		if !s.absorb(api, &s.plan.ops[s.pc], inbox) {
+			return congest.Sleep(s.deadline)
+		}
+		if !s.finished {
+			s.pc++
+			if s.pc == len(s.plan.ops) {
+				s.pc = 0
+				s.finished = s.phase == s.plan.phases
+			}
+		}
 	}
-	for {
-		if s.finished {
-			out := &Outcome{
-				RootID:    s.rootID,
-				Tree:      s.tree,
-				Rejected:  s.rejected,
-				PhasesRun: s.phasesRun,
-				EarlyExit: s.earlyExit,
-			}
-			return s.onDone(api, out)
-		}
-		if s.fdFF {
-			// Inside a batched super-round window (defensive: no message
-			// can reach a windowed node, so only the deadline wakes it).
-			if api.Round() < s.fdFFUntil {
-				return congest.Sleep(s.fdFFUntil)
-			}
-			s.fdFF = false
-			s.fdFinish(api)
-		}
-		if s.cascFF {
-			// Inside a cascade quiet-tail window; unlike the FD window
-			// there is no post-loop glue to run at the wake round.
-			if api.Round() < s.fdFFUntil {
-				return congest.Sleep(s.fdFFUntil)
-			}
-			s.cascFF = false
-		}
-		op := &s.plan.ops[s.pc]
-		switch op.kind {
-		case sBoundary:
-			if !s.inOp {
-				s.beginPhase(api)
-				api.SendAll(rootAnnounce{Root: s.rootID})
-				s.inOp = true
-				return congest.Running()
-			}
-			for _, in := range inbox {
-				s.nbrRoot[in.Port] = in.Msg.(rootAnnounce).Root
-				s.cross[in.Port] = s.nbrRoot[in.Port] != s.rootID
-			}
-			s.inOp = false
+	if s.finished {
+		return s.onDone(api, &Outcome{
+			RootID:    s.rootID,
+			Tree:      s.tree,
+			Rejected:  s.rejected,
+			PhasesRun: s.phasesRun,
+			EarlyExit: s.earlyExit,
+		})
+	}
+	return s.prepare(api, &s.plan.ops[s.pc])
+}
 
-		case sBcast:
-			if !s.inOp {
-				if op.tag == tFDStatus && s.fdWindow(api, int(op.arg)) {
-					return congest.Sleep(s.fdFFUntil)
-				}
-				if s.cascWindow(api, op) {
-					return congest.Sleep(s.fdFFUntil)
-				}
-				if !s.bd.Begin(api, s.tree, api.Round()+s.D, s.prepBcast(api, op)) {
-					s.inOp = true
-					return s.bd.Wake()
-				}
-			} else if !s.bd.Feed(api, inbox) {
-				return s.bd.Wake()
-			} else {
-				s.inOp = false
-			}
-			got, ok := s.bd.Result()
-			if !ok {
-				panic(fmt.Sprintf("partition: broadcast under-budgeted (node %d, D=%d)", api.Index(), s.D))
-			}
-			s.absorbBcast(api, op, got)
-			if s.finished {
-				continue
-			}
-
-		case sCvg:
-			if !s.inOp {
-				if !s.beginCvg(api, op, api.Round()) {
-					s.inOp = true
-					return s.cv.Wake()
-				}
-			} else if !s.cv.Feed(api, inbox) {
-				return s.cv.Wake()
-			} else {
-				s.inOp = false
-			}
-			agg, ok := s.cv.Result()
-			if !ok {
-				panic(fmt.Sprintf("partition: convergecast under-budgeted (node %d, D=%d)", api.Index(), s.D))
-			}
-			s.absorbCvg(api, op, agg)
-
-		case sCross:
-			if !s.inOp {
-				s.prepCross(api, op)
-				if s.receivesNothing(op) {
-					// The round's absorb has nothing to wait for: run it
-					// now and begin the next op, a convergecast, at the
-					// next round without waking there.
-					s.absorbCross(api, op, nil)
-					s.pc++
-					if !s.beginCvg(api, &s.plan.ops[s.pc], api.Round()+1) {
-						s.inOp = true
-						return s.cv.Wake()
-					}
-					panic("partition: convergecast after a cross round completed at its start")
-				}
-				s.inOp = true
-				return congest.Running()
-			}
-			s.inOp = false
-			s.absorbCross(api, op, inbox)
-
-		case sFlip:
-			if !s.inOp {
-				s.beginFlip(api)
-				s.inOp = true
-				if api.Round() < s.deadline {
-					return congest.Sleep(s.deadline)
-				}
-			} else if !s.feedFlip(api, inbox) {
-				return congest.Sleep(s.deadline)
-			}
-			s.inOp = false
+// prepare begins op, the op at pc, and returns the Status the node
+// yields. A cross round that provably receives nothing is absorbed at
+// once, and the convergecast after it begins at the next round.
+func (s *stageINode) prepare(api *congest.StepAPI, op *sOp) congest.Status {
+	switch op.kind {
+	case sBoundary:
+		s.beginPhase(api)
+		api.SendAll(rootAnnounce{Root: s.rootID})
+		return congest.Running()
+	case sBcast:
+		if op.tag == tFDStatus && s.fdWindow(api, int(op.arg)) {
+			return congest.Sleep(s.fdFFUntil)
 		}
+		if s.cascWindow(api, op) {
+			return congest.Sleep(s.fdFFUntil)
+		}
+		return api.Broadcast(s.tree, api.Round()+s.D, s.prepBcast(api, op))
+	case sCvg:
+		return s.beginCvg(api, op, api.Round())
+	case sCross:
+		s.prepCross(api, op)
+		if !s.receivesNothing(op) {
+			return congest.Running()
+		}
+		s.absorbCross(api, op, nil)
 		s.pc++
-		if s.pc == len(s.plan.ops) {
-			s.pc = 0
-			if s.phase == s.plan.phases {
-				s.finished = true
-			}
-		}
+		return s.beginCvg(api, &s.plan.ops[s.pc], api.Round()+1)
+	default: // sFlip
+		s.beginFlip(api)
+		return congest.Sleep(s.deadline)
 	}
+}
+
+// absorb ends op, the op at pc, with this wake's inbox; it reports false
+// while the flip window runs.
+func (s *stageINode) absorb(api *congest.StepAPI, op *sOp, inbox []congest.Inbound) bool {
+	switch op.kind {
+	case sBoundary:
+		for _, in := range inbox {
+			s.nbrRoot[in.Port] = in.Msg.(rootAnnounce).Root
+			s.cross[in.Port] = s.nbrRoot[in.Port] != s.rootID
+		}
+	case sBcast:
+		s.absorbBcast(api, op, api.Result())
+	case sCvg:
+		s.absorbCvg(api, op, api.Result())
+	case sCross:
+		s.absorbCross(api, op, inbox)
+	default: // sFlip
+		return s.feedFlip(api, inbox)
+	}
+	return true
 }
 
 func (s *stageINode) initNode(api *congest.StepAPI) {
@@ -604,7 +566,7 @@ func (s *stageINode) eachMarkedChild(f func(p int)) {
 }
 
 // prepBcast returns the root payload for a broadcast op (non-root values
-// are ignored by BroadcastDownStep). All
+// are ignored by StepAPI.Broadcast). All
 // prepare-time side effects are root-only, so non-root nodes skip payload
 // construction entirely and avoid the interface boxing.
 func (s *stageINode) prepBcast(api *congest.StepAPI, op *sOp) congest.Message {
@@ -797,9 +759,9 @@ func (s *stageINode) absorbBcast(api *congest.StepAPI, op *sOp, got congest.Mess
 
 // beginCvg begins the convergecast op at round start, the current round
 // or, after a cross round the node skips, the next one.
-func (s *stageINode) beginCvg(api *congest.StepAPI, op *sOp, start int) bool {
+func (s *stageINode) beginCvg(api *congest.StepAPI, op *sOp, start int) congest.Status {
 	own, comb := s.prepCvg(api, op)
-	return s.cv.BeginFrom(api, s.tree, start, start+s.D, own, comb)
+	return api.Convergecast(s.tree, start, start+s.D, own, comb)
 }
 
 // prepCvg returns this node's contribution and the combiner for a

@@ -16,7 +16,8 @@ import (
 type spOp uint8
 
 const (
-	spDepthDown  spOp = iota // bcast: depth probe (each node's own depth)
+	spStart      spOp = iota // entry: nothing begun yet
+	spDepthDown              // bcast: depth probe (each node's own depth)
 	spDepthUp                // cvg: max depth
 	spDepthAgree             // bcast: agreed depth
 	spBoundary               // cross: flag cross-part edges
@@ -27,11 +28,8 @@ type spannerNode struct {
 	part   *partition.Outcome
 	record func(api *congest.StepAPI, v *NodeSpanner) congest.Status
 
-	pc   spOp
-	inOp bool
-	bd   congest.BroadcastDownStep
-	cv   congest.ConvergecastStep
-	reg  congest.Message
+	pc  spOp // the op in flight (spStart: none begun)
+	reg congest.Message
 
 	stretch int
 	ports   []bool
@@ -42,94 +40,46 @@ func newSpannerNode(part *partition.Outcome, record func(api *congest.StepAPI, v
 	return &spannerNode{part: part, record: record}
 }
 
-// Step implements congest.StepProgram.
+// Step implements congest.StepProgram: each wake ends the op in flight
+// and begins the next.
 func (s *spannerNode) Step(api *congest.StepAPI, inbox []congest.Inbound) congest.Status {
-	probe := api.N() + 2
-	for {
-		switch s.pc {
-		case spDepthDown:
-			if !s.inOp {
-				if !s.bd.BeginDepth(api, s.part.Tree, api.Round()+probe, depthProbe) {
-					s.inOp = true
-					return s.bd.Wake()
-				}
-			} else if !s.bd.Feed(api, inbox) {
-				return s.bd.Wake()
-			} else {
-				s.inOp = false
+	switch s.pc {
+	case spDepthDown, spDepthUp:
+		s.reg = api.Result()
+	case spDepthAgree:
+		s.stretch = 2 * int(api.Result().(depthMsg).D)
+	case spBoundary:
+		for _, in := range inbox {
+			if rm, ok := in.Msg.(rootMsg); ok && rm.Root != s.part.RootID {
+				s.ports[in.Port] = true // cross-part edge: keep
 			}
-			d, ok := s.bd.Result()
-			if !ok {
-				panic("spanner: depth probe under-budgeted")
-			}
-			s.reg = d
-			s.pc = spDepthUp
-
-		case spDepthUp:
-			if !s.inOp {
-				if !s.cv.Begin(api, s.part.Tree, api.Round()+probe, s.reg, cmbMaxDepth) {
-					s.inOp = true
-					return s.cv.Wake()
-				}
-			} else if !s.cv.Feed(api, inbox) {
-				return s.cv.Wake()
-			} else {
-				s.inOp = false
-			}
-			maxd, ok := s.cv.Result()
-			if !ok {
-				panic("spanner: depth convergecast under-budgeted")
-			}
-			s.reg = maxd
-			s.pc = spDepthAgree
-
-		case spDepthAgree:
-			if !s.inOp {
-				if !s.bd.Begin(api, s.part.Tree, api.Round()+probe, s.reg) {
-					s.inOp = true
-					return s.bd.Wake()
-				}
-			} else if !s.bd.Feed(api, inbox) {
-				return s.bd.Wake()
-			} else {
-				s.inOp = false
-			}
-			agreed, ok := s.bd.Result()
-			if !ok {
-				panic("spanner: depth broadcast under-budgeted")
-			}
-			s.stretch = 2 * int(agreed.(depthMsg).D)
-			s.pc = spBoundary
-
-		case spBoundary:
-			if !s.inOp {
-				s.ports = make([]bool, api.Degree())
-				api.SendAll(rootMsg{Root: s.part.RootID})
-				s.inOp = true
-				return congest.Running()
-			}
-			s.inOp = false
-			for _, in := range inbox {
-				if rm, ok := in.Msg.(rootMsg); ok && rm.Root != s.part.RootID {
-					s.ports[in.Port] = true // cross-part edge: keep
-				}
-			}
-			if s.part.Tree.ParentPort >= 0 {
-				s.ports[s.part.Tree.ParentPort] = true
-			}
-			for _, c := range s.part.Tree.ChildPorts {
-				s.ports[c] = true
-			}
-			s.pc = spFinish
-
-		default: // spFinish
-			return s.record(api, &NodeSpanner{
-				Ports:        s.ports,
-				PartRoot:     s.part.RootID,
-				StretchBound: s.stretch,
-			})
+		}
+		if s.part.Tree.ParentPort >= 0 {
+			s.ports[s.part.Tree.ParentPort] = true
+		}
+		for _, c := range s.part.Tree.ChildPorts {
+			s.ports[c] = true
 		}
 	}
+	s.pc++
+	dl := api.Round() + api.N() + 2
+	switch s.pc {
+	case spDepthDown:
+		return api.BroadcastDepth(s.part.Tree, dl, depthProbe)
+	case spDepthUp:
+		return api.Convergecast(s.part.Tree, api.Round(), dl, s.reg, cmbMaxDepth)
+	case spDepthAgree:
+		return api.Broadcast(s.part.Tree, dl, s.reg)
+	case spBoundary:
+		s.ports = make([]bool, api.Degree())
+		api.SendAll(rootMsg{Root: s.part.RootID})
+		return congest.Running()
+	}
+	return s.record(api, &NodeSpanner{
+		Ports:        s.ports,
+		PartRoot:     s.part.RootID,
+		StretchBound: s.stretch,
+	})
 }
 
 // Collect runs the construction on g and returns the spanner subgraph,
