@@ -297,12 +297,13 @@ func (el *elideState) publish(r int32, k uint8, tag int64, msg Message, items []
 }
 
 // openWindow starts an elided window at this node at the current round
-// (the op start), with deadline; msg or items are the root's content,
-// and a depth probe's root also gives its constructor (msg is then the
-// constructor's depth-0 message). A childless root opens nothing: no
-// node reads from it and it relays nothing. At the root it returns the
-// index of the first stream message above the bit bound (-1: none),
-// which the caller must send literally at its literal round.
+// (the op start), with deadline, and marks the node's op as windowed
+// (opWindow); msg or items are the root's content, and a depth probe's
+// root also gives its constructor (msg is then the constructor's
+// depth-0 message). A childless root opens nothing: no node reads from
+// it and it relays nothing. At the root it returns the index of the
+// first stream message above the bit bound (-1: none), which the caller
+// must send literally at its literal round.
 func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message, stream bool, depth DepthMessage) int {
 	isRoot := t.IsRoot()
 	if isRoot && len(t.ChildPorts) == 0 {
@@ -331,6 +332,7 @@ func (a *StepAPI) openWindow(t Tree, deadline int, msg Message, items []Message,
 		el.shape.Add(1)
 	}
 	e.opened[i] |= openedElide
+	e.opKind[i] |= opWindow
 	return over
 }
 

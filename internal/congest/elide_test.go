@@ -93,7 +93,7 @@ func phaseTraffic(res *Result) [][2]int64 {
 }
 
 // relayBcast is the literal hop-by-hop broadcast (the schedule an elided
-// BroadcastDownStep charges): the root sends its payload to its children
+// Broadcast charges): the root sends its payload to its children
 // at once, and every other node forwards what it receives from its
 // parent, after hop when hop is not nil, in the round it arrives. A depth
 // probe is the relay whose hop adds one. Any other mail panics, at every
@@ -199,7 +199,7 @@ func TestElidedBroadcastMatchesRelay(t *testing.T) {
 	testBroadcastsMatchRelay(t, false)
 }
 
-// TestDepthWindowMatchesRelay checks a depth probe (BeginDepth) against
+// TestDepthWindowMatchesRelay checks a depth probe (BroadcastDepth) against
 // the relay that adds one per hop, as TestElidedBroadcastMatchesRelay
 // does for a fixed payload: every node's depth, verdicts, rounds,
 // messages, bits and largest message, and each phase's traffic, whole or
@@ -227,7 +227,7 @@ func testBroadcastsMatchRelay(t *testing.T, depth bool) {
 }
 
 // relayItems is the literal hop-by-hop item stream (the schedule an
-// elided BroadcastItemsDownStep charges): the root sends one packPipe
+// elided Stream charges): the root sends one packPipe
 // batch per round and then the end marker; every other node forwards
 // what it receives in the round it arrives.
 type relayItems struct {
@@ -404,6 +404,94 @@ func TestElidedBitBound(t *testing.T) {
 	}
 }
 
+// streamProg is a Snapshottable program that idles to round 2 and then
+// runs one stream on its tree, with streamItems(over) at the fixture's
+// root, and accepts once it has read them.
+type streamProg struct {
+	tr    Tree
+	over  int
+	begun bool
+}
+
+const streamProgKind = 204
+
+func init() {
+	RegisterMessage(202, func(c *Snap, m *intMsg) { c.Varint(&m.v) })
+	RegisterMessage(203, func(c *Snap, m *sizedMsg) { c.Int(&m.bits) })
+}
+
+func (p *streamProg) SnapshotKind() uint16 { return streamProgKind }
+
+func (p *streamProg) WalkState(c *Snap) {
+	c.Tree(&p.tr)
+	c.Int(&p.over)
+	c.Bool(&p.begun)
+}
+
+func (p *streamProg) Step(api *StepAPI, _ []Inbound) Status {
+	switch {
+	case api.Round() < 2:
+		return Sleep(2)
+	case !p.begun:
+		p.begun = true
+		var items []Message
+		if p.tr.IsRoot() && len(p.tr.ChildPorts) > 0 {
+			items = streamItems(p.over, api.BitBound())
+		}
+		return api.Stream(p.tr, api.Round()+40, items)
+	}
+	api.Shared(func(items []Message) any { return len(items) })
+	api.Output(VerdictAccept)
+	return Done()
+}
+
+// TestStreamResumes checkpoints a stream at every barrier, with and
+// without an over-bound item, and resumes each checkpoint to the
+// uninterrupted run's Result or error: a checkpoint carries the root's
+// items and its pending literal send. The bystander streams as the
+// childless root of its own tree. The 12x12 grid runs on four workers,
+// so the root registers its literal send while other workers step
+// (run it under -race).
+func TestStreamResumes(t *testing.T) {
+	for _, f := range []elideFixture{newElideFixture(5, 1), newElideFixture(12, 4)} {
+		f.testStreamResumes(t)
+	}
+}
+
+func (f elideFixture) testStreamResumes(t *testing.T) {
+	restore := func(_ int, kind uint16, c *Snap) (StepProgram, error) {
+		if kind != streamProgKind {
+			return nil, fmt.Errorf("unexpected kind %d", kind)
+		}
+		p := &streamProg{}
+		p.WalkState(c)
+		return p, c.Err()
+	}
+	for _, over := range []int{-1, 9, 22} {
+		var snaps [][]byte
+		cfg := Config{Graph: f.g, Seed: 5, IDs: f.ids, BitBound: 120, Workers: f.workers}
+		run := cfg
+		run.Checkpoint = CheckpointConfig{EveryBarriers: 1, Sink: func(_ int, data []byte) error {
+			snaps = append(snaps, data)
+			return nil
+		}}
+		want, wantErr := RunStep(run, func(v int) StepProgram { return &streamProg{tr: f.views[v], over: over} })
+		if (wantErr != nil) != (over >= 0) {
+			t.Fatalf("n=%d item %d: err = %v", f.g.N(), over, wantErr)
+		}
+		if len(snaps) < 2 {
+			t.Fatalf("n=%d item %d: %d checkpoints", f.g.N(), over, len(snaps))
+		}
+		for b, snap := range snaps {
+			got, err := ResumeStep(cfg, snap, restore)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got.Metrics, want.Metrics) ||
+				!reflect.DeepEqual(got.Verdicts, want.Verdicts) {
+				t.Fatalf("n=%d item %d, resumed at barrier %d: %+v %v, want %+v %v", f.g.N(), over, b+1, got.Metrics, err, want.Metrics, wantErr)
+			}
+		}
+	}
+}
+
 // TestChargedMessageMatchesSent checks that a charged message counts
 // exactly as a routed one: messages, bits and MaxMessageBits, in the
 // same round; and that a charge above the bit bound is refused.
@@ -519,7 +607,7 @@ type cvgResult struct {
 }
 
 // relayCvg is the literal convergecast relay (the schedule a
-// by-reference ConvergecastStep charges): a leaf sends its contribution
+// by-reference Convergecast charges): a leaf sends its contribution
 // to its parent at once; any other node folds its contribution with its
 // children's aggregates, in ChildPorts order, in the round the last one
 // arrives, and sends the result up. A fold may draw from the node's
@@ -571,7 +659,7 @@ func (r *relayCvg) Wake() Status { return Sleep(r.deadline) }
 // relay's fold (random folds draw from the node's randomness) and the
 // registered combiner, each node's contribution, the two budgets, the
 // bystander's cut and phase switch, and whether the odd nodes begin the
-// second op a round early (BeginFrom), as a node that skips a cross
+// second op a round early (Convergecast's start), as a node that skips a cross
 // round does.
 type cvgRun struct {
 	relay   bool
@@ -596,8 +684,8 @@ func (c cvgRun) relayFold(api *StepAPI, own Message, ch []Message) Message {
 // runConvergecasts runs two convergecasts on the fixture's tree after a
 // 3-round offset, the second starting one round after the first's
 // deadline, and has every node draw from its randomness after each. A
-// node that does not complete an op panics, as every caller of
-// ConvergecastStep does.
+// node whose op does not complete fails with the engine's under-budget
+// error, in the relay too.
 func (f elideFixture) runConvergecasts(c cvgRun) (*Result, [][2]cvgResult, error) {
 	got := make([][2]cvgResult, f.g.N())
 	cfg := Config{Graph: f.g, Seed: 5, IDs: f.ids, StopOnReject: true, Workers: f.workers, Probe: elideProbe(), BitBound: c.bound}

@@ -35,13 +35,16 @@ import "fmt"
 //	result, ok := sm.Result()
 
 // Op kinds (engine.opKind): the low bits name the open op, opRoot marks
-// the root of its tree.
+// the root of its tree and opWindow a broadcast or stream that opened an
+// elided window (every node but a childless root, or one that sent its
+// payload literally).
 const (
 	opBcast    uint8 = 1 + iota // broadcast or depth probe (elide.go)
 	opStream                    // item stream (elide.go)
 	opCvg                       // convergecast (converge.go)
 	opKindMask uint8 = 3
 	opRoot     uint8 = 4
+	opWindow   uint8 = 8
 )
 
 // opName is each op kind's name in the errors it raises.
@@ -81,7 +84,7 @@ func (a *StepAPI) beginOp(k uint8, t Tree, start, deadline int) {
 	}
 	e := a.eng
 	if open := e.opKind[a.node]; open != 0 {
-		panic(fmt.Sprintf("congest: %s: node %d begins it inside a %s", opName[k], a.node, opName[open&opKindMask]))
+		panic(fmt.Sprintf("congest: %s: node %d begins it with a %s open", opName[k], a.node, opName[open&opKindMask]))
 	}
 	if t.IsRoot() {
 		k |= opRoot
@@ -210,15 +213,15 @@ func (a *StepAPI) Convergecast(t Tree, start, deadline int, own Message, comb Co
 }
 
 // endOp ends this node's open op, which must be of kind k, at its
-// deadline wake, and reports whether the node is the op's root.
-func (a *StepAPI) endOp(k uint8) bool {
+// deadline wake and returns its opKind bits.
+func (a *StepAPI) endOp(k uint8) uint8 {
 	e := a.eng
 	open := e.opKind[a.node]
 	if open&opKindMask != k {
 		panic(fmt.Sprintf("congest: %s: node %d reads a result with none open", opName[k], a.node))
 	}
 	e.opKind[a.node] = 0
-	return open&opRoot != 0
+	return open
 }
 
 // underBudget fails the node: the relay would not have completed its op
@@ -241,11 +244,14 @@ func (a *StepAPI) Result() Message {
 		}
 		return agg
 	}
-	if a.endOp(opBcast) {
+	k := a.endOp(opBcast)
+	if k&opRoot != 0 {
 		p := &a.eng.pay[a.node]
 		m := p.msg
 		*p = opPayload{}
-		a.closeRootWindow()
+		if k&opWindow != 0 {
+			a.closeWindow()
+		}
 		return m
 	}
 	p, d := a.closeWindow()
@@ -264,31 +270,25 @@ func (a *StepAPI) Result() Message {
 // under-budget error (at the root it completes).
 func (a *StepAPI) Shared(build func(items []Message) any) any {
 	var slot *pubSlot
-	if a.endOp(opStream) {
+	k := a.endOp(opStream)
+	if k&opWindow != 0 {
+		slot, _ = a.closeWindow()
+	}
+	if k&opRoot != 0 {
 		p := &a.eng.pay[a.node]
 		items := p.items
 		*p = opPayload{}
-		if slot = a.closeRootWindow(); slot == nil {
-			return build(items) // a childless root publishes nothing
+		if slot == nil {
+			// A childless root publishes nothing, and a root whose relay
+			// runs past the deadline still holds all its items.
+			return build(items)
 		}
-	} else if slot, _ = a.closeWindow(); slot == nil {
+	} else if slot == nil {
 		a.underBudget(opStream)
 	}
 	sv := slot.shared
 	sv.once.Do(func() { sv.v = build(slot.items) })
 	return sv.v
-}
-
-// closeRootWindow closes the window a root opened (none when it has no
-// children or sent its payload literally) and returns its published
-// content, nil when it opened none or the relay would not have sent the
-// whole stream by the deadline.
-func (a *StepAPI) closeRootWindow() *pubSlot {
-	if el := a.eng.el; el == nil || el.state[a.node]&winOpen == 0 {
-		return nil
-	}
-	p, _ := a.closeWindow()
-	return p
 }
 
 // strayMail fails node i, inside an open op, for the mail in its inbox.
@@ -422,9 +422,9 @@ func (p *PipelineUpStep) WalkState(c *Snap) {
 }
 
 // walkOpsSection walks the ops open at the snapshot barrier: each node's
-// op kind and, at a root, its payload and any pending literal send. It
-// follows the window sections, so decoding checks that every non-root
-// op has its window.
+// opKind bits and, at a root, its payload and any pending literal send.
+// It follows the window sections, so decoding checks that a node's
+// window is open exactly when its op says so.
 func (e *engine) walkOpsSection(c *Snap) {
 	var open []int
 	if !c.dec {
@@ -442,32 +442,36 @@ func (e *engine) walkOpsSection(c *Snap) {
 			i = open[j]
 		}
 		SnapUint(c, &i, e.n-1)
-		k := e.opKind[i]
-		if c.dec && k != 0 {
+		if c.dec && c.err == nil && e.opKind[i] != 0 {
 			c.fail("op record %d repeats node %d", j, i)
 		}
-		SnapUint(c, &k, opRoot|opKindMask)
-		kind := k & opKindMask
-		if c.err != nil || kind == 0 {
-			c.fail("op record %d has kind %d", j, k)
+		k := e.opKind[i]
+		SnapUint(c, &k, opWindow|opRoot|opKindMask)
+		if c.err != nil {
 			return
 		}
-		e.opKind[i] = k
+		kind := k & opKindMask
+		if c.dec {
+			win := e.el != nil && e.el.state[i]&winOpen != 0
+			cvg := e.cv != nil && e.cv.node[i].open
+			switch {
+			case kind == 0:
+				c.fail("op record %d has kind %d", j, k)
+			case kind == opCvg && (k&opWindow != 0 || !cvg):
+				c.fail("convergecast record %d (node %d) has no window", j, i)
+			case kind != opCvg && (k&opWindow != 0) != win, kind != opCvg && k&(opWindow|opRoot) == 0:
+				c.fail("%s record %d (node %d) disagrees with its window", opName[kind], j, i)
+			}
+			e.opKind[i] = k
+		}
 		switch {
-		case kind == opCvg:
-			if c.dec && (e.cv == nil || !e.cv.node[i].open) {
-				c.fail("convergecast of node %d has no window", i)
-			}
-		case k&opRoot == 0:
-			if c.dec && (e.el == nil || e.el.state[i]&winOpen == 0) {
-				c.fail("%s of node %d has no window", opName[kind], i)
-			}
+		case k&opRoot == 0 || c.err != nil:
 		case kind == opBcast:
 			p := e.payload(int32(i))
 			if c.Msg(&p.msg); c.dec && p.msg == nil {
 				c.fail("broadcast root %d has no payload", i)
 			}
-		default:
+		case kind == opStream:
 			e.walkStreamRoot(c, i)
 		}
 	}

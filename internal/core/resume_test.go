@@ -139,9 +139,9 @@ func TestResumeRejectsWrongGraph(t *testing.T) {
 // runs: the SHA-256 of each run's ordered snapshot sequence (snapshotDigest).
 // A layout change must bump the snapshot version and re-record these.
 var crashEveryBarrierDigests = map[string]string{
-	"grid/deterministic": "6e07d0e4fe3ea7499786383ef603b664bfd17507b17b1417299f255eede69bc6",
-	"grid/randomized":    "1dcb221ec2ccb5fe2edb632fde82114e92dbbdef8c393ad8df82088f5878cfdb",
-	"far/deterministic":  "6d2eea0d6277d3e066714e184dfbfc1e1c47e9b66a99c2c216c0873e8b4edfed",
+	"grid/deterministic": "c79fd24901d0544cd6e2ff41247179d9889a59a8c9b4d49dc6bc0a548044f87f",
+	"grid/randomized":    "3aad4c7bd696558abb65f936051cdbce329060be46aea95448812f929fd10807",
+	"far/deterministic":  "82b1e913edc4a6a7e0667e293d26e187c704c540ec08487d1e795316d6ea5493",
 }
 
 // snapshotDigest hashes an ordered snapshot sequence: each snapshot's
