@@ -2,7 +2,7 @@ package congest
 
 // Tree is a node's local view of a rooted spanning tree of (a subgraph of)
 // the network: the port leading to its parent and the ports leading to its
-// children. The tree operations are the state machines in tree_step.go.
+// children. The tree operations are in tree_step.go.
 type Tree struct {
 	ParentPort int // -1 at the root
 	ChildPorts []int

@@ -182,12 +182,12 @@ func (a *StepAPI) sendLiteral(l litSend) {
 func (e *engine) literal(i int32) (Status, bool) {
 	e.litMu.Lock()
 	l, ok := e.lit[i]
-	if ok && l.at == int64(e.round) {
+	if ok = ok && l.at == int64(e.round); ok {
 		delete(e.lit, i)
 		e.lits.Add(-1)
 	}
 	e.litMu.Unlock()
-	if !ok || l.at != int64(e.round) {
+	if !ok {
 		return Status{}, false
 	}
 	e.apis[i].sendLiteral(l)
